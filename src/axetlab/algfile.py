@@ -328,11 +328,13 @@ def _format_field(field):
 
 
 def _format_law_params(law):
-    # jordan laws have 3 eigenvalues, monster laws 4
-    if len(law.eigenvalues) == 3:
-        return "jordan %s" % _format_coefficient(law.eigenvalues[2])
-    return "monster %s %s" % (_format_coefficient(law.eigenvalues[2]),
-                              _format_coefficient(law.eigenvalues[3]))
+    # jordan laws have 3 eigenvalues, monster laws 4; the axis line is
+    # split on whitespace, so each parameter is one token with no spaces
+    params = [_format_coefficient(v).replace(" ", "")
+              for v in law.eigenvalues[2:]]
+    if len(params) == 1:
+        return "jordan %s" % params[0]
+    return "monster %s %s" % tuple(params)
 
 
 def emit_algebra_file(algebra, axes=()):

@@ -1,9 +1,21 @@
 """Exact linear algebra over any of the scalar fields.
 
-Matrices are lists of row lists.  Everything is plain Gaussian
-elimination with first-nonzero pivoting and exact division, reduced all
-the way to RREF, so results are deterministic for a fixed input order.
+Matrices are lists of row lists.  ``rref`` reduces all the way to RREF
+with first-nonzero pivoting, so results are deterministic for a fixed
+input order; every other routine here goes through it.
+
+Over Q and F_p it is plain Gauss-Jordan elimination with field division.
+Over a function field, dividing rational functions at every step makes
+their unreduced numerators and denominators swell, so ``rref`` instead
+clears each row's denominators and runs fraction-free Gauss-Jordan
+elimination on the polynomial matrix (Bareiss, Math. Comp. 22, 1968, in
+the Gauss-Jordan form of Nakos, Turner and Williams, SIGSAM Bull. 31,
+1997): each update is divided exactly by the previous pivot
+(``MultiPoly.exquo``), so every entry stays a minor of the cleared
+matrix, and one division by the last pivot at the end gives the RREF.
 """
+
+from .scalars import FunctionField, MultiPoly, RationalFunction
 
 
 def _copy(rows):
@@ -12,6 +24,8 @@ def _copy(rows):
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    if isinstance(field, FunctionField):
+        return _rref_fraction_free(rows, field)
     m = _copy(rows)
     if not m:
         return m, []
@@ -38,6 +52,79 @@ def rref(rows, field):
         if r == len(m):
             break
     return m, pivots
+
+
+def _clear_denominators(row, field):
+    """The row times the product of its distinct denominators, over Q[x]."""
+    row = [field.coerce(x) for x in row]
+    dens = []
+    for x in row:
+        if not x.den.is_constant() and x.den not in dens:
+            dens.append(x.den)
+    out = []
+    for x in row:
+        v = x.num
+        if not v.is_zero():
+            for d in dens:
+                if d != x.den:
+                    v = v * d
+            if x.den.is_constant():
+                v = v * (1 / x.den.constant_value())
+        out.append(v)
+    return out
+
+
+def _rref_fraction_free(rows, field):
+    m = [_clear_denominators(r, field) for r in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    zero = MultiPoly.constant(field.names, 0)
+    pivots = []
+    prev = None  # the previous pivot; None before the first
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if not m[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            row[c] = zero
+            # earlier pivot columns are zero off their own row, and the
+            # result puts one there; they are not updated
+            for j in range(ncols):
+                if j == c or j in pivots:
+                    continue
+                a, b = row[j], prow[j]
+                if f.is_zero() or b.is_zero():
+                    if a.is_zero():
+                        continue
+                    v = p * a
+                else:
+                    v = p * a - f * b
+                row[j] = v if prev is None else v.exquo(prev)
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for i, row in enumerate(m):
+        out.append([field.zero if a.is_zero()
+                    else field.one if i < len(pivots) and j == pivots[i]
+                    else RationalFunction(a, prev)
+                    for j, a in enumerate(row)])
+    return out, pivots
 
 
 def rank(rows, field):

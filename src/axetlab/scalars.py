@@ -14,11 +14,17 @@ rationals, and symbol lookup for the expression parser.
 
 Rational functions are deliberately not reduced to lowest terms; equality
 is decided by cross multiplication and only the integer content is
-stripped to bound coefficient growth.
+stripped to bound coefficient growth.  ``MultiPoly.exquo`` is exact
+polynomial division: it divides by the leading term in graded order and
+raises ``InexactDivision`` on a nonzero remainder, never truncating.
+Fraction-free elimination over function fields (``linalg.rref``) runs on
+polynomials and relies on it to divide out the previous pivot.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, sub
 
 Rational = Fraction
 
@@ -49,6 +55,10 @@ class NonlinearExpression(ValueError):
     """Raised when a linear solve meets degree two or higher."""
 
 
+class InexactDivision(ArithmeticError):
+    """Raised when MultiPoly.exquo meets a divisor that does not divide."""
+
+
 class ExprError(ValueError):
     """Raised on malformed scalar or element expressions."""
 
@@ -57,16 +67,35 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic primality; BadField above the proven range."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise BadField("%d is beyond the range where primality is decided"
+                       " (below %d)" % (n, _MR_BOUND))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -189,7 +218,7 @@ class MultiPoly:
 
     def __init__(self, names, terms):
         self.names = tuple(names)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def constant(cls, names, value):
@@ -230,7 +259,8 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
         return MultiPoly(self.names, terms)
 
     __radd__ = __add__
@@ -254,8 +284,9 @@ class MultiPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                c = terms.get(e)
+                terms[e] = c1 * c2 if c is None else c + c1 * c2
         return MultiPoly(self.names, terms)
 
     __rmul__ = __mul__
@@ -270,6 +301,45 @@ class MultiPoly:
 
     def __neg__(self):
         return MultiPoly(self.names, {e: -c for e, c in self.terms.items()})
+
+    def exquo(self, other):
+        """The exact quotient self / other.
+
+        Divides by the leading term in graded order, largest remainder
+        term first; raises InexactDivision if other does not divide self.
+        """
+        o = self._lift(other)
+        if o is None:
+            raise MixedFields("cannot divide a polynomial by %r" % (other,))
+        if o.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        lead = min(o.terms, key=_term_key)
+        lc = o.terms[lead]
+        rest = [(e, c) for e, c in o.terms.items() if e != lead]
+        rem = dict(self.terms)
+        heap = [(_term_key(e), e) for e in rem]
+        heapify(heap)
+        quot = {}
+        while heap:
+            e = heappop(heap)[1]
+            c = rem.pop(e)
+            if not c:
+                continue
+            shift = tuple(map(sub, e, lead))
+            if any(k < 0 for k in shift):
+                raise InexactDivision(
+                    "a %d-term divisor does not divide a %d-term polynomial"
+                    % (len(o.terms), len(self.terms)))
+            q = quot[shift] = c / lc
+            # every new remainder term sorts below e, so none is popped twice
+            for e2, c2 in rest:
+                t = tuple(map(add, shift, e2))
+                if t in rem:
+                    rem[t] -= q * c2
+                else:
+                    rem[t] = -q * c2
+                    heappush(heap, (_term_key(t), t))
+        return MultiPoly(self.names, quot)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -662,8 +732,11 @@ def skew_field():
 #           power  := atom ('^' INT)*            (left associative)
 #           atom   := INT | NAME | '(' sum ')'
 # so ^ binds tighter than unary minus, which binds tighter than * and /.
+# Nesting (unary minus and parentheses) is bounded by MAX_NESTING, so a
+# hostile expression ends in an ExprError, not in a RecursionError.
 
 _OPS = set("+-*/^()")
+MAX_NESTING = 100
 
 
 def tokenize(text):
@@ -704,6 +777,7 @@ class _Parser:
         self.k = 0
         self.field = field
         self.names = names
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -746,11 +820,20 @@ class _Parser:
             else:
                 return v
 
+    def nest(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError("expression nested deeper than %d" % MAX_NESTING,
+                            pos=pos)
+
     def unary(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "OP" and text == "-":
             self.next()
-            return -self.unary()
+            self.nest(pos)
+            v = -self.unary()
+            self.depth -= 1
+            return v
         return self.power()
 
     def power(self):
@@ -776,8 +859,10 @@ class _Parser:
                 raise UnboundSymbol("unknown symbol %r" % text)
             return self.names[text]
         if kind == "OP" and text == "(":
+            self.nest(pos)
             v = self.sum()
             self.expect_op(")")
+            self.depth -= 1
             return v
         raise ExprError("unexpected token %r" % (text or kind), pos=pos)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from axetlab import cli
 from axetlab.algfile import (ParseError, emit_algebra_file, format_element,
                              parse_algebra_file)
 from axetlab.catalog import (make_2B, make_3C_minus1_2, make_3C_skew,
@@ -185,6 +186,21 @@ def test_round_trip_function_field():
     from axetlab.catalog import SkewConstants, make_generic_skew
     A = make_generic_skew(SkewConstants.generic())
     round_trip(A)
+
+
+def test_round_trip_function_field_monster_axis(tmp_path):
+    # a function-field law parameter such as 1 - alpha must stay one token
+    from axetlab.scalars import FunctionField
+    field = FunctionField(("alpha",))
+    ex = make_3C_skew(field.sym("alpha"), field)
+    text = emit_algebra_file(ex.algebra, [(ex.m_axis, ex.m_law),
+                                          (ex.j_axis, ex.j_law)])
+    assert "axis monster alpha (-alpha+1) " in text
+    doc = parse_algebra_file(text)
+    assert emit_algebra_file(doc.algebra, doc.axes) == text
+    path = tmp_path / "skew.alg"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 0
 
 
 def test_round_trip_negative_and_integer_coefficients():

@@ -196,6 +196,26 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["-" * 5000 + "e",
+                                  "(" * 5000 + "e" + ")" * 5000])
+def test_deep_nesting_exits_2_with_position(tmp_path, capsys, expr):
+    path = tmp_path / "deep.alg"
+    path.write_text("field rational\ndim 1\nbasis e\nproduct e e = %s\n"
+                    "axis jordan 1/3 e\n" % expr)
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    # the 101st opener, at offset 100 of the expression, is refused
+    assert err.startswith("error: line 4, column 114: expression nested")
+
+
+def test_field_prime_2_pow_61_minus_1(tmp_path, capsys):
+    path = tmp_path / "big.alg"
+    path.write_text("field prime 2305843009213693951\ndim 1\nbasis e\n"
+                    "product e e = e\naxis jordan 3 e\n")
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("axis 1: pass")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "absent.alg")]) == 2
 

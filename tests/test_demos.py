@@ -1,0 +1,27 @@
+"""Each demo script runs to completion as its docstring says to run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_the_five_demos_are_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_0(demo):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src)
+    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout

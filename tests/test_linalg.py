@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axetlab import linalg
-from axetlab.scalars import QQ, PrimeField
+from axetlab.scalars import QQ, FunctionField, PrimeField
 
 F5 = PrimeField(5)
 
@@ -115,3 +115,110 @@ def test_inverse_multiplies_to_identity(rows):
             == linalg.identity_matrix(3, QQ)
         assert linalg.mat_mul(inv, rows, QQ) \
             == linalg.identity_matrix(3, QQ)
+
+
+# -- function fields: fraction-free elimination ------------------------------
+
+FXY = FunctionField(("x", "y"))
+X, Y = FXY.sym("x"), FXY.sym("y")
+DENOMINATORS = (X + 1, Y - 2, X * Y + 1, X - Y)
+
+
+def field_division_rref(rows, field):
+    """Gauss-Jordan with field division, the reference for rref."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != field.zero),
+                  None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.one / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != field.zero:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+small = st.integers(-2, 2)
+numerators = st.tuples(small, small, small).map(
+    lambda t: t[0] + t[1] * X + t[2] * Y)
+rational_functions = st.one_of(
+    st.just(FXY.zero),
+    small.map(FXY.coerce),
+    st.tuples(numerators, st.sampled_from(DENOMINATORS)).map(
+        lambda t: t[0] / t[1]))
+
+
+@st.composite
+def ff_matrices(draw, max_rows=4, max_cols=5):
+    nrows = draw(st.integers(2, max_rows))
+    ncols = draw(st.integers(2, max_cols))
+    rows = [[draw(rational_functions) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if draw(st.booleans()):
+        # rank deficient: the last row repeats a combination of the first
+        a, b = draw(small), draw(small)
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = FXY.zero
+    return rows
+
+
+@given(ff_matrices())
+@settings(max_examples=30, deadline=None)
+def test_function_field_rref_matches_field_division(rows):
+    red, pivots = linalg.rref(rows, FXY)
+    expect, expect_pivots = field_division_rref(rows, FXY)
+    assert pivots == expect_pivots
+    assert red == expect
+
+
+@given(ff_matrices(3, 4), st.lists(rational_functions, min_size=3,
+                                   max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_function_field_solve_checks_out(rows, rhs):
+    rhs = rhs[:len(rows)]
+    x = linalg.solve(rows, rhs, FXY)
+    if x is None:
+        assert linalg.rank(rows, FXY) < linalg.rank(
+            [r + [b] for r, b in zip(rows, rhs)], FXY)
+    else:
+        assert linalg.mat_vec(rows, x, FXY) == rhs
+    for v in linalg.kernel_basis(rows, FXY):
+        assert linalg.mat_vec(rows, v, FXY) == [FXY.zero] * len(rows)
+
+
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(rational_functions, min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=25, deadline=None)
+def test_function_field_invert_round_trips(rows):
+    # for square matrices a right inverse is the inverse
+    n = len(rows)
+    inv = linalg.invert(rows, FXY)
+    if inv is None:
+        assert linalg.rank(rows, FXY) < n
+    else:
+        assert linalg.mat_mul(rows, inv, FXY) \
+            == linalg.identity_matrix(n, FXY)
+
+
+def test_function_field_rref_pivots_and_free_columns():
+    rows = [[FXY.zero, X / (Y - 2), FXY.one, Y],
+            [FXY.zero, X * X / (X + 1), X / (X + 1), FXY.zero],
+            [FXY.zero, FXY.zero, FXY.zero, FXY.zero]]
+    red, pivots = linalg.rref(rows, FXY)
+    assert pivots == [1, 2]
+    assert red == field_division_rref(rows, FXY)[0]
+    assert red[0][1] == red[1][2] == FXY.one
+    assert red[2] == [FXY.zero] * 4

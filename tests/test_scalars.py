@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axetlab.scalars import (BadField, DenominatorVanishes, DivisionByZero,
-                             ExprError, FunctionField, MixedFields, MultiPoly,
+from axetlab.scalars import (MAX_NESTING, BadField, DenominatorVanishes,
+                             DivisionByZero, ExprError, FunctionField,
+                             InexactDivision, MixedFields, MultiPoly,
                              NonlinearExpression, PrimeField, QQ,
                              RationalFunction, UnboundSymbol, parse_expression,
                              parse_scalar, rf_equal, skew_field, solve_linear,
@@ -81,6 +82,17 @@ def test_exponent_must_be_integer():
         qq("2^(3)")
 
 
+def test_nesting_is_bounded_with_a_position():
+    assert qq("-" * MAX_NESTING + "1") == 1
+    assert qq("(" * MAX_NESTING + "2" + ")" * MAX_NESTING) == 2
+    with pytest.raises(ExprError) as e:
+        qq("-" * 5000 + "1")
+    assert e.value.pos == MAX_NESTING
+    with pytest.raises(ExprError) as e:
+        qq("1 + " + "(" * 5000 + "1" + ")" * 5000)
+    assert e.value.pos == 4 + MAX_NESTING
+
+
 def test_parse_expression_binds_names():
     field = FunctionField(("t",))
     t = field.sym("t")
@@ -97,6 +109,26 @@ def test_prime_field_rejects_composite_and_two():
         PrimeField(2)
     with pytest.raises(BadField):
         PrimeField(1)
+
+
+def test_prime_field_rejects_carmichael_number():
+    # 561 = 3 * 11 * 17 passes the Fermat test to every coprime base
+    with pytest.raises(BadField):
+        PrimeField(561)
+
+
+def test_prime_field_accepts_large_primes_at_once():
+    F = PrimeField(2 ** 61 - 1)
+    assert F.coerce(2 ** 61) == F.one
+    with pytest.raises(BadField):
+        PrimeField((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_prime_field_refuses_primes_beyond_the_proven_range():
+    # 2^89 - 1 is prime, but fixed-base Miller-Rabin is only a proof
+    # below 3.3e24
+    with pytest.raises(BadField, match="beyond the range"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_prime_field_arithmetic():
@@ -168,6 +200,26 @@ def test_multipoly_evaluate_unbound():
     p = MultiPoly.variable(NAMES, "x")
     with pytest.raises(UnboundSymbol):
         p.evaluate({"y": Fraction(1)}, QQ)
+
+
+def test_exquo_recovers_the_cofactor():
+    p = poly("2*x^2 - x*y + 1/3").num
+    d = poly("x*y - 3*y + 2").num
+    assert (p * d).exquo(d) == p
+    assert (p * d).exquo(p) == d
+    assert MultiPoly.constant(NAMES, 0).exquo(d).is_zero()
+    assert p.exquo(MultiPoly.constant(NAMES, Fraction(1, 2))) == p * 2
+
+
+def test_exquo_raises_on_a_remainder():
+    d = poly("x + y").num
+    with pytest.raises(InexactDivision):
+        (d * d + 1).exquo(d)
+    # the leading terms divide but the quotient leaves a remainder
+    with pytest.raises(InexactDivision):
+        poly("x^2 + y").num.exquo(poly("x + 1").num)
+    with pytest.raises(DivisionByZero):
+        d.exquo(MultiPoly.constant(NAMES, 0))
 
 
 def test_mixed_symbol_tuples_rejected():
@@ -283,6 +335,15 @@ def test_multipoly_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(polys, polys)
+@settings(max_examples=60)
+def test_exquo_inverts_multiplication(p, d):
+    if d.is_zero():
+        d = MultiPoly.constant(NAMES, 1)
+    assert (p * d).exquo(d) == p
+    assert (p * d + d).exquo(d) == p + 1
 
 
 points = st.tuples(
