@@ -16,6 +16,7 @@ under the scalar grammar; the emitter is deterministic and round-trips
 through the parser coefficient-exactly.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,12 +225,14 @@ def parse_algebra_file(text):
                 raise ParseError("duplicate product entry for %s %s" % pair,
                                  lineno)
             seen_pairs.add(pair)
-            column = raw.index("=") + 2
-            products[(x, y, lineno, column)] = raw.split("=", 1)[1].strip()
+            expr = raw[raw.index("=") + 1:]
+            # the 1-based column of the expression's first character
+            column = len(raw) - len(expr.lstrip()) + 1
+            products[(x, y, lineno, column)] = expr.strip()
         elif head == "axis":
             if stage != 3:
                 raise ParseError("axes must follow the basis line", lineno)
-            axis_lines.append((lineno, raw, parts[1:]))
+            axis_lines.append((lineno, raw))
         else:
             raise ParseError("unknown directive %r" % head, lineno)
 
@@ -249,29 +252,30 @@ def parse_algebra_file(text):
     algebra = StructureAlgebra(field, basis, table)
 
     axes = []
-    for lineno, _, rest in axis_lines:
+    for lineno, raw in axis_lines:
+        # each word with its 1-based column, after the word "axis"
+        rest = [(m.start() + 1, m.group())
+                for m in re.finditer(r"\S+", raw)][1:]
         if not rest:
             raise ParseError("axis needs a law and an element", lineno)
-        law_name = rest[0]
+        law_name = rest[0][1]
         if law_name == "jordan":
             if len(rest) < 3:
                 raise ParseError("expected: axis jordan <eta> <element>",
                                  lineno)
-            eta = _parse_scalar_token(rest[1], field, lineno, 1)
-            law = make_jordan(eta)
-            expr = " ".join(rest[2:])
+            make_law, params = make_jordan, rest[1:2]
         elif law_name == "monster":
             if len(rest) < 4:
                 raise ParseError(
                     "expected: axis monster <alpha> <beta> <element>", lineno)
-            alpha = _parse_scalar_token(rest[1], field, lineno, 1)
-            beta = _parse_scalar_token(rest[2], field, lineno, 1)
-            law = make_monster(alpha, beta)
-            expr = " ".join(rest[3:])
+            make_law, params = make_monster, rest[1:3]
         else:
             raise ParseError("unknown law %r (want jordan or monster)"
                              % law_name, lineno)
-        element = _parse_element(expr, algebra, lineno, 1)
+        law = make_law(*(_parse_scalar_token(text, field, lineno, column)
+                         for column, text in params))
+        column = rest[len(params) + 1][0]
+        element = _parse_element(raw[column - 1:], algebra, lineno, column)
         axes.append((element, law))
     return AlgebraFile(algebra, axes)
 

@@ -13,9 +13,16 @@ the Gauss-Jordan form of Nakos, Turner and Williams, SIGSAM Bull. 31,
 1997): each update is divided exactly by the previous pivot
 (``MultiPoly.exquo``), so every entry stays a minor of the cleared
 matrix, and one division by the last pivot at the end gives the RREF.
+
+That division is where common factors are cancelled: each entry a/prev of
+the result is reduced by the heuristic gcd of a and prev
+(``scalars.cancel``), so ``solve``, ``invert``, ``kernel_basis`` and
+everything built on them work on small fractions.  Where the heuristic
+fails the entry stays unreduced; its value is the same either way, since
+equality cross-multiplies.
 """
 
-from .scalars import FunctionField, MultiPoly, RationalFunction
+from .scalars import FunctionField, MultiPoly, RationalFunction, cancel
 
 
 def _copy(rows):
@@ -122,7 +129,7 @@ def _rref_fraction_free(rows, field):
     for i, row in enumerate(m):
         out.append([field.zero if a.is_zero()
                     else field.one if i < len(pivots) and j == pivots[i]
-                    else RationalFunction(a, prev)
+                    else RationalFunction(*cancel(a, prev))
                     for j, a in enumerate(row)])
     return out, pivots
 

@@ -12,18 +12,27 @@ A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
 carries zero, one, the characteristic, coercion from integers and
 rationals, and symbol lookup for the expression parser.
 
-Rational functions are deliberately not reduced to lowest terms; equality
-is decided by cross multiplication and only the integer content is
-stripped to bound coefficient growth.  ``MultiPoly.exquo`` is exact
-polynomial division: it divides by the leading term in graded order and
-raises ``InexactDivision`` on a nonzero remainder, never truncating.
-Fraction-free elimination over function fields (``linalg.rref``) runs on
-polynomials and relies on it to divide out the previous pivot.
+Arithmetic on rational functions does not reduce them to lowest terms:
+construction only strips the integer content and fixes the sign, because a
+gcd on every operation costs more than it saves.  Common factors are
+cancelled in two places only: ``linalg.rref`` over a function field runs
+every entry of its result through ``cancel``, and ``solve_linear`` cancels
+before it reads degrees.  ``cancel`` uses the heuristic gcd GCDHEU
+(``MultiPoly.gcd``) and leaves the pair as it is when the heuristic fails,
+so no answer ever depends on a gcd: equality is decided by cross
+multiplication, and ``is_constant``/``constant_value`` compare leading
+coefficients, so they answer for the value, not the stored form.
+
+``MultiPoly.exquo`` is exact polynomial division: it divides by the
+leading term in graded order and raises ``InexactDivision`` on a nonzero
+remainder, never truncating.  Fraction-free elimination (``linalg.rref``)
+relies on it to divide out the previous pivot, and the gcd to accept a
+candidate only when it divides both inputs.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, isqrt
 from operator import add, sub
 
 Rational = Fraction
@@ -45,6 +54,10 @@ class DenominatorVanishes(ZeroDivisionError):
 
 class UnboundSymbol(ValueError):
     """Raised when an expression names a symbol the context does not bind."""
+
+    def __init__(self, message, pos=None):
+        super().__init__(message)
+        self.pos = pos
 
 
 class BadField(ValueError):
@@ -382,6 +395,21 @@ class MultiPoly:
         e = min(self.terms, key=_term_key)
         return self.terms[e]
 
+    def gcd(self, other):
+        """A greatest common divisor by the heuristic GCDHEU, or None.
+
+        The result is primitive over Z with a positive leading coefficient;
+        None means the heuristic failed, not that the gcd is trivial.
+        """
+        return _heugcd(self.primitive(), self._lift(other).primitive())
+
+    def primitive(self):
+        """self divided by its content: integral, primitive, same sign."""
+        if not self.terms:
+            return self
+        c = self.content()
+        return self if c == 1 else self * (1 / c)
+
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
         for n in self.names:
@@ -437,6 +465,86 @@ class MultiPoly:
         return text
 
 
+_GCD_TRIES = 6
+
+
+def _heugcd(f, g):
+    """A gcd of integral f and g, or None when the heuristic fails.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): the
+    common integer content is set aside, the first variable that occurs
+    is evaluated at an integer xi, the gcd of the two images is found by
+    recursion (an integer gcd once no variable is left), and a candidate
+    is read back from it by balanced xi-adic expansion.  A candidate
+    counts only when exquo divides both inputs by it; after _GCD_TRIES
+    values of xi the heuristic gives up.
+    """
+    names = f.names
+    if f.is_zero() or g.is_zero():
+        return None
+    occurring = [e for p in (f, g) for e in p.terms]
+    i = next((k for k in range(len(names)) if any(e[k] for e in occurring)),
+             None)
+    if i is None:
+        return MultiPoly.constant(names, gcd(int(f.constant_value()),
+                                             int(g.constant_value())))
+    c = gcd(f.content().numerator, g.content().numerator)
+    if c != 1:
+        f, g = f * Fraction(1, c), g * Fraction(1, c)
+    fn = max(abs(v.numerator) for v in f.terms.values())
+    gn = max(abs(v.numerator) for v in g.terms.values())
+    b = 2 * min(fn, gn) + 29
+    xi = max(min(b, 99 * isqrt(b)),
+             2 * min(fn // abs(f.leading_coefficient().numerator),
+                     gn // abs(g.leading_coefficient().numerator)) + 4)
+    for _ in range(_GCD_TRIES):
+        images = []
+        for p in (f, g):
+            image = {}
+            for e, v in p.terms.items():
+                e0 = e[:i] + (0,) + e[i + 1:]
+                image[e0] = image.get(e0, 0) + v * xi ** e[i]
+            images.append(MultiPoly(names, image))
+        if not (images[0].is_zero() or images[1].is_zero()):
+            found = _heugcd(*images)
+            if found is None:
+                return None
+            terms = {}
+            for e, v in found.terms.items():
+                v, k = v.numerator, 0
+                while v:
+                    d = v % xi
+                    if d > xi // 2:
+                        d -= xi
+                    if d:
+                        terms[e[:i] + (k,) + e[i + 1:]] = Fraction(d)
+                    v, k = (v - d) // xi, k + 1
+            h = MultiPoly(names, terms).primitive()
+            if h.leading_coefficient() < 0:
+                h = -h
+            try:
+                f.exquo(h)  # each raises unless h divides
+                g.exquo(h)
+                return h * c
+            except InexactDivision:
+                pass
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def cancel(num, den):
+    """num/den with their common factor divided out, as a (num, den) pair.
+
+    The factor is the heuristic gcd of MultiPoly.gcd.  When num or den is
+    constant, or the heuristic fails, the pair comes back unchanged: the
+    value never depends on the gcd succeeding.
+    """
+    if num.is_constant() or den.is_constant():
+        return num, den
+    h = num.gcd(den)
+    return (num, den) if h is None else (num.exquo(h), den.exquo(h))
+
+
 def _frac_gcd(a, b):
     if a == 0:
         return b
@@ -452,6 +560,7 @@ class RationalFunction:
 
     Construction strips the common integer content and normalizes the sign
     of the denominator's leading coefficient; equality cross-multiplies.
+    ``cancel`` divides out common factors where a caller asks for it.
     """
 
     __slots__ = ("num", "den")
@@ -500,10 +609,13 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
+        """Whether the value is constant, whatever form it is stored in."""
+        return (self.num * self.den.leading_coefficient()
+                == self.den * self.num.leading_coefficient())
 
     def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
+        """The value of a rational function for which is_constant holds."""
+        return self.num.leading_coefficient() / self.den.leading_coefficient()
 
     def __add__(self, other):
         o = self._lift(other)
@@ -601,7 +713,7 @@ def solve_linear(expr, name):
     RationalFunction; raises NonlinearExpression on degree >= 2 and
     DivisionByZero when the symbol does not occur.
     """
-    num = expr.num
+    num, _ = cancel(expr.num, expr.den)
     if num.degree_in(name) >= 2:
         raise NonlinearExpression("%r appears with degree >= 2" % name)
     a1 = num.coefficient_of(name, 1)
@@ -733,10 +845,31 @@ def skew_field():
 #           atom   := INT | NAME | '(' sum ')'
 # so ^ binds tighter than unary minus, which binds tighter than * and /.
 # Nesting (unary minus and parentheses) is bounded by MAX_NESTING, so a
-# hostile expression ends in an ExprError, not in a RecursionError.
+# hostile expression ends in an ExprError, not in a RecursionError.  A
+# power is refused when its exponent times the size of its base is over
+# MAX_POWER_SIZE, so no chain of powers makes a result without bound.
 
 _OPS = set("+-*/^()")
 MAX_NESTING = 100
+MAX_POWER_SIZE = 1000
+
+
+def _bits(q):
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _power_size(v):
+    """About how much v ** n grows with n: the bit length of a rational;
+    for a rational function its total degree (numerator and denominator)
+    plus the bit length of its largest coefficient; 0 in F_p, where pow
+    is modular."""
+    if isinstance(v, Fraction):
+        return _bits(v)
+    if isinstance(v, RationalFunction):
+        polys = (v.num, v.den)
+        return (sum(max(map(sum, p.terms), default=0) for p in polys)
+                + max(_bits(c) for p in polys for c in p.terms.values()))
+    return 0
 
 
 def tokenize(text):
@@ -846,7 +979,12 @@ class _Parser:
                 if kind != "INT":
                     raise ExprError("exponent must be a nonnegative integer",
                                     pos=pos)
-                v = v ** int(text)
+                n, size = int(text), _power_size(v)
+                if n * size > MAX_POWER_SIZE:
+                    raise ExprError("power too large: exponent %d times base"
+                                    " size %d is over %d"
+                                    % (n, size, MAX_POWER_SIZE), pos=pos)
+                v = v ** n
             else:
                 return v
 
@@ -856,7 +994,7 @@ class _Parser:
             return self.field.coerce(int(text))
         if kind == "NAME":
             if text not in self.names:
-                raise UnboundSymbol("unknown symbol %r" % text)
+                raise UnboundSymbol("unknown symbol %r" % text, pos=pos)
             return self.names[text]
         if kind == "OP" and text == "(":
             self.nest(pos)

@@ -103,8 +103,23 @@ def test_error_positions():
     with pytest.raises(ParseError) as info:
         parse_algebra_file(bad)
     assert info.value.line == 5
-    assert info.value.column == 14
+    assert info.value.column == 23
     assert "nosuch" in str(info.value)
+
+
+@pytest.mark.parametrize("line, column", [
+    ("product a b = 1/3*a + (b", 25),
+    ("product a b =   (b", 19),
+    ("axis jordan 1/(2 a", 17),
+    ("axis monster 1/3   2/(3 a", 24),
+    ("axis monster 1/3 2/3   a + (b", 30),
+])
+def test_error_columns_are_one_based_in_the_line(line, column):
+    # each column is that of the offending token in the raw line
+    bad = "field rational\ndim 2\nbasis a b\nproduct a a = a\n" + line
+    with pytest.raises(ParseError) as info:
+        parse_algebra_file(bad)
+    assert (info.value.line, info.value.column) == (5, column)
 
 
 def test_stage_order_enforced():

@@ -205,7 +205,22 @@ def test_deep_nesting_exits_2_with_position(tmp_path, capsys, expr):
     assert cli.main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     # the 101st opener, at offset 100 of the expression, is refused
-    assert err.startswith("error: line 4, column 114: expression nested")
+    assert err.startswith("error: line 4, column 115: expression nested")
+
+
+@pytest.mark.parametrize("field, expr, column", [
+    ("rational", "3^3000000*e", 17),
+    ("function x", "x^1000^1000*e", 17),
+    ("function x", "((x^20)^20)^20*e", 27),
+])
+def test_huge_power_exits_2_with_position(tmp_path, capsys, field, expr,
+                                          column):
+    path = tmp_path / "power.alg"
+    path.write_text("field %s\ndim 1\nbasis e\nproduct e e = %s\n"
+                    "axis jordan 1/3 e\n" % (field, expr))
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4, column %d: power too large" % column)
 
 
 def test_field_prime_2_pow_61_minus_1(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axetlab import linalg
+from axetlab.axes import miyamoto
+from axetlab.catalog import make_3C_skew
 from axetlab.scalars import QQ, FunctionField, PrimeField
 
 F5 = PrimeField(5)
@@ -211,6 +213,27 @@ def test_function_field_invert_round_trips(rows):
     else:
         assert linalg.mat_mul(rows, inv, FXY) \
             == linalg.identity_matrix(n, FXY)
+
+
+def test_function_field_rref_cancels_its_entries():
+    field = FunctionField(("alpha",))
+    a = field.sym("alpha")
+    # Bareiss ends on the pivot alpha*(alpha + 1); the RREF entries are
+    # alpha/(alpha + 1) and 1/(alpha + 1) in lowest terms
+    red, pivots = linalg.rref([[a + 1, field.zero, a], [a, a, a]], field)
+    assert pivots == [0, 1]
+    assert red[0][2] == a / (a + 1) and red[1][2] == 1 / (a + 1)
+    assert red[0][2].den == red[1][2].den == (a + 1).num
+
+
+def test_miyamoto_over_a_function_field_stays_small():
+    field = FunctionField(("alpha",))
+    ex = make_3C_skew(field.sym("alpha"), field)
+    tau = miyamoto(ex.algebra, ex.m_axis, ex.m_law)
+    for row in tau.matrix:
+        for entry in row:
+            assert entry.num.degree_in("alpha") <= 2
+            assert entry.den.degree_in("alpha") <= 2
 
 
 def test_function_field_rref_pivots_and_free_columns():

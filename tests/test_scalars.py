@@ -3,16 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from axetlab.scalars import (MAX_NESTING, BadField, DenominatorVanishes,
-                             DivisionByZero, ExprError, FunctionField,
-                             InexactDivision, MixedFields, MultiPoly,
-                             NonlinearExpression, PrimeField, QQ,
-                             RationalFunction, UnboundSymbol, parse_expression,
-                             parse_scalar, rf_equal, skew_field, solve_linear,
-                             tokenize)
+from axetlab.scalars import (MAX_NESTING, MAX_POWER_SIZE, BadField,
+                             DenominatorVanishes, DivisionByZero, ExprError,
+                             FunctionField, InexactDivision, MixedFields,
+                             MultiPoly, NonlinearExpression, PrimeField, QQ,
+                             RationalFunction, UnboundSymbol, cancel,
+                             parse_expression, parse_scalar, rf_equal,
+                             skew_field, solve_linear, tokenize)
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -91,6 +91,29 @@ def test_nesting_is_bounded_with_a_position():
     with pytest.raises(ExprError) as e:
         qq("1 + " + "(" * 5000 + "1" + ")" * 5000)
     assert e.value.pos == 4 + MAX_NESTING
+
+
+def test_unbound_symbol_has_a_position():
+    with pytest.raises(UnboundSymbol) as e:
+        qq("1 + 2*nosuch")
+    assert e.value.pos == 6
+
+
+def test_powers_are_bounded_with_a_position():
+    assert qq("2^500") == 2 ** 500
+    assert qq("2^2^2^2") == 256
+    with pytest.raises(ExprError) as e:
+        qq("1 + 3^3000000")
+    assert e.value.pos == 6
+    x = FunctionField(("x",))
+    for text, pos in (("x^1000^1000", 2), ("x^400^3", 6),
+                      ("((x^20)^20)^20", 12), ("(2^2)^1000", 6)):
+        with pytest.raises(ExprError) as e:
+            parse_scalar(text, x)
+        assert e.value.pos == pos
+        assert "over %d" % MAX_POWER_SIZE in str(e.value)
+    # F_p powers are modular and left unbounded
+    assert parse_scalar("3^3000000", PrimeField(5)) == 1
 
 
 def test_parse_expression_binds_names():
@@ -269,6 +292,39 @@ def test_rf_repr_reparses():
     assert poly(repr(f)) == f
 
 
+def test_rf_predicates_answer_for_the_value():
+    a = FunctionField(("alpha",)).sym("alpha")
+    assert (a / a).is_constant()
+    assert (a / a).constant_value() == 1
+    assert ((2 * a + 2) / (3 * a + 3)).constant_value() == Fraction(2, 3)
+    assert not (a / (a + 1)).is_constant()
+    assert (a - a).is_constant() and (a - a).constant_value() == 0
+
+
+# -- gcd and cancellation -----------------------------------------------------
+
+def test_gcd_of_a_square_and_a_multiple():
+    h = poly("x^2 + 2*x*y + y^2").num.gcd(poly("x^2 + x*y").num)
+    assert RationalFunction(h, poly("x + y").num).is_constant()
+
+
+def test_gcd_of_coprime_inputs_is_constant():
+    assert poly("x^2 + y").num.gcd(poly("x*y - 1").num).is_constant()
+
+
+def test_gcd_with_rational_coefficients():
+    f = poly("(1/2*x - 1/3*y) * (x + 1)").num
+    g = poly("(3/4*x - 1/2*y) * (y^2 - 2/5)").num
+    h = f.gcd(g)
+    assert RationalFunction(h, poly("3*x - 2*y").num).is_constant()
+
+
+def test_cancel_divides_out_the_common_factor():
+    num, den = cancel(poly("x^2 - y^2").num, poly("2*x^2 + 2*x*y").num)
+    assert RationalFunction(num, den) == poly("(x - y) / (2*x)")
+    assert den.degree_in("x") == 1 and den.degree_in("y") == 0
+
+
 # -- linear solving -----------------------------------------------------------
 
 def test_solve_linear():
@@ -277,6 +333,11 @@ def test_solve_linear():
     b = field.sym("b")
     v = solve_linear(2 * a * b - b - 1, "a")
     assert v == (b + 1) / (2 * b)
+
+
+def test_solve_linear_cancels_before_the_degree_test():
+    a = FunctionField(("alpha",)).sym("alpha")
+    assert solve_linear(a ** 2 / a - 1, "alpha") == 1
 
 
 def test_solve_linear_rejects_quadratic():
@@ -359,6 +420,36 @@ def test_multipoly_evaluation_is_a_homomorphism(p, q, point):
     rhs = p.evaluate(assignment, QQ) * q.evaluate(assignment, QQ) \
         + p.evaluate(assignment, QQ)
     assert lhs == rhs
+
+
+@given(polys, polys, polys)
+@settings(max_examples=40, deadline=None)
+def test_gcd_divides_and_is_divided_by_common_factors(f, g, k):
+    assume(not (f.is_zero() or g.is_zero() or k.is_zero()))
+    fk, gk = f * k, g * k
+    h = fk.gcd(gk)
+    if h is None:  # the heuristic gave up, which it may
+        return
+    fk.exquo(h)  # each raises InexactDivision if h does not divide
+    gk.exquo(h)
+    h.exquo(k)
+
+
+@given(polys, polys, polys, polys, st.one_of(st.none(), coeffs))
+@settings(max_examples=40, deadline=None)
+def test_rf_predicates_ignore_a_common_factor(p, q, d, k, scale):
+    assume(not (d.is_zero() or k.is_zero()))
+    if scale is not None:
+        p = d * scale  # a constant value in a non-constant form
+    f, g = RationalFunction(p, d), RationalFunction(p * k, d * k)
+    assert g.is_constant() == f.is_constant()
+    if scale is not None:
+        assert f.is_constant() and f.constant_value() == scale
+    if f.is_constant():
+        assert g.constant_value() == f.constant_value()
+    assert g.is_zero() == f.is_zero()
+    other = RationalFunction(q, d)
+    assert (g == other) == (f == other)
 
 
 @given(polys, polys, polys, points)
