@@ -498,12 +498,14 @@ def _heugcd(f, g):
              2 * min(fn // abs(f.leading_coefficient().numerator),
                      gn // abs(g.leading_coefficient().numerator)) + 4)
     for _ in range(_GCD_TRIES):
+        # the images hold int coefficients, cheaper than Fractions; they
+        # only meet Fraction-valued candidates, so exquo stays exact
         images = []
         for p in (f, g):
             image = {}
             for e, v in p.terms.items():
                 e0 = e[:i] + (0,) + e[i + 1:]
-                image[e0] = image.get(e0, 0) + v * xi ** e[i]
+                image[e0] = image.get(e0, 0) + v.numerator * xi ** e[i]
             images.append(MultiPoly(names, image))
         if not (images[0].is_zero() or images[1].is_zero()):
             found = _heugcd(*images)
@@ -520,6 +522,8 @@ def _heugcd(f, g):
                         terms[e[:i] + (k,) + e[i + 1:]] = Fraction(d)
                     v, k = (v - d) // xi, k + 1
             h = MultiPoly(names, terms).primitive()
+            if h.is_constant():  # 1 divides anything
+                return MultiPoly.constant(names, c)
             if h.leading_coefficient() < 0:
                 h = -h
             try:
@@ -542,7 +546,9 @@ def cancel(num, den):
     if num.is_constant() or den.is_constant():
         return num, den
     h = num.gcd(den)
-    return (num, den) if h is None else (num.exquo(h), den.exquo(h))
+    if h is None or h.is_constant():
+        return num, den
+    return num.exquo(h), den.exquo(h)
 
 
 def _frac_gcd(a, b):
