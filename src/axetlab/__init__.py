@@ -32,7 +32,7 @@ from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,
                       MixedFields, MultiPoly, NonlinearExpression,
                       PrimeField, QQ, RationalField, RationalFunction,
                       SKEW_SYMBOLS, UnboundSymbol, parse_expression,
-                      parse_scalar, rf_equal, skew_field, solve_linear)
+                      parse_scalar, skew_field, solve_linear)
 from .skewverify import (BranchReport, CheckResult, ContradictionNotFound,
                          IdentityFails, NoMatch, beta_component,
                          check_bracket_table, check_constant_chains,

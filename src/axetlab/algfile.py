@@ -30,6 +30,10 @@ from .scalars import (DivisionByZero, ExprError, FunctionField, MixedFields,
 _EXPR_ERRORS = (ExprError, UnboundSymbol, MixedFields, DivisionByZero,
                 TypeError, ZeroDivisionError)
 
+# StructureAlgebra stores dim^2 product rows of length dim, so dim is
+# refused above this; the catalog's largest algebra has dimension 4
+MAX_DIM = 64
+
 
 class ParseError(ValueError):
     """Malformed document, with one-based line and column."""
@@ -191,6 +195,9 @@ def parse_algebra_file(text):
                 raise ParseError("dim must be an integer", lineno)
             if dim < 1:
                 raise ParseError("dim must be positive", lineno)
+            if dim > MAX_DIM:
+                raise ParseError("dim %d is over %d" % (dim, MAX_DIM),
+                                 lineno, raw.rindex(parts[1]) + 1)
             stage = 2
         elif head == "basis":
             if stage != 2:

@@ -5,12 +5,18 @@ semisimple with spectrum inside F's eigenvalues, whose eigenspace
 products respect the star table, and whose 1-eigenspace is spanned by a
 itself.  All four conditions are checked over the exact field; failures
 are reported, not raised.
+
+The eigenbasis of ad_a is built in one place, ``Eigenbasis``.  The
+report of ``verify_axis`` keeps it, so ``realize_axet`` and
+``dichotomy_check`` take the Miyamoto map from the report; the other
+functions here build one per call.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from . import linalg
-from .algebra import Element, LinearMap, check_linear_map_is_isomorphism
+from .algebra import LinearMap, check_linear_map_is_isomorphism
 from .fusion import ODD, find_c2_grading
 
 
@@ -24,6 +30,61 @@ class NotSemisimple(ValueError):
 
 class NoGrading(ValueError):
     pass
+
+
+class Eigenbasis:
+    """The eigenspaces of ad_a for a law: spaces holds (eigenvalue,
+    [Element]) pairs in law order, vectors their concatenation, owner[k]
+    the eigenvalue index of vectors[k].  inverse inverts the matrix with
+    the vectors as columns; it is None unless the spaces span A (a law's
+    eigenvalues are distinct, so spanning vectors form a basis)."""
+
+    def __init__(self, A, a, law):
+        self.algebra = A
+        self.axis = a
+        self.law = law
+        ad = A.adjoint(a)
+        self.spaces = []
+        self.vectors = []
+        self.owner = []
+        for idx, lam in enumerate(law.eigenvalues):
+            lam = A.field.coerce(lam)
+            basis = A.eigenspace(ad, lam)
+            self.spaces.append((lam, basis))
+            self.vectors.extend(basis)
+            self.owner.extend([idx] * len(basis))
+        self.inverse = None
+        if len(self.vectors) == A.dim:
+            self.inverse = linalg.invert(
+                linalg.transpose([v.coords for v in self.vectors]), A.field)
+
+    def coords(self, v):
+        """Coordinates of v over vectors; the spaces must span A."""
+        return linalg.mat_vec(self.inverse, v.coords, self.algebra.field)
+
+    def miyamoto(self, grading=None):
+        """The Miyamoto map: +1 on even, -1 on odd eigenspaces of a C2
+        grading of the law (the preferred one when none is passed).  It is
+        asserted to be an automorphism, and is an involution whenever an
+        odd eigenspace is nonzero."""
+        A, a = self.algebra, self.axis
+        if grading is None:
+            grading = find_c2_grading(self.law)
+        if grading is None:
+            raise NoGrading("law %r has no nontrivial C2 grading"
+                            % (self.law,))
+        if self.inverse is None:
+            raise NotSemisimple("adjoint of %r is not semisimple over the law"
+                                % (a,))
+        images = [[-c for c in v.coords]
+                  if grading.sign(self.spaces[k][0]) == ODD else v.coords
+                  for v, k in zip(self.vectors, self.owner)]
+        tau = LinearMap(A, A, linalg.mat_mul(linalg.transpose(images),
+                                             self.inverse, A.field))
+        if not is_automorphism(A, tau):
+            raise NotSemisimple("Miyamoto map of %r is not an automorphism"
+                                % (a,))
+        return tau
 
 
 @dataclass
@@ -40,13 +101,19 @@ class FusionViolation:
 class AxisReport:
     """Outcome of verify_axis; passed summarises the four conditions."""
 
-    axis: object
-    law: object
+    basis: Eigenbasis
     is_idempotent: bool
-    spectrum_ok: bool
-    eigenspaces: list  # (eigenvalue, [Element]) per law eigenvalue
     fusion_violations: list = dc_field(default_factory=list)
     is_primitive: bool = False
+
+    @property
+    def spectrum_ok(self):
+        return self.basis.inverse is not None
+
+    @property
+    def eigenspaces(self):
+        """(eigenvalue, [Element]) per law eigenvalue."""
+        return self.basis.spaces
 
     @property
     def passed(self):
@@ -67,107 +134,65 @@ class AxisReport:
                    len(self.fusion_violations), dims))
 
 
-def _eigendata(A, a, law):
-    ad = A.adjoint(a)
-    spaces = []
-    for lam in law.eigenvalues:
-        lam = A.field.coerce(lam)
-        spaces.append((lam, A.eigenspace(ad, lam)))
-    return ad, spaces
-
-
 def verify_axis(A, a, law):
     """Check the four axis conditions for a under law; returns AxisReport."""
-    _, spaces = _eigendata(A, a, law)
+    basis = Eigenbasis(A, a, law)
+    spaces = basis.spaces
     is_idem = (a * a == a)
-    total = sum(len(b) for _, b in spaces)
-    spectrum_ok = (total == A.dim)
-    one_basis = spaces[0][1]
-    is_primitive = is_idem and len(one_basis) == 1 and not a.is_zero()
+    is_primitive = is_idem and len(spaces[0][1]) == 1 and not a.is_zero()
 
     violations = []
-    if spectrum_ok:
+    if basis.inverse is not None:
         # decompose each eigenvector product over the full eigenbasis and
         # require support only on the eigenvalues the star table allows
-        full = []
-        owner = []
-        for idx, (_, basis) in enumerate(spaces):
-            for v in basis:
-                full.append(v.coords)
-                owner.append(idx)
-        cols = linalg.transpose(full)
-        n = len(law.eigenvalues)
+        n = len(spaces)
         for i in range(n):
             for j in range(i, n):
                 allowed = law.star_indices(i, j)
-                for u in spaces[i][1]:
-                    for v in spaces[j][1]:
-                        prod = u * v
-                        x = linalg.solve(cols, prod.coords, A.field)
-                        for k, c in enumerate(x):
-                            if owner[k] not in allowed and c != A.field.zero:
-                                violations.append(FusionViolation(
-                                    law.eigenvalues[i], law.eigenvalues[j],
-                                    prod))
-                                break
-                        else:
-                            continue
+                for u, v in product(spaces[i][1], spaces[j][1]):
+                    prod = u * v
+                    if any(basis.owner[k] not in allowed
+                           and c != A.field.zero
+                           for k, c in enumerate(basis.coords(prod))):
+                        violations.append(FusionViolation(
+                            law.eigenvalues[i], law.eigenvalues[j], prod))
                         break
-    return AxisReport(axis=a, law=law, is_idempotent=is_idem,
-                      spectrum_ok=spectrum_ok, eigenspaces=spaces,
+    return AxisReport(basis=basis, is_idempotent=is_idem,
                       fusion_violations=violations,
                       is_primitive=is_primitive)
 
 
-def _decompose(A, a, law, v):
-    """Coordinates of v over the concatenated eigenbasis of ad_a.
-
-    The 1-eigenspace basis is replaced by [a] so the first coordinate is
-    the projection onto the axis.  Requires idempotency, a full spectrum
-    and a one dimensional 1-eigenspace.
-    """
+def _primitive_eigenbasis(A, a, law):
+    """The Eigenbasis of an idempotent a with a full spectrum and a one
+    dimensional 1-eigenspace."""
     if not (a * a == a):
         raise NotPrimitive("%r is not idempotent" % (a,))
-    _, spaces = _eigendata(A, a, law)
-    if sum(len(b) for _, b in spaces) != A.dim:
+    basis = Eigenbasis(A, a, law)
+    if basis.inverse is None:
         raise NotSemisimple("adjoint of %r is not semisimple over the law"
                             % (a,))
-    if len(spaces[0][1]) != 1:
+    if len(basis.spaces[0][1]) != 1:
         raise NotPrimitive("1-eigenspace of %r has dimension %d"
-                           % (a, len(spaces[0][1])))
-    spaces = [(spaces[0][0], [a])] + spaces[1:]
-    full = []
-    owner = []
-    for idx, (_, basis) in enumerate(spaces):
-        for u in basis:
-            full.append(u.coords)
-            owner.append(idx)
-    cols = linalg.transpose(full)
-    x = linalg.solve(cols, v.coords, A.field)
-    if x is None:
-        raise NotSemisimple("eigenbasis of %r does not span" % (a,))
-    return spaces, owner, x
+                           % (a, len(basis.spaces[0][1])))
+    return basis
 
 
 def projection(A, a, law, v):
     """The coefficient of a in the eigendecomposition of v."""
-    _, _, x = _decompose(A, a, law, v)
-    return x[0]
+    basis = _primitive_eigenbasis(A, a, law)
+    # the 1-eigenspace is spanned by vectors[0], a nonzero multiple of a
+    u = basis.vectors[0].coords
+    i = next(i for i, c in enumerate(a.coords) if c != A.field.zero)
+    return basis.coords(v)[0] * u[i] / a.coords[i]
 
 
 def component(A, a, law, v, lams):
     """The part of v lying in the eigenspaces for the eigenvalues lams."""
-    spaces, owner, x = _decompose(A, a, law, v)
-    flat = [u for _, basis in spaces for u in basis]
+    basis = _primitive_eigenbasis(A, a, law)
     out = A.zero
-    want = set()
-    for lam in lams:
-        for idx, (val, _) in enumerate(spaces):
-            if val == lam:
-                want.add(idx)
-    for k, u in enumerate(flat):
-        if owner[k] in want:
-            out = out + x[k] * u
+    for x, u, idx in zip(basis.coords(v), basis.vectors, basis.owner):
+        if any(basis.spaces[idx][0] == lam for lam in lams):
+            out = out + x * u
     return out
 
 
@@ -177,34 +202,8 @@ def in_part(A, a, law, v, lams):
 
 
 def miyamoto(A, a, law, grading=None):
-    """The Miyamoto map of a: +1 on even, -1 on odd eigenspaces.
-
-    The law must carry a C2 grading (the preferred one is computed when
-    none is passed); the result is asserted to be an algebra automorphism
-    and is an involution whenever an odd eigenspace is nonzero.
-    """
-    if grading is None:
-        grading = find_c2_grading(law)
-    if grading is None:
-        raise NoGrading("law %r has no nontrivial C2 grading" % (law,))
-    _, spaces = _eigendata(A, a, law)
-    if sum(len(b) for _, b in spaces) != A.dim:
-        raise NotSemisimple("adjoint of %r is not semisimple over the law"
-                            % (a,))
-    images = []
-    vectors = []
-    for (lam, basis) in spaces:
-        s = grading.sign(lam)
-        for v in basis:
-            vectors.append(v.coords)
-            images.append(v.coords if s != ODD else [-c for c in v.coords])
-    c_mat = linalg.transpose(vectors)
-    c_inv = linalg.invert(c_mat, A.field)
-    d_c_inv = linalg.mat_mul(linalg.transpose(images), c_inv, A.field)
-    tau = LinearMap(A, A, d_c_inv)
-    if not is_automorphism(A, tau):
-        raise NotSemisimple("Miyamoto map of %r is not an automorphism" % (a,))
-    return tau
+    """The Miyamoto map of a (``Eigenbasis.miyamoto``)."""
+    return Eigenbasis(A, a, law).miyamoto(grading)
 
 
 def is_automorphism(A, m):

@@ -12,7 +12,7 @@ Shapes are recognised by a brute-force action-preserving bijection
 search, which is fine at the sizes the workbench handles (n <= 24).
 """
 
-from .axes import miyamoto, verify_axis
+from .axes import verify_axis
 
 
 class TooLarge(ValueError):
@@ -282,13 +282,7 @@ def realize_axet(A, axes, max_points=24):
             raise NotAnAxis(report)
         points.append(elt)
         laws.append(law)
-        maps.append(miyamoto(A, elt, law))
-
-    def find(x):
-        for i, p in enumerate(points):
-            if p == x:
-                return i
-        return None
+        maps.append(report.basis.miyamoto())
 
     grew = True
     while grew:
@@ -296,7 +290,7 @@ def realize_axet(A, axes, max_points=24):
         for p in range(len(points)):
             for q in range(len(points)):
                 img = maps[p](points[q])
-                if find(img) is None:
+                if img not in points:
                     if len(points) >= max_points:
                         raise NotClosedWithinBound(
                             "orbit exceeds %d points" % max_points)

@@ -211,18 +211,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    # VERIFY_ERRORS first: they are ValueErrors too
     try:
         return args.fn(args)
-    except USAGE_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except NoAxesDeclared as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except VERIFY_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (OSError, ValueError) as e:
+    except USAGE_ERRORS + (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -32,10 +32,8 @@ candidate only when it divides both inputs.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import add, sub
-
-Rational = Fraction
 
 SKEW_SYMBOLS = ("alpha", "beta", "l1", "l1f", "l2f", "zeta", "theta", "kappa")
 
@@ -707,11 +705,6 @@ class RationalFunction:
         return "(%s)/(%s)" % (self.num, self.den)
 
 
-def rf_equal(f, g):
-    """Equality of rational functions by cross multiplication."""
-    return f == g
-
-
 def solve_linear(expr, name):
     """Solve expr = 0 for a symbol occurring at most linearly.
 
@@ -853,11 +846,15 @@ def skew_field():
 # Nesting (unary minus and parentheses) is bounded by MAX_NESTING, so a
 # hostile expression ends in an ExprError, not in a RecursionError.  A
 # power is refused when its exponent times the size of its base is over
-# MAX_POWER_SIZE, so no chain of powers makes a result without bound.
+# MAX_POWER_SIZE, so no chain of powers makes a result without bound.  That
+# size is linear in the degree, but a power of a base in k symbols grows
+# like degree^k terms, so a rational-function power is also refused when
+# its numerator or denominator could have more than MAX_POWER_TERMS terms.
 
 _OPS = set("+-*/^()")
 MAX_NESTING = 100
 MAX_POWER_SIZE = 1000
+MAX_POWER_TERMS = 10000
 
 
 def _bits(q):
@@ -876,6 +873,14 @@ def _power_size(v):
         return (sum(max(map(sum, p.terms), default=0) for p in polys)
                 + max(_bits(c) for p in polys for c in p.terms.values()))
     return 0
+
+
+def _power_terms(v, n):
+    """The most terms the numerator or denominator of v ** n can have: a
+    polynomial of total degree d in k symbols has at most C(d + k, k)."""
+    shapes = ((max(map(sum, p.terms), default=0), sum(map(any, zip(*p.terms))))
+              for p in (v.num, v.den))
+    return max(comb(n * d + k, k) for d, k in shapes)
 
 
 def tokenize(text):
@@ -990,6 +995,10 @@ class _Parser:
                     raise ExprError("power too large: exponent %d times base"
                                     " size %d is over %d"
                                     % (n, size, MAX_POWER_SIZE), pos=pos)
+                if (isinstance(v, RationalFunction)
+                        and _power_terms(v, n) > MAX_POWER_TERMS):
+                    raise ExprError("power too large: it can have over %d "
+                                    "terms" % MAX_POWER_TERMS, pos=pos)
                 v = v ** n
             else:
                 return v

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import (LinearMap, StructureAlgebra,
                       check_linear_map_is_isomorphism)
-from .axes import miyamoto, verify_axis
+from .axes import verify_axis
 from .axets import classify_shape, realize_axet
 from .catalog import (SkewConstants, make_3C_minus1_2, make_3C_skew,
                       make_generic_skew, make_orthogonal_branch,
@@ -523,12 +523,7 @@ def replay_orthogonal_branch(char=0):
     _require("f d = -a/3 + 2d/3 + f/3",
              f * d == -(a / 3) + 2 * d / 3 + f / 3)
 
-    if char == 0:
-        iso = orthogonal_branch_to_Q2(target_field)
-        _require("the map onto the double-axis algebra is an isomorphism",
-                 check_linear_map_is_isomorphism(iso))
-        report.outcome = "Q2(1/3,2/3)"
-    elif char == 5:
+    if char == 5:
         iso = orthogonal_branch_to_Q2x_plus_one()
         _require("the map onto the adjoined-identity quotient is an "
                  "isomorphism", check_linear_map_is_isomorphism(iso))
@@ -725,11 +720,9 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
         raise NoMatch("p is not an axis under the given law")
     if j_law is not None and not verify_axis(A, q, j_law).passed:
         raise NoMatch("q is not an axis under its stated law")
-    tau_p = miyamoto(A, p, m_law)
-    alpha, beta = m_law.eigenvalues[2], m_law.eigenvalues[3]
+    tau_p = report_p.basis.miyamoto()
     field = A.field
-    alpha = field.coerce(alpha)
-    beta = field.coerce(beta)
+    alpha, beta = (lam for lam, _ in report_p.eigenspaces[2:])
 
     if tau_p(q) == q:
         span = A.subalgebra_closure([p, q])

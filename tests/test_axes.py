@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axetlab import linalg
 from axetlab.axes import (NoGrading, NotPrimitive, NotSemisimple, component,
                           in_part, is_automorphism, miyamoto, projection,
                           verify_axis)
 from axetlab.catalog import (make_2B, make_3C, make_3C_skew, make_Q2_third,
-                             make_Q2_skew)
+                             make_Q2_skew, make_Q2x_plus_one)
 from axetlab.fusion import FusionLaw, make_jordan, make_monster
-from axetlab.scalars import QQ
+from axetlab.scalars import QQ, FunctionField
 from axetlab.algebra import StructureAlgebra
 
 THIRD = Fraction(1, 3)
@@ -100,6 +101,34 @@ def test_projection_and_components():
     assert 2 * odd == A.gen("s1") - A.gen("s2")
     assert in_part(A, t1, law, A.gen("d1"), [0])
     assert not in_part(A, t1, law, s1, [1, 0])
+
+
+def test_projection_rescales_the_kernel_vector_to_the_axis():
+    field = FunctionField(("alpha",))
+    alpha = field.sym("alpha")
+    ex = make_3C_skew(alpha, field)
+    A, w, law = ex.algebra, ex.m_axis, ex.m_law
+    x, y, z = A.basis()
+    # the 1-eigenspace is spanned by (alpha + 1) w, not by w itself
+    assert verify_axis(A, w, law).eigenspace(1) == [-alpha * x + y + z]
+    for v in (x, y, z, w, x - 2 * z):
+        assert component(A, w, law, v, [1]) == projection(A, w, law, v) * w
+    assert projection(A, w, law, w) == field.one
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_3C_skew(QUARTER),
+    make_Q2x_plus_one,
+    lambda: make_3C_skew(FunctionField(("alpha",)).sym("alpha")),
+], ids=["Q", "F5", "Q(alpha)"])
+def test_verify_axis_solves_no_system(monkeypatch, make):
+    ex = make()
+
+    def refuse(*args):
+        raise AssertionError("verify_axis called linalg.solve")
+    monkeypatch.setattr(linalg, "solve", refuse)
+    assert verify_axis(ex.algebra, ex.m_axis, ex.m_law).passed
+    assert verify_axis(ex.algebra, ex.j_axis, ex.j_law).passed
 
 
 def test_projection_requires_idempotent():

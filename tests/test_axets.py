@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from axetlab.algebra import StructureAlgebra
 from axetlab.axets import (AbstractAxet, FiniteAxet, NotAnAxis,
                            NotClosedWithinBound, TooLarge, classify_shape,
                            closure, odd_subaxet, realize_axet, restrict,
@@ -138,6 +139,21 @@ def test_realize_skew_triple():
     assert realized.perm(1) == [0, 1, 2]
     assert realized.perm(2) == [0, 1, 2]
     assert realized.index_of_element(ex.third) == 2
+
+
+def test_realize_decomposes_each_given_axis_once(monkeypatch):
+    # one eigenspace per law eigenvalue: verify_axis and the Miyamoto map
+    # of each given axis share one decomposition
+    ex = make_3C_skew(Fraction(1, 4))
+    eigenspace = StructureAlgebra.eigenspace
+    calls = []
+
+    def counted(self, m, lam):
+        calls.append(lam)
+        return eigenspace(self, m, lam)
+    monkeypatch.setattr(StructureAlgebra, "eigenspace", counted)
+    realize_axet(ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.m_law)])
+    assert len(calls) == 2 * len(ex.m_law.eigenvalues)
 
 
 def test_realize_square_over_f5():

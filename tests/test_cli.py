@@ -5,7 +5,7 @@ import json
 import pytest
 
 from axetlab import cli
-from axetlab.algfile import parse_algebra_file
+from axetlab.algfile import MAX_DIM, parse_algebra_file
 from axetlab.catalog import make_Q2_third
 
 
@@ -212,6 +212,7 @@ def test_deep_nesting_exits_2_with_position(tmp_path, capsys, expr):
     ("rational", "3^3000000*e", 17),
     ("function x", "x^1000^1000*e", 17),
     ("function x", "((x^20)^20)^20*e", 27),
+    ("function alpha beta", "(alpha+beta+1)^200*e", 30),
 ])
 def test_huge_power_exits_2_with_position(tmp_path, capsys, field, expr,
                                           column):
@@ -221,6 +222,15 @@ def test_huge_power_exits_2_with_position(tmp_path, capsys, field, expr,
     assert cli.main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 4, column %d: power too large" % column)
+
+
+def test_dim_over_the_bound_exits_2_with_position(tmp_path, capsys):
+    path = tmp_path / "wide.alg"
+    names = " ".join("e%d" % i for i in range(200))
+    path.write_text("field rational\ndim  200\nbasis %s\n" % names)
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2, column 6: dim 200 is over %d\n" % MAX_DIM)
 
 
 def test_field_prime_2_pow_61_minus_1(tmp_path, capsys):
