@@ -127,52 +127,45 @@ class StructureAlgebra:
 
     # -- structural operations -------------------------------------------
 
-    def subalgebra_closure(self, gens):
-        """Echelonized basis of the subalgebra generated by gens."""
-        vectors = [g.coords for g in gens]
-        basis = linalg.echelon_span(vectors, self.field)
+    def _closure(self, gens, factors):
+        """Echelonized basis of the smallest space containing gens and
+        closed under multiplication by factors (the space itself when
+        factors is None)."""
+        basis = linalg.echelon_span([g.coords for g in gens], self.field)
         while True:
             new = list(basis)
             for u in basis:
-                for v in basis:
+                for v in (basis if factors is None else factors):
                     new.append(self.multiply_coords(u, v))
             new = linalg.echelon_span(new, self.field)
             if len(new) == len(basis):
                 return [Element(self, v) for v in new]
             basis = new
 
+    def subalgebra_closure(self, gens):
+        """Echelonized basis of the subalgebra generated by gens."""
+        return self._closure(gens, None)
+
+    def ideal_closure(self, gens):
+        """Echelonized basis of the ideal generated by gens."""
+        return self._closure(gens, [b.coords for b in self.basis()])
+
+    def _left_rows(self):
+        """The matrix of x -> (x*b_0, ..., x*b_n-1), one row per (i, k)."""
+        return [[self.products[j][i][k] for j in range(self.dim)]
+                for i in range(self.dim) for k in range(self.dim)]
+
     def find_identity(self):
         """The identity element, or None.  Solves e*b_i = b_i for all i."""
-        rows = []
-        rhs = []
-        for i in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.products[j][i][k] for j in range(self.dim)])
-                rhs.append(self.field.one if k == i else self.field.zero)
-        x = linalg.solve(rows, rhs, self.field)
+        rhs = [self.field.one if k == i else self.field.zero
+               for i in range(self.dim) for k in range(self.dim)]
+        x = linalg.solve(self._left_rows(), rhs, self.field)
         return None if x is None else Element(self, x)
 
     def annihilator(self):
         """Basis of {x : x*A = 0}."""
-        rows = []
-        for i in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.products[j][i][k] for j in range(self.dim)])
-        return [Element(self, v) for v in linalg.kernel_basis(rows, self.field)]
-
-    def ideal_closure(self, gens):
-        """Echelonized basis of the ideal generated by gens."""
-        vectors = [g.coords for g in gens]
-        basis = linalg.echelon_span(vectors, self.field)
-        while True:
-            new = list(basis)
-            for u in basis:
-                for j in range(self.dim):
-                    new.append(self.multiply_coords(u, self.gen(self.basis_names[j]).coords))
-            new = linalg.echelon_span(new, self.field)
-            if len(new) == len(basis):
-                return [Element(self, v) for v in new]
-            basis = new
+        return [Element(self, v)
+                for v in linalg.kernel_basis(self._left_rows(), self.field)]
 
     def quotient(self, gens, keep=None, names=None):
         """Quotient by the ideal generated by gens.
@@ -191,29 +184,20 @@ class StructureAlgebra:
             keep = [c for c in range(self.dim) if c not in pivots]
         if len(keep) + len(ideal) != self.dim:
             raise DimensionMismatch("keep does not complement the ideal")
-        # columns: kept representatives then the ideal basis
-        cols = []
-        for k in keep:
-            col = [self.field.zero] * self.dim
-            col[k] = self.field.one
-            cols.append(col)
-        cols.extend(ideal)
-        basis_matrix = linalg.transpose(cols)
-        if linalg.rank(basis_matrix, self.field) != self.dim:
+        # columns: kept representatives then the ideal basis; the first
+        # rows of the inverse read off the coset coordinates
+        cols = [self.gen(self.basis_names[k]).coords for k in keep] + ideal
+        inv = linalg.invert(linalg.transpose(cols), self.field)
+        if inv is None:
             raise DimensionMismatch("keep does not complement the ideal")
-
-        def reduce(vec):
-            x = linalg.solve(basis_matrix, vec, self.field)
-            return x[:len(keep)]
-
         if names is None:
             names = [self.basis_names[k] for k in keep]
         products = {}
         for a in range(len(keep)):
             for b in range(a, len(keep)):
-                prod = self.multiply_coords(self.gen(self.basis_names[keep[a]]).coords,
-                                            self.gen(self.basis_names[keep[b]]).coords)
-                products[(a, b)] = reduce(prod)
+                products[(a, b)] = linalg.mat_vec(
+                    inv[:len(keep)], self.products[keep[a]][keep[b]],
+                    self.field)
         return StructureAlgebra(self.field, names, products)
 
     def adjoin_identity(self, name="one"):
@@ -250,33 +234,23 @@ class StructureAlgebra:
         return self.map_coefficients(lambda c: c.evaluate(assignment, field),
                                      field, names)
 
-    def rebased(self, names, vectors):
-        """The same algebra written on a new basis of given elements."""
-        if len(names) != self.dim or len(vectors) != self.dim:
-            raise DimensionMismatch("need %d basis vectors" % self.dim)
-        cols = linalg.transpose([v.coords for v in vectors])
-        inv = linalg.invert(cols, self.field)
-        products = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = self.multiply_coords(vectors[i].coords,
-                                            vectors[j].coords)
-                products[(i, j)] = linalg.mat_vec(inv, prod, self.field)
-        return StructureAlgebra(self.field, names, products)
-
     def span_subalgebra(self, vectors, names):
-        """The subalgebra on an independent, multiplication-closed span."""
-        cols = linalg.transpose([v.coords for v in vectors])
+        """The subalgebra on an independent, multiplication-closed span,
+        written on vectors; with a basis of A it is A on a new basis."""
+        n = len(vectors)
+        inv = linalg.invert(linalg.transpose([v.coords for v in vectors]),
+                            self.field)
+        if inv is None:
+            raise DimensionMismatch("the vectors are dependent")
         products = {}
-        for i in range(len(vectors)):
-            for j in range(i, len(vectors)):
-                prod = self.multiply_coords(vectors[i].coords,
-                                            vectors[j].coords)
-                x = linalg.solve(cols, prod, self.field)
-                if x is None:
+        for i in range(n):
+            for j in range(i, n):
+                x = linalg.mat_vec(inv, self.multiply_coords(
+                    vectors[i].coords, vectors[j].coords), self.field)
+                if any(c != self.field.zero for c in x[n:]):
                     raise ValueError(
                         "the span is not closed under multiplication")
-                products[(i, j)] = x
+                products[(i, j)] = x[:n]
         return StructureAlgebra(self.field, names, products)
 
     def same_table(self, other):
@@ -351,10 +325,6 @@ class Element:
             return False
         return self.coords == other.coords
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def is_zero(self):
         return all(c == self.algebra.field.zero for c in self.coords)
 
@@ -392,11 +362,10 @@ class LinearMap:
         consistent with the map the spanning ones determine.
         """
         field = source.field
-        chosen = []
-        for x, y in pairs:
-            if not linalg.in_span([p.coords for p, _ in chosen], x.coords,
-                                  field):
-                chosen.append((x, y))
+        # the pivot columns are the greedy choice of independent x's
+        _, pivots = linalg.rref(
+            linalg.transpose([x.coords for x, _ in pairs]), field)
+        chosen = [pairs[c] for c in pivots]
         if len(chosen) != source.dim:
             raise DimensionMismatch("pairs do not span the source")
         basis_matrix = linalg.transpose([x.coords for x, _ in chosen])

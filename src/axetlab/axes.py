@@ -77,7 +77,7 @@ class Eigenbasis:
             raise NotSemisimple("adjoint of %r is not semisimple over the law"
                                 % (a,))
         images = [[-c for c in v.coords]
-                  if grading.sign(self.spaces[k][0]) == ODD else v.coords
+                  if grading.signs[k] == ODD else v.coords
                   for v, k in zip(self.vectors, self.owner)]
         tau = LinearMap(A, A, linalg.mat_mul(linalg.transpose(images),
                                              self.inverse, A.field))

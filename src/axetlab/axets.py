@@ -122,7 +122,7 @@ def restrict(axet, subset):
     return FiniteAxet(labels, perms)
 
 
-def odd_subaxet(axet, max_points=24):
+def odd_subaxet(axet):
     """The triple {a_0, a_k, a_-k} inside X'(k+2k) for odd k.
 
     tau_{a_k} fixes a_0 because a_{2k} = a_0, so the triple is closed and
@@ -249,20 +249,13 @@ class RealizedAxet(FiniteAxet):
             row = []
             for q in points:
                 img = m(q)
-                row.append(self._index_of(points, img))
+                row.append(points.index(img))
             perms.append(row)
         labels = ["p%d" % i for i in range(len(points))]
         super().__init__(labels, perms)
 
-    @staticmethod
-    def _index_of(points, x):
-        for i, p in enumerate(points):
-            if p == x:
-                return i
-        raise ValueError("image %r is not a recorded point" % (x,))
-
     def index_of_element(self, x):
-        return self._index_of(self.points, x)
+        return self.points.index(x)
 
 
 def realize_axet(A, axes, max_points=24):

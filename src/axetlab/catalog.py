@@ -55,10 +55,6 @@ class SkewExample:
     alpha: object
     beta: object
 
-    @property
-    def pair(self):
-        return (self.m_axis, self.j_axis)
-
 
 # -- two and three dimensions ----------------------------------------------
 

@@ -164,6 +164,13 @@ def cmd_catalog(args):
     return 0
 
 
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="axetlab",
@@ -184,7 +191,7 @@ def build_parser():
     p = sub.add_parser("axet", help="realize and classify the axet of a "
                                     "file's axes")
     p.add_argument("file")
-    p.add_argument("--max-points", type=int, default=24)
+    p.add_argument("--max-points", type=positive_int, default=24)
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(fn=cmd_axet)
 

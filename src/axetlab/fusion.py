@@ -75,9 +75,6 @@ class Grading:
         self.law = law
         self.signs = tuple(signs)
 
-    def sign(self, lam):
-        return self.signs[self.law.index(lam)]
-
     def is_valid(self):
         """Every nu in lam*mu must carry sign(lam)*sign(mu)."""
         n = len(self.law.eigenvalues)

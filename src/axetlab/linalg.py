@@ -2,7 +2,10 @@
 
 Matrices are lists of row lists.  ``rref`` reduces all the way to RREF
 with first-nonzero pivoting, so results are deterministic for a fixed
-input order; every other routine here goes through it.
+input order; every other routine here goes through it.  Writing vectors
+over a basis (or over independent vectors spanning a subspace) is done
+once, by ``invert``, whose result is applied with ``mat_vec``; ``solve``
+is for one system.
 
 Over Q and F_p it is plain Gauss-Jordan elimination with field division.
 Over a function field, dividing rational functions at every step makes
@@ -172,14 +175,21 @@ def solve(rows, rhs, field):
 
 
 def invert(rows, field):
-    """Matrix inverse, or None when singular."""
-    n = len(rows)
+    """For an n x k matrix M with independent columns, the n x n matrix E
+    with E M = [I; 0]: the inverse when M is square.  None when the
+    columns are dependent.
+
+    E changes basis: for v in the column span, E v is v's coordinates
+    over the columns followed by n - k zeros; a nonzero tail means v
+    is outside the span.
+    """
+    n, k = len(rows), (len(rows[0]) if rows else 0)
     aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
            for i, r in enumerate(rows)]
     red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
+    if pivots[:k] != list(range(k)):
         return None
-    return [r[n:] for r in red]
+    return [r[k:] for r in red]
 
 
 def mat_vec(rows, vec, field):

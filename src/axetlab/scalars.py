@@ -202,10 +202,6 @@ class PrimeFieldElement:
             return self.value == o.value
         return NotImplemented
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __bool__(self):
         return self.value != 0
 
@@ -357,10 +353,6 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         return self.terms == o.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def degree_in(self, name):
         i = self.names.index(name)
@@ -681,10 +673,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def evaluate(self, assignment, field):
         """Evaluate at a point; raises DenominatorVanishes at poles."""

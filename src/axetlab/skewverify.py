@@ -507,7 +507,7 @@ def replay_orthogonal_branch(char=0):
     concrete = make_generic_skew(c).specialize({}, target_field)
     a, b, cc, s = concrete.basis()
     f = -3 * a - 6 * s
-    rebuilt = concrete.rebased(("b", "c", "a", "f"), [b, cc, a, f])
+    rebuilt = concrete.span_subalgebra([b, cc, a, f], ("b", "c", "a", "f"))
     expected = make_orthogonal_branch(target_field)
     _require("rebuilt table matches the orthogonal branch table",
              rebuilt.same_table(expected.algebra))
@@ -725,20 +725,11 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
     alpha, beta = (lam for lam, _ in report_p.eigenspaces[2:])
 
     if tau_p(q) == q:
-        span = A.subalgebra_closure([p, q])
-        cols = linalg.transpose([v.coords for v in span])
-        ad = A.adjoint(p)
-        inside = []
-        for v in span:
-            image = ad(v)
-            coords = linalg.solve(cols, image.coords, field)
-            if coords is None:
-                raise NoMatch("the pair span is not multiplication closed")
-            inside.append(coords)
-        restricted = linalg.transpose(inside)
-        shifted = [[restricted[i][j] - (beta if i == j else field.zero)
-                    for j in range(len(span))] for i in range(len(span))]
-        if linalg.kernel_basis(shifted, field):
+        # ad_p maps the pair algebra into itself, so p has a beta part
+        # inside it exactly when it meets the beta eigenspace of p
+        both = ([v.coords for v in A.subalgebra_closure([p, q])]
+                + [v.coords for v in report_p.eigenspace(beta)])
+        if linalg.rank(both, field) < len(both):
             raise NoMatch("p keeps a beta part inside the pair algebra")
         return ("jordan", "J(%s)" % alpha)
 

@@ -170,14 +170,14 @@ def test_map_coefficients_to_prime_field():
 def test_rebased_round_trip():
     A = make_Q2_third()
     names = A.basis_names
-    B = A.rebased(names, A.basis())
+    B = A.span_subalgebra(A.basis(), names)
     assert B.same_table(A)
 
 
 def test_rebased_change_of_basis():
     A = two_idempotents()
     a, b = A.basis()
-    B = A.rebased(("e", "f"), [a + b, a - b])
+    B = A.span_subalgebra([a + b, a - b], ("e", "f"))
     e, f = B.basis()
     # (a+b)(a-b) = a - b = f, (a-b)^2 = a + b = e
     assert e * f == f
@@ -197,6 +197,18 @@ def test_span_subalgebra_rejects_open_spans():
     A = make_Q2_third()
     with pytest.raises(ValueError):
         A.span_subalgebra([A.gen("s1"), A.gen("d1")], ("p", "q"))
+
+
+def test_span_subalgebra_rejects_dependent_vectors():
+    A = make_Q2_third()
+    s1 = A.gen("s1")
+    with pytest.raises(DimensionMismatch):
+        A.span_subalgebra([s1, s1], ("p", "q"))
+    # as many vectors as the dimension, as in a change of basis
+    B = two_idempotents()
+    a, b = B.basis()
+    with pytest.raises(DimensionMismatch):
+        B.span_subalgebra([a + b, 2 * a + 2 * b], ("e", "f"))
 
 
 def test_same_table_detects_any_difference():
@@ -224,6 +236,18 @@ def test_from_pairs_spanning():
     m = LinearMap.from_pairs(A, A, [(a + b, a + b), (a - b, b - a)])
     assert m(a) == b
     assert m(b) == a
+
+
+def test_from_pairs_skips_a_redundant_pair_before_the_spanning_ones():
+    A = two_idempotents()
+    a, b = A.basis()
+    m = LinearMap.from_pairs(A, A, [(a + b, a + b), (2 * a + 2 * b,
+                                                     2 * a + 2 * b),
+                                    (a - b, b - a)])
+    assert m(a) == b
+    assert m(b) == a
+    with pytest.raises(DimensionMismatch):
+        LinearMap.from_pairs(A, A, [(a, a), (2 * a, b), (b, b)])
 
 
 def test_from_pairs_requires_span():

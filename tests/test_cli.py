@@ -162,6 +162,14 @@ def test_axet_max_points_bound(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_axet_max_points_below_1_is_a_usage_error(tmp_path, capsys, bound):
+    path = emit(tmp_path, "Q2x")
+    assert cli.main(["axet", path, "--max-points", bound]) == 2
+    assert ("argument --max-points: must be at least 1, not %s" % bound
+            in capsys.readouterr().err)
+
+
 def test_axet_non_axis_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text("field rational\ndim 2\nbasis a b\nproduct a a = a\n"

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axetlab import linalg
@@ -106,17 +106,27 @@ def test_kernel_vectors_annihilate(rows):
     assert linalg.rank(rows, QQ) + len(linalg.kernel_basis(rows, QQ)) == 3
 
 
-@given(matrices(3))
-@settings(max_examples=60)
+def tall_matrices():
+    """3 x k matrices, k = 1, 2, 3."""
+    return st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(entries, min_size=k, max_size=k), min_size=3, max_size=3))
+
+
+@given(tall_matrices())
+@example(q([[1, 2], [2, 4], [3, 6]]))
+@example(q([[0], [0], [0]]))
+@settings(max_examples=90)
 def test_inverse_multiplies_to_identity(rows):
+    k = len(rows[0])
     inv = linalg.invert(rows, QQ)
-    if inv is None:
-        assert linalg.rank(rows, QQ) < 3
-    else:
-        assert linalg.mat_mul(rows, inv, QQ) \
-            == linalg.identity_matrix(3, QQ)
+    assert (inv is None) == (linalg.rank(rows, QQ) < k)
+    if inv is not None:
+        # E M = [I; 0], and E is a two-sided inverse when M is square
         assert linalg.mat_mul(inv, rows, QQ) \
-            == linalg.identity_matrix(3, QQ)
+            == [r[:k] for r in linalg.identity_matrix(3, QQ)]
+        if k == 3:
+            assert linalg.mat_mul(rows, inv, QQ) \
+                == linalg.identity_matrix(3, QQ)
 
 
 # -- function fields: fraction-free elimination ------------------------------

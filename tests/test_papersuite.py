@@ -1,6 +1,8 @@
 """The bundled verification suite: table freezes, runner, reporting."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,17 @@ def test_suite_char5_green():
     assert statuses["table-Q2-third"] == "skip"
     assert sum(1 for i in report.items if i.status == "pass") == 14
     assert sum(1 for i in report.items if i.status == "skip") == 24
+
+
+def test_suite_items_match_the_benchmark_oracle():
+    """Every item's (status, detail) is the one the benchmark records."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.py"
+    spec = importlib.util.spec_from_file_location("perfbench_expected", path)
+    expected = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(expected)
+    for char, want in ((0, expected.SUITE_CHAR0), (5, expected.SUITE_CHAR5)):
+        got = {i.name: (i.status, i.detail) for i in ps.run_suite(char).items}
+        assert got == want
 
 
 def test_suite_rejects_other_characteristics():
