@@ -62,14 +62,13 @@ class Eigenbasis:
         """Coordinates of v over vectors; the spaces must span A."""
         return linalg.mat_vec(self.inverse, v.coords, self.algebra.field)
 
-    def miyamoto(self, grading=None):
-        """The Miyamoto map: +1 on even, -1 on odd eigenspaces of a C2
-        grading of the law (the preferred one when none is passed).  It is
-        asserted to be an automorphism, and is an involution whenever an
-        odd eigenspace is nonzero."""
+    def miyamoto(self):
+        """The Miyamoto map: +1 on even, -1 on odd eigenspaces of the
+        preferred C2 grading of the law.  It is asserted to be an
+        automorphism, and is an involution whenever an odd eigenspace is
+        nonzero."""
         A, a = self.algebra, self.axis
-        if grading is None:
-            grading = find_c2_grading(self.law)
+        grading = find_c2_grading(self.law)
         if grading is None:
             raise NoGrading("law %r has no nontrivial C2 grading"
                             % (self.law,))
@@ -201,9 +200,9 @@ def in_part(A, a, law, v, lams):
     return component(A, a, law, v, lams) == v
 
 
-def miyamoto(A, a, law, grading=None):
+def miyamoto(A, a, law):
     """The Miyamoto map of a (``Eigenbasis.miyamoto``)."""
-    return Eigenbasis(A, a, law).miyamoto(grading)
+    return Eigenbasis(A, a, law).miyamoto()
 
 
 def is_automorphism(A, m):

@@ -239,18 +239,11 @@ class RealizedAxet(FiniteAxet):
     point list.
     """
 
-    def __init__(self, algebra, points, laws, maps):
+    def __init__(self, algebra, points, laws, maps, perms):
         self.algebra = algebra
         self.points = points
         self.laws = laws
         self.maps = maps
-        perms = []
-        for m in maps:
-            row = []
-            for q in points:
-                img = m(q)
-                row.append(points.index(img))
-            perms.append(row)
         labels = ["p%d" % i for i in range(len(points))]
         super().__init__(labels, perms)
 
@@ -264,11 +257,10 @@ def realize_axet(A, axes, max_points=24):
     Every listed element must pass verify_axis under its law.  New orbit
     points inherit the law of their preimage and the conjugated map
     tau_{g(x)} = g tau_x g^{-1}; growth past max_points raises
-    NotClosedWithinBound.
+    NotClosedWithinBound.  The pass that adds no point records the
+    permutation rows.
     """
-    points = []
-    laws = []
-    maps = []
+    points, laws, maps = [], [], []
     for elt, law in axes:
         report = verify_axis(A, elt, law)
         if not report.passed:
@@ -277,19 +269,23 @@ def realize_axet(A, axes, max_points=24):
         laws.append(law)
         maps.append(report.basis.miyamoto())
 
-    grew = True
-    while grew:
-        grew = False
+    while True:
+        size, perms = len(points), []
         for p in range(len(points)):
+            row = []
             for q in range(len(points)):
                 img = maps[p](points[q])
-                if img not in points:
+                try:
+                    row.append(points.index(img))
+                except ValueError:
                     if len(points) >= max_points:
                         raise NotClosedWithinBound(
                             "orbit exceeds %d points" % max_points)
                     conj = maps[p].compose(maps[q]).compose(maps[p])
+                    row.append(len(points))
                     points.append(img)
                     laws.append(laws[q])
                     maps.append(conj)
-                    grew = True
-    return RealizedAxet(A, points, laws, maps)
+            perms.append(row)
+        if len(points) == size:
+            return RealizedAxet(A, points, laws, maps, perms)

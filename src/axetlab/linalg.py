@@ -10,12 +10,13 @@ is for one system.
 Over Q and F_p it is plain Gauss-Jordan elimination with field division.
 Over a function field, dividing rational functions at every step makes
 their unreduced numerators and denominators swell, so ``rref`` instead
-clears each row's denominators and runs fraction-free Gauss-Jordan
-elimination on the polynomial matrix (Bareiss, Math. Comp. 22, 1968, in
-the Gauss-Jordan form of Nakos, Turner and Williams, SIGSAM Bull. 31,
-1997): each update is divided exactly by the previous pivot
-(``MultiPoly.exquo``), so every entry stays a minor of the cleared
-matrix, and one division by the last pivot at the end gives the RREF.
+clears each row's denominators, constant ones included, and runs
+fraction-free Gauss-Jordan elimination on the matrix over Z[x] (Bareiss,
+Math. Comp. 22, 1968, in the Gauss-Jordan form of Nakos, Turner and
+Williams, SIGSAM Bull. 31, 1997): each update is divided exactly by the
+previous pivot (``MultiPoly.exquo``), so every entry stays a minor of the
+cleared matrix, an integer polynomial, and one division by the last pivot
+at the end gives the RREF.
 
 That division is where common factors are cancelled: each entry a/prev of
 the result is reduced by the heuristic gcd of a and prev
@@ -65,11 +66,11 @@ def rref(rows, field):
 
 
 def _clear_denominators(row, field):
-    """The row times the product of its distinct denominators, over Q[x]."""
+    """The row times the product of its distinct denominators, over Z[x]."""
     row = [field.coerce(x) for x in row]
     dens = []
     for x in row:
-        if not x.den.is_constant() and x.den not in dens:
+        if x.den not in dens:
             dens.append(x.den)
     out = []
     for x in row:
@@ -78,8 +79,6 @@ def _clear_denominators(row, field):
             for d in dens:
                 if d != x.den:
                     v = v * d
-            if x.den.is_constant():
-                v = v * (1 / x.den.constant_value())
         out.append(v)
     return out
 

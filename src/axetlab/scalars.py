@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: rationals, odd prime fields, and multivariate
-rational functions over the rationals.
+rational functions over the rationals, as quotients of polynomials over Z.
 
 Every computation in this package is exact.  The three element kinds are
 
 * ``fractions.Fraction`` for the rationals,
 * ``PrimeFieldElement`` for F_p with p an odd prime,
-* ``RationalFunction`` (a quotient of two ``MultiPoly``) for function
-  fields such as Q(alpha, beta, l1, l1f).
+* ``RationalFunction`` (a quotient of two ``MultiPoly``, polynomials with
+  int coefficients) for function fields such as Q(alpha, beta, l1, l1f);
+  a rational constant keeps its denominator in the ``den`` polynomial.
 
 A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
 carries zero, one, the characteristic, coercion from integers and
@@ -25,9 +26,10 @@ coefficients, so they answer for the value, not the stored form.
 
 ``MultiPoly.exquo`` is exact polynomial division: it divides by the
 leading term in graded order and raises ``InexactDivision`` on a nonzero
-remainder, never truncating.  Fraction-free elimination (``linalg.rref``)
-relies on it to divide out the previous pivot, and the gcd to accept a
-candidate only when it divides both inputs.
+remainder or a quotient coefficient that is not an integer, never
+truncating.  Fraction-free elimination (``linalg.rref``) relies on it to
+divide out the previous pivot, and the gcd to accept a candidate only
+when it divides both inputs.
 """
 
 from fractions import Fraction
@@ -215,9 +217,9 @@ def _term_key(exps):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial over Q with a fixed symbol tuple.
+    """Sparse multivariate polynomial over Z with a fixed symbol tuple.
 
-    Terms map exponent tuples to nonzero Fractions.  Two polynomials only
+    Terms map exponent tuples to nonzero ints.  Two polynomials only
     combine when their symbol tuples agree exactly.
     """
 
@@ -229,16 +231,19 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, names, value):
-        value = Fraction(value)
+        c = int(value)
+        if c != value:
+            raise ValueError("a polynomial over Z has no coefficient %s"
+                             % (value,))
         zero = (0,) * len(names)
-        return cls(names, {zero: value} if value else {})
+        return cls(names, {zero: c} if c else {})
 
     @classmethod
     def variable(cls, names, name):
         if name not in names:
             raise UnboundSymbol("unknown symbol %r" % name)
         exps = tuple(1 if n == name else 0 for n in names)
-        return cls(names, {exps: Fraction(1)})
+        return cls(names, {exps: 1})
 
     def _lift(self, other):
         if isinstance(other, MultiPoly):
@@ -246,7 +251,7 @@ class MultiPoly:
                 raise MixedFields("polynomial symbol tuples differ: %r vs %r"
                                   % (self.names, other.names))
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MultiPoly.constant(self.names, other)
         return None
 
@@ -255,10 +260,6 @@ class MultiPoly:
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self):
-        zero = (0,) * len(self.names)
-        return self.terms.get(zero, Fraction(0))
 
     def __add__(self, other):
         o = self._lift(other)
@@ -299,12 +300,26 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self ** n as the binomial sum of C(n, j) t^(n-j) r^j, where t is
+        the leading term and r the rest: only the powers of r are
+        multiplied out, so the leading term costs no products."""
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = MultiPoly.constant(self.names, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if not self.terms:
+            return MultiPoly.constant(self.names, 0 ** n)
+        rest = MultiPoly(self.names, self.terms)
+        lead = min(rest.terms, key=_term_key)
+        lc = rest.terms.pop(lead)
+        terms, rj = {}, MultiPoly.constant(self.names, 1)
+        for j in range(n + 1):
+            scale = comb(n, j) * lc ** (n - j)
+            shift = tuple(k * (n - j) for k in lead)
+            for e, c in rj.terms.items():
+                e = tuple(map(add, e, shift))
+                terms[e] = terms.get(e, 0) + scale * c
+            if j < n:
+                rj = rj * rest
+        return MultiPoly(self.names, terms)
 
     def __neg__(self):
         return MultiPoly(self.names, {e: -c for e, c in self.terms.items()})
@@ -313,7 +328,9 @@ class MultiPoly:
         """The exact quotient self / other.
 
         Divides by the leading term in graded order, largest remainder
-        term first; raises InexactDivision if other does not divide self.
+        term first; raises InexactDivision if other does not divide self
+        over Z.  That is exact for a primitive other that divides over Q
+        (Gauss's lemma) and for the minors of fraction-free elimination.
         """
         o = self._lift(other)
         if o is None:
@@ -337,7 +354,10 @@ class MultiPoly:
                 raise InexactDivision(
                     "a %d-term divisor does not divide a %d-term polynomial"
                     % (len(o.terms), len(self.terms)))
-            q = quot[shift] = c / lc
+            q, r = divmod(c, lc)
+            if r:
+                raise InexactDivision("a quotient coefficient is not integral")
+            quot[shift] = q
             # every new remainder term sorts below e, so none is popped twice
             for e2, c2 in rest:
                 t = tuple(map(add, shift, e2))
@@ -365,25 +385,15 @@ class MultiPoly:
         for e, c in self.terms.items():
             if e[i] == k:
                 reduced = e[:i] + (0,) + e[i + 1:]
-                terms[reduced] = terms.get(reduced, Fraction(0)) + c
+                terms[reduced] = terms.get(reduced, 0) + c
         return MultiPoly(self.names, terms)
 
     def content(self):
-        """Positive rational c with self/c integral and primitive."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        """The gcd of the coefficients: positive, 0 for the zero polynomial."""
+        return gcd(*self.terms.values())
 
     def leading_coefficient(self):
-        if not self.terms:
-            return Fraction(0)
-        e = min(self.terms, key=_term_key)
-        return self.terms[e]
+        return self.terms[min(self.terms, key=_term_key)] if self.terms else 0
 
     def gcd(self, other):
         """A greatest common divisor by the heuristic GCDHEU, or None.
@@ -394,11 +404,15 @@ class MultiPoly:
         return _heugcd(self.primitive(), self._lift(other).primitive())
 
     def primitive(self):
-        """self divided by its content: integral, primitive, same sign."""
-        if not self.terms:
+        """self divided by its content: primitive, same sign."""
+        return self._divide(self.content())
+
+    def _divide(self, c):
+        """self divided by a positive int c that divides every coefficient."""
+        if c <= 1:
             return self
-        c = self.content()
-        return self if c == 1 else self * (1 / c)
+        return MultiPoly(self.names,
+                         {e: v // c for e, v in self.terms.items()})
 
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
@@ -459,7 +473,7 @@ _GCD_TRIES = 6
 
 
 def _heugcd(f, g):
-    """A gcd of integral f and g, or None when the heuristic fails.
+    """A gcd of f and g, or None when the heuristic fails.
 
     GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): the
     common integer content is set aside, the first variable that occurs
@@ -475,27 +489,23 @@ def _heugcd(f, g):
     occurring = [e for p in (f, g) for e in p.terms]
     i = next((k for k in range(len(names)) if any(e[k] for e in occurring)),
              None)
+    c = gcd(f.content(), g.content())
     if i is None:
-        return MultiPoly.constant(names, gcd(int(f.constant_value()),
-                                             int(g.constant_value())))
-    c = gcd(f.content().numerator, g.content().numerator)
-    if c != 1:
-        f, g = f * Fraction(1, c), g * Fraction(1, c)
-    fn = max(abs(v.numerator) for v in f.terms.values())
-    gn = max(abs(v.numerator) for v in g.terms.values())
+        return MultiPoly.constant(names, c)
+    f, g = f._divide(c), g._divide(c)
+    fn = max(map(abs, f.terms.values()))
+    gn = max(map(abs, g.terms.values()))
     b = 2 * min(fn, gn) + 29
     xi = max(min(b, 99 * isqrt(b)),
-             2 * min(fn // abs(f.leading_coefficient().numerator),
-                     gn // abs(g.leading_coefficient().numerator)) + 4)
+             2 * min(fn // abs(f.leading_coefficient()),
+                     gn // abs(g.leading_coefficient())) + 4)
     for _ in range(_GCD_TRIES):
-        # the images hold int coefficients, cheaper than Fractions; they
-        # only meet Fraction-valued candidates, so exquo stays exact
         images = []
         for p in (f, g):
             image = {}
             for e, v in p.terms.items():
                 e0 = e[:i] + (0,) + e[i + 1:]
-                image[e0] = image.get(e0, 0) + v.numerator * xi ** e[i]
+                image[e0] = image.get(e0, 0) + v * xi ** e[i]
             images.append(MultiPoly(names, image))
         if not (images[0].is_zero() or images[1].is_zero()):
             found = _heugcd(*images)
@@ -503,13 +513,13 @@ def _heugcd(f, g):
                 return None
             terms = {}
             for e, v in found.terms.items():
-                v, k = v.numerator, 0
+                k = 0
                 while v:
                     d = v % xi
                     if d > xi // 2:
                         d -= xi
                     if d:
-                        terms[e[:i] + (k,) + e[i + 1:]] = Fraction(d)
+                        terms[e[:i] + (k,) + e[i + 1:]] = d
                     v, k = (v - d) // xi, k + 1
             h = MultiPoly(names, terms).primitive()
             if h.is_constant():  # 1 divides anything
@@ -541,16 +551,6 @@ def cancel(num, den):
     return num.exquo(h), den.exquo(h)
 
 
-def _frac_gcd(a, b):
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 class RationalFunction:
     """Quotient of two MultiPoly, not reduced to lowest terms.
 
@@ -570,12 +570,8 @@ class RationalFunction:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             den = MultiPoly.constant(num.names, 1)
-        else:
-            scale = _frac_gcd(num.content(), den.content())
-            if scale != 1:
-                inv = 1 / scale
-                num = num * inv
-                den = den * inv
+        scale = gcd(num.content(), den.content())
+        num, den = num._divide(scale), den._divide(scale)
         if den.leading_coefficient() < 0:
             num = -num
             den = -den
@@ -584,7 +580,9 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, names, value):
-        return cls(MultiPoly.constant(names, value))
+        value = Fraction(value)
+        return cls(MultiPoly.constant(names, value.numerator),
+                   MultiPoly.constant(names, value.denominator))
 
     @classmethod
     def symbol(cls, names, name):
@@ -611,7 +609,8 @@ class RationalFunction:
 
     def constant_value(self):
         """The value of a rational function for which is_constant holds."""
-        return self.num.leading_coefficient() / self.den.leading_coefficient()
+        return Fraction(self.num.leading_coefficient(),
+                        self.den.leading_coefficient())
 
     def __add__(self, other):
         o = self._lift(other)

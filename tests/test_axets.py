@@ -163,6 +163,10 @@ def test_realize_square_over_f5():
     realized = realize_axet(A, [(A.gen("x"), law), (A.gen("z"), law)])
     assert realized.size == 4
     assert classify_shape(realized) == "X(4)"
+    # the rows recorded by the closure are the action of each map
+    for p, m in enumerate(realized.maps):
+        assert realized.perm(p) == [realized.points.index(m(q))
+                                    for q in realized.points]
 
 
 def test_realize_rejects_non_axes():

@@ -226,12 +226,12 @@ def test_multipoly_evaluate_unbound():
 
 
 def test_exquo_recovers_the_cofactor():
-    p = poly("2*x^2 - x*y + 1/3").num
+    p = poly("6*x^2 - 3*x*y + 1").num
     d = poly("x*y - 3*y + 2").num
     assert (p * d).exquo(d) == p
     assert (p * d).exquo(p) == d
     assert MultiPoly.constant(NAMES, 0).exquo(d).is_zero()
-    assert p.exquo(MultiPoly.constant(NAMES, Fraction(1, 2))) == p * 2
+    assert (2 * p).exquo(2) == p
 
 
 def test_exquo_raises_on_a_remainder():
@@ -243,6 +243,18 @@ def test_exquo_raises_on_a_remainder():
         poly("x^2 + y").num.exquo(poly("x + 1").num)
     with pytest.raises(DivisionByZero):
         d.exquo(MultiPoly.constant(NAMES, 0))
+    # over Z, 2 does not divide x + 1
+    with pytest.raises(InexactDivision):
+        (MultiPoly.variable(NAMES, "x") + 1).exquo(2)
+
+
+def test_multipoly_constants_are_integers():
+    assert MultiPoly.constant(NAMES, Fraction(4, 2)).terms == {(0, 0): 2}
+    with pytest.raises(ValueError):
+        MultiPoly.constant(NAMES, Fraction(1, 2))
+    half = RationalFunction.constant(NAMES, Fraction(1, 2))
+    assert half.num == 1 and half.den == 2
+    assert half.constant_value() == Fraction(1, 2)
 
 
 def test_mixed_symbol_tuples_rejected():
@@ -382,7 +394,8 @@ def test_f5_inverses(a):
         assert a * (F.one / a) == F.one
 
 
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+coeffs = st.integers(min_value=-12, max_value=12)
+ratios = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 polys = st.dictionaries(exponents, coeffs, max_size=4).map(
     lambda terms: MultiPoly(NAMES, terms))
@@ -395,6 +408,15 @@ def test_multipoly_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(polys)
+@settings(max_examples=30)
+def test_power_is_repeated_multiplication(p):
+    product = MultiPoly.constant(NAMES, 1)
+    for n in range(7):
+        assert p ** n == product
+        product = product * p
 
 
 @given(polys, polys)
@@ -431,16 +453,17 @@ def test_gcd_divides_and_is_divided_by_common_factors(f, g, k):
         return
     fk.exquo(h)  # each raises InexactDivision if h does not divide
     gk.exquo(h)
-    h.exquo(k)
+    h.exquo(k.primitive())  # h is primitive, so k's content is not in it
 
 
-@given(polys, polys, polys, polys, st.one_of(st.none(), coeffs))
+@given(polys, polys, polys, polys, st.one_of(st.none(), ratios))
 @settings(max_examples=40, deadline=None)
 def test_rf_predicates_ignore_a_common_factor(p, q, d, k, scale):
     assume(not (d.is_zero() or k.is_zero()))
-    if scale is not None:
-        p = d * scale  # a constant value in a non-constant form
-    f, g = RationalFunction(p, d), RationalFunction(p * k, d * k)
+    f = RationalFunction(p, d)
+    if scale is not None:  # a constant value in a non-constant form
+        f = RationalFunction(d, d) * RationalFunction.constant(NAMES, scale)
+    g = f * RationalFunction(k, k)
     assert g.is_constant() == f.is_constant()
     if scale is not None:
         assert f.is_constant() and f.constant_value() == scale
@@ -468,3 +491,28 @@ def test_rf_equality_agrees_with_evaluation(p, q, den, point):
         assert fv == gv
     elif fv != gv:
         assert f != g
+
+
+rf_atoms = st.one_of(
+    st.sampled_from(NAMES).map(lambda n: RationalFunction.symbol(NAMES, n)),
+    ratios.map(lambda c: RationalFunction.constant(NAMES, c)))
+rf_steps = st.lists(st.tuples(st.sampled_from("+-*/^"), rf_atoms,
+                              st.integers(-2, 2)), max_size=6)
+
+
+@given(rf_atoms, rf_steps)
+@settings(max_examples=60, deadline=None)
+def test_rf_arithmetic_keeps_integer_coefficients(f, steps):
+    for op, g, n in steps:
+        if op == "+":
+            f = f + g
+        elif op == "-":
+            f = f - g
+        elif op == "*":
+            f = f * g
+        elif op == "/" and not g.is_zero():
+            f = f / g
+        elif op == "^" and not (n < 0 and f.is_zero()):
+            f = f ** n
+        coefficients = list(f.num.terms.values()) + list(f.den.terms.values())
+        assert all(type(c) is int for c in coefficients)
