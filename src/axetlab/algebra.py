@@ -98,18 +98,19 @@ class StructureAlgebra:
     # -- multiplication -------------------------------------------------
 
     def multiply_coords(self, u, v):
+        """Coordinates of u*v; zero coordinates and zero structure
+        constants are skipped, never multiplied."""
         out = [self.field.zero] * self.dim
+        support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
-            if a == self.field.zero:
+            if not a:
                 continue
-            for j, b in enumerate(v):
-                if b == self.field.zero:
-                    continue
+            table = self.products[i]
+            for j, b in support:
                 c = a * b
-                row = self.products[i][j]
-                for k in range(self.dim):
-                    if row[k] != self.field.zero:
-                        out[k] = out[k] + c * row[k]
+                for k, s in enumerate(table[j]):
+                    if s:
+                        out[k] = out[k] + c * s
         return out
 
     def adjoint(self, a):
@@ -247,7 +248,7 @@ class StructureAlgebra:
             for j in range(i, n):
                 x = linalg.mat_vec(inv, self.multiply_coords(
                     vectors[i].coords, vectors[j].coords), self.field)
-                if any(c != self.field.zero for c in x[n:]):
+                if any(x[n:]):
                     raise ValueError(
                         "the span is not closed under multiplication")
                 products[(i, j)] = x[:n]
@@ -326,7 +327,7 @@ class Element:
         return self.coords == other.coords
 
     def is_zero(self):
-        return all(c == self.algebra.field.zero for c in self.coords)
+        return not any(self.coords)
 
     def __repr__(self):
         parts = []
@@ -402,9 +403,12 @@ class LinearMap:
                                                       self.source.field))
 
     def is_invertible(self):
-        return linalg.rank(self.matrix, self.target.field) == self.source.dim
+        return (self.source.dim == self.target.dim and
+                linalg.rank(self.matrix, self.target.field) == self.source.dim)
 
     def inverse(self):
+        if self.source.dim != self.target.dim:
+            raise DimensionMismatch("map is not square")
         inv = linalg.invert(self.matrix, self.target.field)
         if inv is None:
             raise DimensionMismatch("map is singular")
@@ -427,14 +431,20 @@ class LinearMap:
 
 
 def check_linear_map_is_isomorphism(m):
-    """Whether m is bijective and multiplicative on all basis pairs."""
+    """Whether m is an isomorphism: bijective, which needs equal
+    dimensions and full rank, and multiplicative on all basis pairs.
+
+    The images of the basis are the columns of m.matrix, so each pair
+    i <= j costs one mat_vec, m(b_i b_j), and one product in the target,
+    m(b_i) m(b_j).
+    """
     if not m.is_invertible():
         return False
-    src = m.source
+    src, tgt = m.source, m.target
+    images = linalg.transpose(m.matrix)
     for i in range(src.dim):
-        bi = src.gen(src.basis_names[i])
         for j in range(i, src.dim):
-            bj = src.gen(src.basis_names[j])
-            if m(bi * bj) != m(bi) * m(bj):
+            if (linalg.mat_vec(m.matrix, src.products[i][j], tgt.field)
+                    != tgt.multiply_coords(images[i], images[j])):
                 return False
     return True

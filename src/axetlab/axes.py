@@ -150,8 +150,7 @@ def verify_axis(A, a, law):
                 allowed = law.star_indices(i, j)
                 for u, v in product(spaces[i][1], spaces[j][1]):
                     prod = u * v
-                    if any(basis.owner[k] not in allowed
-                           and c != A.field.zero
+                    if any(c and basis.owner[k] not in allowed
                            for k, c in enumerate(basis.coords(prod))):
                         violations.append(FusionViolation(
                             law.eigenvalues[i], law.eigenvalues[j], prod))
@@ -181,7 +180,7 @@ def projection(A, a, law, v):
     basis = _primitive_eigenbasis(A, a, law)
     # the 1-eigenspace is spanned by vectors[0], a nonzero multiple of a
     u = basis.vectors[0].coords
-    i = next(i for i, c in enumerate(a.coords) if c != A.field.zero)
+    i = next(i for i, c in enumerate(a.coords) if c)
     return basis.coords(v)[0] * u[i] / a.coords[i]
 
 

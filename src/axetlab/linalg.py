@@ -8,6 +8,9 @@ once, by ``invert``, whose result is applied with ``mat_vec``; ``solve``
 is for one system.
 
 Over Q and F_p it is plain Gauss-Jordan elimination with field division.
+It tests for zero by truthiness and skips zero entries: a row update
+leaves an entry alone where the pivot row is zero, and ``mat_vec`` and
+``mat_mul`` multiply only the nonzero entries of the vector or column.
 Over a function field, dividing rational functions at every step makes
 their unreduced numerators and denominators swell, so ``rref`` instead
 clears each row's denominators, constant ones included, and runs
@@ -46,7 +49,7 @@ def rref(rows, field):
     for c in range(ncols):
         pr = None
         for i in range(r, len(m)):
-            if m[i][c] != field.zero:
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -55,9 +58,9 @@ def rref(rows, field):
         inv = field.one / m[r][c]
         m[r] = [inv * x for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != field.zero:
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -68,9 +71,10 @@ def rref(rows, field):
 def _clear_denominators(row, field):
     """The row times the product of its distinct denominators, over Z[x]."""
     row = [field.coerce(x) for x in row]
+    one = MultiPoly.constant(field.names, 1)
     dens = []
     for x in row:
-        if x.den not in dens:
+        if x.den != one and x.den not in dens:
             dens.append(x.den)
     out = []
     for x in row:
@@ -192,12 +196,13 @@ def invert(rows, field):
 
 
 def mat_vec(rows, vec, field):
-    return [sum((a * b for a, b in zip(r, vec)), field.zero) for r in rows]
+    return [sum((a * b for a, b in zip(r, vec) if b), field.zero)
+            for r in rows]
 
 
 def mat_mul(a, b, field):
     bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(r, c)), field.zero) for c in bt]
+    return [[sum((x * y for x, y in zip(r, c) if y), field.zero) for c in bt]
             for r in a]
 
 
@@ -213,7 +218,7 @@ def transpose(rows):
 def in_span(vectors, v, field):
     """Whether v lies in the span of vectors (as coordinate rows)."""
     if not vectors:
-        return all(x == field.zero for x in v)
+        return not any(v)
     cols = transpose(vectors)
     return solve(cols, v, field) is not None
 

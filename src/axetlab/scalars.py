@@ -9,6 +9,11 @@ Every computation in this package is exact.  The three element kinds are
   int coefficients) for function fields such as Q(alpha, beta, l1, l1f);
   a rational constant keeps its denominator in the ``den`` polynomial.
 
+All three are true exactly when their value is nonzero, so ``if x:`` is
+the one zero test for every field, and it costs O(1): a rational
+function is zero exactly when its numerator is the zero polynomial,
+whatever its stored form, where ``x == field.zero`` would cross-multiply.
+
 A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
 carries zero, one, the characteristic, coercion from integers and
 rationals, and symbol lookup for the expression parser.
@@ -601,6 +606,9 @@ class RationalFunction:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def is_constant(self):
         """Whether the value is constant, whatever form it is stored in."""

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from axetlab import linalg
 from axetlab.algebra import (DimensionMismatch, LinearMap, NotProperIdeal,
                              StructureAlgebra,
                              check_linear_map_is_isomorphism)
-from axetlab.catalog import make_2B, make_3C, make_Q2_third, make_Q2x
-from axetlab.scalars import QQ, MixedFields, PrimeField
+from axetlab.axes import miyamoto
+from axetlab.catalog import (make_2B, make_3C, make_orthogonal_branch,
+                             make_Q2_third, make_Q2x, orthogonal_branch_to_Q2,
+                             orthogonal_branch_to_Q2x_plus_one, skew_examples)
+from axetlab.fusion import make_jordan, make_monster
+from axetlab.scalars import (QQ, FunctionField, MixedFields, MultiPoly,
+                             PrimeField, RationalFunction)
 
 
 def two_idempotents():
@@ -293,6 +299,106 @@ def test_isomorphism_across_algebras():
     assert check_linear_map_is_isomorphism(m)
 
 
+def test_embedding_that_is_not_onto_is_not_an_isomorphism():
+    E = StructureAlgebra.from_table(QQ, ("e",), {("e", "e"): {"e": 1}})
+    T = StructureAlgebra.from_table(QQ, ("x", "y"), {
+        ("x", "x"): {"x": 1},
+        ("y", "y"): {"y": 1},
+    })
+    e = E.gen("e")
+    m = LinearMap.from_images(E, T, [T.gen("x")])
+    assert m(e * e) == m(e) * m(e)  # an injective homomorphism
+    assert not m.is_invertible()
+    assert not check_linear_map_is_isomorphism(m)
+    with pytest.raises(DimensionMismatch):
+        m.inverse()
+    onto = LinearMap.from_images(T, E, [e, E.zero])  # and a surjective one
+    assert not check_linear_map_is_isomorphism(onto)
+    with pytest.raises(DimensionMismatch):
+        onto.inverse()
+
+
+# -- the isomorphism check against its definition -----------------------------
+
+def iso_by_definition(m):
+    """Bijective, and m(bi*bj) == m(bi)*m(bj) for every pair of basis
+    elements: the reference the one-product-per-pair check must match."""
+    src = m.source
+    if (src.dim != m.target.dim
+            or linalg.rank(m.matrix, m.target.field) != src.dim):
+        return False
+    return all(m(bi * bj) == m(bi) * m(bj)
+               for bi in src.basis() for bj in src.basis())
+
+
+def catalog_axes(field):
+    """(algebra, axis, law) for every catalog axis that exists over field."""
+    c = field.coerce
+    cases = []
+    A = make_2B(field)
+    cases += [(A, v, make_jordan(c(Fraction(1, 2)))) for v in A.basis()]
+    A = make_3C(Fraction(1, 4), field)
+    cases += [(A, v, make_jordan(c(Fraction(1, 4)))) for v in A.basis()]
+    A = make_Q2_third(field)
+    j = make_jordan(c(Fraction(1, 3)))
+    m = make_monster(c(Fraction(2, 3)), c(Fraction(1, 3)))
+    cases += [(A, A.gen("s1"), j), (A, A.gen("s2"), j),
+              (A, A.gen("d1"), m), (A, A.gen("d2"), m)]
+    for ex in skew_examples(field.char) + [make_orthogonal_branch(field)]:
+        cases += [(ex.algebra, ex.m_axis, ex.m_law),
+                  (ex.algebra, ex.j_axis, ex.j_law)]
+    return cases
+
+
+def shifted(m, r, c):
+    """m with the matrix entry (r, c) increased by one."""
+    matrix = [list(row) for row in m.matrix]
+    matrix[r][c] = matrix[r][c] + m.target.field.one
+    return LinearMap(m.source, m.target, matrix)
+
+
+def assert_check_matches_definition(m, expected):
+    assert check_linear_map_is_isomorphism(m) == iso_by_definition(m) \
+        == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7)],
+                         ids=repr)
+def test_isomorphism_check_on_catalog_miyamoto_maps(field):
+    cases = catalog_axes(field)
+    assert len(cases) >= 15
+    for A, a, law in cases:
+        tau = miyamoto(A, a, law)
+        assert_check_matches_definition(tau, True)
+        for r in range(A.dim):
+            for c in range(A.dim):
+                assert_check_matches_definition(shifted(tau, r, c), False)
+
+
+@pytest.mark.parametrize("make", [orthogonal_branch_to_Q2,
+                                  lambda: orthogonal_branch_to_Q2(
+                                      PrimeField(7)),
+                                  orthogonal_branch_to_Q2x_plus_one],
+                         ids=["Q2-over-Q", "Q2-over-F7", "Q2x-plus-one-F5"])
+def test_isomorphism_check_on_branch_isomorphisms(make):
+    m = make()
+    assert_check_matches_definition(m, True)
+    for r in range(m.target.dim):
+        for c in range(m.source.dim):
+            assert_check_matches_definition(shifted(m, r, c), False)
+
+
+def test_isomorphism_check_matches_definition_on_shear_and_squash():
+    A = make_3C(Fraction(1, 4))
+    x, y, z = A.basis()
+    assert_check_matches_definition(
+        LinearMap.from_images(A, A, [y, z, x]), True)
+    assert_check_matches_definition(
+        LinearMap.from_images(A, A, [x + y, y, z]), False)
+    assert_check_matches_definition(
+        LinearMap.from_images(A, A, [x, x, z]), False)
+
+
 # -- bilinearity as a property ------------------------------------------------
 
 coords3 = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -309,3 +415,63 @@ def test_multiplication_is_bilinear_and_commutative(u, v, w):
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert (2 * x) * y == 2 * (x * y)
+
+
+# -- multiply_coords against the triple loop ----------------------------------
+
+def multiply_by_triple_loop(A, u, v):
+    """The product as a loop over i, j and k with value zero tests: the
+    reference for the zero-skipping multiply_coords."""
+    out = [A.field.zero] * A.dim
+    for i, a in enumerate(u):
+        if a == A.field.zero:
+            continue
+        for j, b in enumerate(v):
+            if b == A.field.zero:
+                continue
+            c = a * b
+            row = A.products[i][j]
+            for k in range(A.dim):
+                if row[k] != A.field.zero:
+                    out[k] = out[k] + c * row[k]
+    return out
+
+
+QX = FunctionField(("x",))
+product_fields = st.sampled_from([QQ, PrimeField(7), QX])
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def scalars_of(draw, field):
+    """A field element that is zero about half the time."""
+    if draw(st.booleans()):
+        return field.zero
+    value = draw(small.filter(bool))
+    if field is QX:  # (c + d x^k) / (1 + e x), unreduced by a factor x + 1
+        x = MultiPoly.variable(field.names, "x")
+        num = (MultiPoly.constant(field.names, value.numerator)
+               + draw(st.integers(-2, 2)) * x ** draw(st.integers(0, 2)))
+        den = (value.denominator + draw(st.integers(0, 2)) * x)
+        return RationalFunction(num * (x + 1), den * (x + 1))
+    return field.coerce(value)
+
+
+@st.composite
+def algebras_and_vectors(draw):
+    field = draw(product_fields)
+    n = draw(st.integers(1, 4))
+    scalar = scalars_of(field)
+    products = {(i, j): [draw(scalar) for _ in range(n)]
+                for i in range(n) for j in range(i, n)}
+    A = StructureAlgebra(field, ["b%d" % i for i in range(n)], products)
+    u = [draw(scalar) for _ in range(n)]
+    v = [draw(scalar) for _ in range(n)]
+    return A, u, v
+
+
+@given(algebras_and_vectors())
+@settings(max_examples=80, deadline=None)
+def test_multiply_coords_matches_the_triple_loop(case):
+    A, u, v = case
+    assert A.multiply_coords(u, v) == multiply_by_triple_loop(A, u, v)

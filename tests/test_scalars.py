@@ -516,3 +516,23 @@ def test_rf_arithmetic_keeps_integer_coefficients(f, steps):
             f = f ** n
         coefficients = list(f.num.terms.values()) + list(f.den.terms.values())
         assert all(type(c) is int for c in coefficients)
+
+
+primes = st.sampled_from([3, 5, 7, 101]).map(PrimeField)
+
+
+@given(ratios, primes, st.integers(-300, 300), polys, polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_truthiness_is_the_value_zero_test(q, F, k, n, d, h):
+    assume(not (d.is_zero() or h.is_zero()))
+    assert bool(q) == (q != QQ.zero)
+    a = F.coerce(k)
+    assert bool(a) == (a != F.zero)
+    field = FunctionField(NAMES)
+    f = RationalFunction(n, d)
+    unreduced = RationalFunction(n * h, d * h)
+    zero = f - unreduced  # zero written as n/d - n/d
+    for g in (f, unreduced, zero, f * unreduced, f + unreduced):
+        assert bool(g) == (g != field.zero) == (not g.is_zero())
+    assert not zero
+    assert bool(unreduced) == bool(f)
