@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from axetlab import (AbstractAxet, classify_shape, closure, is_automorphism,
                      make_3C_skew, make_monster, make_Q2_skew, make_Q2x,
-                     miyamoto, odd_subaxet, realize_axet)
+                     miyamoto, odd_subaxet, realize_axet, verify_axis)
 from axetlab.scalars import PrimeField
 
 ex = make_Q2_skew()
@@ -28,7 +28,8 @@ print("   identity:", miyamoto(A, ex.j_axis, ex.m_law).is_identity())
 
 print()
 print("realizing the axet generated by {t1, s1}:")
-realized = realize_axet(A, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.m_law)])
+realized = realize_axet([verify_axis(A, ex.m_axis, ex.m_law),
+                         verify_axis(A, ex.j_axis, ex.m_law)])
 print("   points:", realized.labels)
 print("   perms: ", realized.perms)
 print("   shape: ", classify_shape(realized))
@@ -38,8 +39,8 @@ print("everything, which is exactly the 3-point skew shape")
 print()
 print("the same machinery on the three generators of 3C(1/4, 3/4):")
 sk = make_3C_skew(Fraction(1, 4))
-realized = realize_axet(sk.algebra, [(sk.m_axis, sk.m_law),
-                                     (sk.j_axis, sk.m_law)])
+realized = realize_axet([verify_axis(sk.algebra, sk.m_axis, sk.m_law),
+                         verify_axis(sk.algebra, sk.j_axis, sk.m_law)])
 print("   shape:", classify_shape(realized), "with", realized.size, "points")
 
 print()
@@ -48,7 +49,8 @@ print("generate a square")
 F5 = PrimeField(5)
 Q = make_Q2x()
 law = make_monster(F5.coerce(Fraction(2, 3)), F5.coerce(Fraction(1, 3)))
-realized = realize_axet(Q, [(Q.gen("x"), law), (Q.gen("z"), law)])
+realized = realize_axet([verify_axis(Q, Q.gen("x"), law),
+                         verify_axis(Q, Q.gen("z"), law)])
 print("   shape:", classify_shape(realized), "with", realized.size, "points")
 
 print()

@@ -329,6 +329,9 @@ class Element:
     def is_zero(self):
         return not any(self.coords)
 
+    def __bool__(self):
+        return any(self.coords)
+
     def __repr__(self):
         parts = []
         for name, c in zip(self.algebra.basis_names, self.coords):

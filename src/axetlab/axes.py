@@ -6,13 +6,14 @@ products respect the star table, and whose 1-eigenspace is spanned by a
 itself.  All four conditions are checked over the exact field; failures
 are reported, not raised.
 
-The eigenbasis of ad_a is built in one place, ``Eigenbasis``.  The
-report of ``verify_axis`` keeps it, so ``realize_axet`` and
-``dichotomy_check`` take the Miyamoto map from the report; the other
-functions here build one per call.
+The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
+each eigenspace by eigenvalue and builds the Miyamoto map once.  The
+report of ``verify_axis`` keeps it, and ``realize_axet`` and
+``dichotomy_check`` read it there; the other functions build their own.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
 
 from . import linalg
@@ -58,15 +59,20 @@ class Eigenbasis:
             self.inverse = linalg.invert(
                 linalg.transpose([v.coords for v in self.vectors]), A.field)
 
+    def eigenspace(self, lam):
+        """The basis of the eigenspace for the law eigenvalue lam."""
+        return self.spaces[self.law.index(lam)][1]
+
     def coords(self, v):
         """Coordinates of v over vectors; the spaces must span A."""
         return linalg.mat_vec(self.inverse, v.coords, self.algebra.field)
 
+    @cached_property
     def miyamoto(self):
         """The Miyamoto map: +1 on even, -1 on odd eigenspaces of the
         preferred C2 grading of the law.  It is asserted to be an
         automorphism, and is an involution whenever an odd eigenspace is
-        nonzero."""
+        nonzero.  Computed on first read, then kept."""
         A, a = self.algebra, self.axis
         grading = find_c2_grading(self.law)
         if grading is None:
@@ -110,24 +116,16 @@ class AxisReport:
         return self.basis.inverse is not None
 
     @property
-    def eigenspaces(self):
-        """(eigenvalue, [Element]) per law eigenvalue."""
-        return self.basis.spaces
-
-    @property
     def passed(self):
         return (self.is_idempotent and self.spectrum_ok
                 and not self.fusion_violations and self.is_primitive)
 
     def eigenspace(self, lam):
-        for v, basis in self.eigenspaces:
-            if v == lam:
-                return basis
-        raise KeyError("eigenvalue %r not in the law" % (lam,))
+        return self.basis.eigenspace(lam)
 
     def summary(self):
         dims = ", ".join("dim A_%s = %d" % (v, len(b))
-                         for v, b in self.eigenspaces)
+                         for v, b in self.basis.spaces)
         return ("idempotent=%s spectrum=%s primitive=%s violations=%d (%s)"
                 % (self.is_idempotent, self.spectrum_ok, self.is_primitive,
                    len(self.fusion_violations), dims))
@@ -201,7 +199,7 @@ def in_part(A, a, law, v, lams):
 
 def miyamoto(A, a, law):
     """The Miyamoto map of a (``Eigenbasis.miyamoto``)."""
-    return Eigenbasis(A, a, law).miyamoto()
+    return Eigenbasis(A, a, law).miyamoto
 
 
 def is_automorphism(A, m):

@@ -6,13 +6,11 @@ family X'(k+2k) starts from X(4k) and identifies a_{2j} with a_{2j+2k},
 leaving k even and 2k odd points, 3k in total; the same reflection
 formula acts on canonical representatives.
 
-A RealizedAxet is the closure of a set of verified axes of an algebra
+A RealizedAxet is the closure of the axes of passed verify_axis reports
 under their Miyamoto involutions, with the permutation action recorded.
 Shapes are recognised by a brute-force action-preserving bijection
 search, which is fine at the sizes the workbench handles (n <= 24).
 """
-
-from .axes import verify_axis
 
 
 class TooLarge(ValueError):
@@ -239,35 +237,30 @@ class RealizedAxet(FiniteAxet):
     point list.
     """
 
-    def __init__(self, algebra, points, laws, maps, perms):
-        self.algebra = algebra
+    def __init__(self, points, laws, maps, perms):
         self.points = points
         self.laws = laws
         self.maps = maps
         labels = ["p%d" % i for i in range(len(points))]
         super().__init__(labels, perms)
 
-    def index_of_element(self, x):
-        return self.points.index(x)
 
+def realize_axet(reports, max_points=24):
+    """Close the axes of verify_axis reports under their Miyamoto maps.
 
-def realize_axet(A, axes, max_points=24):
-    """Close a list of (element, law) pairs under Miyamoto involutions.
-
-    Every listed element must pass verify_axis under its law.  New orbit
+    Every report must have passed (NotAnAxis otherwise).  New orbit
     points inherit the law of their preimage and the conjugated map
     tau_{g(x)} = g tau_x g^{-1}; growth past max_points raises
     NotClosedWithinBound.  The pass that adds no point records the
     permutation rows.
     """
     points, laws, maps = [], [], []
-    for elt, law in axes:
-        report = verify_axis(A, elt, law)
+    for report in reports:
         if not report.passed:
             raise NotAnAxis(report)
-        points.append(elt)
-        laws.append(law)
-        maps.append(report.basis.miyamoto())
+        points.append(report.basis.axis)
+        laws.append(report.basis.law)
+        maps.append(report.basis.miyamoto)
 
     while True:
         size, perms = len(points), []
@@ -288,4 +281,4 @@ def realize_axet(A, axes, max_points=24):
                     maps.append(conj)
             perms.append(row)
         if len(points) == size:
-            return RealizedAxet(A, points, laws, maps, perms)
+            return RealizedAxet(points, laws, maps, perms)

@@ -83,9 +83,9 @@ def cmd_axet(args):
     # algebra have empty odd part there, so their involutions collapse
     ambient = next((law for _, law in axes if len(law.eigenvalues) == 4),
                    None)
-    if ambient is not None:
-        axes = [(el, ambient) for el, _ in axes]
-    realized = realize_axet(doc.algebra, axes, max_points=args.max_points)
+    reports = [verify_axis(doc.algebra, el, ambient or law)
+               for el, law in axes]
+    realized = realize_axet(reports, max_points=args.max_points)
     label = classify_shape(realized, max_points=args.max_points)
     note = " (degenerate: single point)" if realized.size == 1 else ""
     plural = "" if realized.size == 1 else "s"

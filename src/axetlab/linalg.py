@@ -56,7 +56,7 @@ def rref(rows, field):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        m[r] = [inv * x if x else x for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import skewverify
 from .algebra import LinearMap, StructureAlgebra, \
     check_linear_map_is_isomorphism
-from .axes import miyamoto, verify_axis
+from .axes import Eigenbasis, miyamoto, verify_axis
 from .axets import AbstractAxet, classify_shape, closure, odd_subaxet, \
     realize_axet
 from .catalog import (make_2B, make_3C, make_3C_minus1_2, make_3C_skew,
@@ -244,9 +244,10 @@ def check_bullets_3C():
     _is_eigvec(A, w, field.one, w, "w in the 1 part of w")
     _is_eigvec(A, w, field.zero, x, "x in the 0 part of w")
     _is_eigvec(A, w, 1 - alpha, y - z, "y - z in the 1-alpha part of w")
-    if A.eigenspace(A.adjoint(w), alpha):
+    w_basis = Eigenbasis(A, w, ex.m_law)
+    if w_basis.eigenspace(alpha):
         raise skewverify.IdentityFails("alpha part of w is nonzero", alpha)
-    tau = miyamoto(A, w, ex.m_law)
+    tau = w_basis.miyamoto
     if tau(y) != z or not tau.is_involution():
         raise skewverify.IdentityFails("tau_w swaps y and z", tau(y) - z)
     if not miyamoto(A, y, ex.m_law).is_identity():
@@ -337,11 +338,12 @@ def check_bullets_F5():
     # 2/3 part, so its involution is the identity
     _is_eigvec(A, x, F5.zero, y, "y in the 0 part of x")
     _is_eigvec(A, x, F5.zero, one - x, "one - x in the 0 part of x")
-    if len(A.eigenspace(A.adjoint(x), F5.zero)) != 2:
+    x_basis = Eigenbasis(A, x, ex.m_law)
+    if len(x_basis.eigenspace(F5.zero)) != 2:
         raise skewverify.IdentityFails("0 part of x has dimension 2", x)
-    if A.eigenspace(A.adjoint(x), F5.coerce(2 * third)):
+    if x_basis.eigenspace(F5.coerce(2 * third)):
         raise skewverify.IdentityFails("2/3 part of x is nonzero", x)
-    if not miyamoto(A, x, ex.m_law).is_identity():
+    if not x_basis.miyamoto.is_identity():
         raise skewverify.IdentityFails("tau_x is the identity", x)
 
     # the quotient without the identity: axes x and z close into X(4)
@@ -352,16 +354,18 @@ def check_bullets_F5():
                "x+y+3z in the 2/3 part of z")
     _is_eigvec(Q, z3, F5.coerce(third), x3 - y3,
                "x-y in the 1/3 part of z")
-    if Q.eigenspace(Q.adjoint(z3), F5.zero):
+    z3_basis = Eigenbasis(Q, z3, law)
+    if z3_basis.eigenspace(F5.zero):
         raise skewverify.IdentityFails("0 part of z is nonzero", z3)
     _is_eigvec(Q, x3, F5.zero, y3, "y in the 0 part of x")
     _is_eigvec(Q, x3, F5.coerce(third), 3 * x3 + 3 * y3 + z3,
                "3x+3y+z in the 1/3 part of x")
-    if Q.eigenspace(Q.adjoint(x3), F5.coerce(2 * third)):
+    x3_basis = Eigenbasis(Q, x3, law)
+    if x3_basis.eigenspace(F5.coerce(2 * third)):
         raise skewverify.IdentityFails("2/3 part of x is nonzero", x3)
-    if miyamoto(Q, z3, law)(x3) != y3:
+    if z3_basis.miyamoto(x3) != y3:
         raise skewverify.IdentityFails("tau_z swaps x and y", z3)
-    if miyamoto(Q, x3, law)(z3) != 4 * (x3 + y3 + z3):
+    if x3_basis.miyamoto(z3) != 4 * (x3 + y3 + z3):
         raise skewverify.IdentityFails("tau_x sends z to -(x+y+z)", x3)
     return _result("bullets-F5", "eigenvector bullets over F_5")
 
@@ -369,8 +373,8 @@ def check_bullets_F5():
 # -- axet shapes ---------------------------------------------------------------
 
 def _check_skew_realization(ex):
-    realized = realize_axet(ex.algebra, [(ex.m_axis, ex.m_law),
-                                         (ex.j_axis, ex.m_law)])
+    realized = realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
+                             verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
     if realized.size != 3:
         raise skewverify.IdentityFails(
             "%s: expected 3 points, got %d" % (ex.label, realized.size),
@@ -407,7 +411,7 @@ def check_axet_X4():
     F5 = PrimeField(5)
     Q = make_Q2x()
     law = make_monster(F5.coerce(2 * third), F5.coerce(third))
-    realized = realize_axet(Q, [(Q.gen("x"), law), (Q.gen("z"), law)])
+    realized = realize_axet([verify_axis(Q, Q.gen(n), law) for n in "xz"])
     if realized.size != 4 or classify_shape(realized) != "X(4)":
         raise skewverify.IdentityFails("axet of the quotient from {x, z}",
                                        classify_shape(realized))

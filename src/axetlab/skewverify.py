@@ -72,8 +72,7 @@ class BranchReport:
 
 
 def _require_zero(name, value):
-    zero = value.is_zero() if hasattr(value, "is_zero") else value == 0
-    if not zero:
+    if value:
         raise IdentityFails(name, value)
 
 
@@ -720,9 +719,9 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
         raise NoMatch("p is not an axis under the given law")
     if j_law is not None and not verify_axis(A, q, j_law).passed:
         raise NoMatch("q is not an axis under its stated law")
-    tau_p = report_p.basis.miyamoto()
+    tau_p = report_p.basis.miyamoto
     field = A.field
-    alpha, beta = (lam for lam, _ in report_p.eigenspaces[2:])
+    alpha, beta = (lam for lam, _ in report_p.basis.spaces[2:])
 
     if tau_p(q) == q:
         # ad_p maps the pair algebra into itself, so p has a beta part
@@ -733,7 +732,7 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
             raise NoMatch("p keeps a beta part inside the pair algebra")
         return ("jordan", "J(%s)" % alpha)
 
-    realized = realize_axet(A, [(p, m_law), (q, m_law)])
+    realized = realize_axet([report_p, verify_axis(A, q, m_law)])
     shape = classify_shape(realized)
     if shape != "Xskew(1)":
         raise NoMatch("the realized axet is %s, not Xskew(1)" % shape)

@@ -206,8 +206,9 @@ def test_04_involutions():
               "abstract closures, odd subaxets")
 def test_05_axet_shapes():
     for ex in skew_constructions():
-        realized = realize_axet(ex.algebra, [(ex.m_axis, ex.m_law),
-                                             (ex.j_axis, ex.m_law)])
+        realized = realize_axet(
+            [verify_axis(ex.algebra, ex.m_axis, ex.m_law),
+             verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
         assert realized.size == 3, ex.label
         assert classify_shape(realized) == "Xskew(1)"
         assert realized.perm(0) == [0, 2, 1]
@@ -217,7 +218,7 @@ def test_05_axet_shapes():
     F5 = PrimeField(5)
     Q = make_Q2x()
     law = make_monster(F5.coerce(2 * third), F5.coerce(third))
-    realized = realize_axet(Q, [(Q.gen("x"), law), (Q.gen("z"), law)])
+    realized = realize_axet([verify_axis(Q, Q.gen(n), law) for n in "xz"])
     assert realized.size == 4
     assert classify_shape(realized) == "X(4)"
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axetlab import linalg
-from axetlab.axes import (NoGrading, NotPrimitive, NotSemisimple, component,
-                          in_part, is_automorphism, miyamoto, projection,
-                          verify_axis)
+from axetlab import axes, linalg
+from axetlab.axes import (Eigenbasis, NoGrading, NotPrimitive, NotSemisimple,
+                          component, in_part, is_automorphism, miyamoto,
+                          projection, verify_axis)
 from axetlab.catalog import (make_2B, make_3C, make_3C_skew, make_Q2_third,
                              make_Q2_skew, make_Q2x_plus_one)
 from axetlab.fusion import FusionLaw, make_jordan, make_monster
@@ -167,6 +167,31 @@ def test_jordan_axis_under_its_own_law_is_not_identity():
     assert tau.is_involution()
     assert not tau.is_identity()
     assert tau(A.gen("y")) == A.gen("z")
+
+
+def test_eigenbasis_miyamoto_is_built_once(monkeypatch):
+    ex = make_3C_skew(QUARTER)
+    basis = Eigenbasis(ex.algebra, ex.m_axis, ex.m_law)
+    checks = []
+
+    def counted(A, m):
+        checks.append(m)
+        return is_automorphism(A, m)
+    monkeypatch.setattr(axes, "is_automorphism", counted)
+    tau = basis.miyamoto
+    assert basis.miyamoto is tau
+    assert tau(ex.j_axis) == ex.third
+    assert len(checks) == 1
+
+
+def test_eigenbasis_eigenspace_reads_the_law_index():
+    ex = make_3C_skew(QUARTER)
+    basis = Eigenbasis(ex.algebra, ex.m_axis, ex.m_law)
+    for lam, space in basis.spaces:
+        assert basis.eigenspace(lam) is space
+    assert len(basis.eigenspace(1)) == 1
+    with pytest.raises(KeyError):
+        basis.eigenspace(Fraction(5, 7))
 
 
 def test_miyamoto_requires_grading():

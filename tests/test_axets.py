@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axetlab.algebra import StructureAlgebra
+from axetlab.axes import verify_axis
 from axetlab.axets import (AbstractAxet, FiniteAxet, NotAnAxis,
                            NotClosedWithinBound, TooLarge, classify_shape,
                            closure, odd_subaxet, realize_axet, restrict,
@@ -129,8 +130,8 @@ def test_shape_label():
 
 def test_realize_skew_triple():
     ex = make_3C_skew(Fraction(1, 4))
-    realized = realize_axet(ex.algebra, [(ex.m_axis, ex.m_law),
-                                         (ex.j_axis, ex.m_law)])
+    realized = realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
+                             verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
     assert realized.size == 3
     assert classify_shape(realized) == "Xskew(1)"
     assert realized.points[2] == ex.third
@@ -138,12 +139,12 @@ def test_realize_skew_triple():
     assert realized.perm(0) == [0, 2, 1]
     assert realized.perm(1) == [0, 1, 2]
     assert realized.perm(2) == [0, 1, 2]
-    assert realized.index_of_element(ex.third) == 2
+    assert realized.points.index(ex.third) == 2
 
 
 def test_realize_decomposes_each_given_axis_once(monkeypatch):
     # one eigenspace per law eigenvalue: verify_axis and the Miyamoto map
-    # of each given axis share one decomposition
+    # that realize_axet reads from its report share one decomposition
     ex = make_3C_skew(Fraction(1, 4))
     eigenspace = StructureAlgebra.eigenspace
     calls = []
@@ -152,7 +153,8 @@ def test_realize_decomposes_each_given_axis_once(monkeypatch):
         calls.append(lam)
         return eigenspace(self, m, lam)
     monkeypatch.setattr(StructureAlgebra, "eigenspace", counted)
-    realize_axet(ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.m_law)])
+    realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
+                  verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
     assert len(calls) == 2 * len(ex.m_law.eigenvalues)
 
 
@@ -160,7 +162,7 @@ def test_realize_square_over_f5():
     A = make_Q2x()
     law = make_monster(A.field.coerce(Fraction(2, 3)),
                        A.field.coerce(Fraction(1, 3)))
-    realized = realize_axet(A, [(A.gen("x"), law), (A.gen("z"), law)])
+    realized = realize_axet([verify_axis(A, A.gen(n), law) for n in "xz"])
     assert realized.size == 4
     assert classify_shape(realized) == "X(4)"
     # the rows recorded by the closure are the action of each map
@@ -173,7 +175,7 @@ def test_realize_rejects_non_axes():
     ex = make_3C_skew(Fraction(1, 4))
     bad = ex.m_axis + ex.j_axis
     with pytest.raises(NotAnAxis) as info:
-        realize_axet(ex.algebra, [(bad, ex.m_law)])
+        realize_axet([verify_axis(ex.algebra, bad, ex.m_law)])
     assert "idempotent=False" in str(info.value)
 
 
@@ -182,14 +184,20 @@ def test_realize_respects_the_point_bound():
     law = make_monster(A.field.coerce(Fraction(2, 3)),
                        A.field.coerce(Fraction(1, 3)))
     with pytest.raises(NotClosedWithinBound):
-        realize_axet(A, [(A.gen("x"), law), (A.gen("z"), law)],
+        realize_axet([verify_axis(A, A.gen(n), law) for n in "xz"],
                      max_points=3)
 
 
 def test_realized_laws_follow_orbits():
     ex = make_3C_skew(Fraction(1, 4))
-    realized = realize_axet(ex.algebra, [(ex.m_axis, ex.m_law),
-                                         (ex.j_axis, ex.j_law)])
+    realized = realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
+                             verify_axis(ex.algebra, ex.j_axis, ex.j_law)])
     # the third point is the image of the jordan axis, so it inherits
     # the jordan law
     assert realized.laws[2] is ex.j_law
+
+
+def test_realize_empty_list_gives_an_empty_axet():
+    realized = realize_axet([])
+    assert realized.size == 0
+    assert realized.points == [] and realized.perms == []

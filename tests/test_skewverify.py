@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from axetlab import skewverify
 from axetlab.catalog import (SkewConstants, make_2B, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
@@ -136,6 +137,24 @@ def test_dichotomy_skew_pairs():
     kind, label = dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
                                   ex.m_law, ex.j_law)
     assert (kind, label) == ("skew", "3C(1/4,3/4)")
+
+
+def test_dichotomy_verifies_each_axis_once_on_the_swapped_branch(
+        monkeypatch):
+    # p once, q under its own law, q under the M law for the realization
+    ex = make_3C_skew(Fraction(1, 4))
+    verify_axis = skewverify.verify_axis
+    calls = []
+
+    def counted(A, a, law):
+        calls.append((a, law))
+        return verify_axis(A, a, law)
+    monkeypatch.setattr(skewverify, "verify_axis", counted)
+    kind, label = dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
+                                  ex.m_law, ex.j_law)
+    assert (kind, label) == ("skew", "3C(1/4,3/4)")
+    assert calls == [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law),
+                     (ex.j_axis, ex.m_law)]
 
 
 def test_dichotomy_char5():
