@@ -335,7 +335,7 @@ class Element:
     def __repr__(self):
         parts = []
         for name, c in zip(self.algebra.basis_names, self.coords):
-            if c == self.algebra.field.zero:
+            if not c:
                 continue
             parts.append("%s*%s" % (c, name) if c != self.algebra.field.one
                          else name)

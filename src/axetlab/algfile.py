@@ -122,7 +122,7 @@ def _parse_element(text, algebra, lineno, column):
     if isinstance(value, _LinComb):
         return algebra.element(value.coords)
     # a pure scalar is only an element when it is zero
-    if value == field.zero:
+    if not value:
         return algebra.zero
     raise ParseError("expected a combination of basis symbols", lineno,
                      column)
@@ -303,11 +303,11 @@ def _format_coefficient(c):
     raise MixedFields("cannot format %r" % (c,))
 
 
-def format_element(coords, basis_names, zero):
+def format_element(coords, basis_names):
     """Deterministic rendering of a coordinate vector, '0' when zero."""
     parts = []
     for c, n in zip(coords, basis_names):
-        if c == zero:
+        if not c:
             continue
         text = _format_coefficient(c)
         sign = "+"
@@ -353,19 +353,16 @@ def emit_algebra_file(algebra, axes=()):
     lines = [_format_field(algebra.field),
              "dim %d" % algebra.dim,
              "basis " + " ".join(algebra.basis_names)]
-    zero = algebra.field.zero
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
             coords = algebra.products[i][j]
-            if all(c == zero for c in coords):
+            if not any(coords):
                 continue
             lines.append("product %s %s = %s"
                          % (algebra.basis_names[i], algebra.basis_names[j],
-                            format_element(coords, algebra.basis_names,
-                                           zero)))
+                            format_element(coords, algebra.basis_names)))
     for element, law in axes:
         lines.append("axis %s %s"
                      % (_format_law_params(law),
-                        format_element(element.coords, algebra.basis_names,
-                                       zero)))
+                        format_element(element.coords, algebra.basis_names)))
     return "\n".join(lines) + "\n"

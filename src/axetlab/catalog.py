@@ -376,7 +376,7 @@ def make_generic_skew(constants, field=None):
     """
     c = constants
     field = _field_of(c.alpha, field)
-    if c.beta == field.zero or c.alpha == c.beta:
+    if not c.beta or c.alpha == c.beta:
         raise DegenerateParameter(
             "the generic algebra needs beta != 0 and alpha != beta")
     ab = c.alpha - c.beta

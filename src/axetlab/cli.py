@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 verification failure, 2 parse or usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -171,7 +172,9 @@ def positive_int(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="axetlab",
         description="Exact-arithmetic workbench for axial algebras and "
@@ -213,9 +216,8 @@ def main(argv=None):
     # tolerate "catalog emit <name>" for the emit-style calling convention
     if len(argv) >= 2 and argv[0] == "catalog" and argv[1] == "emit":
         del argv[1]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     # VERIFY_ERRORS first: they are ValueErrors too

@@ -3,12 +3,15 @@
 Every multiplication table is checked against an expected-value copy
 frozen here, independent of the constructors in catalog, so a mutation
 on either side is caught.  Checks are named, deterministic, and gated by
-characteristic (0 or 5).
+characteristic (0 or 5).  A check fails only through skewverify's helpers
+(_require_zero, _require_equal, _require), and run_suite records the
+exception as the item's detail.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import skewverify
 from .algebra import LinearMap, StructureAlgebra, \
@@ -22,6 +25,7 @@ from .catalog import (make_2B, make_3C, make_3C_minus1_2, make_3C_skew,
                       make_Q2x_via_radical, rehren_oracle, skew_examples)
 from .fusion import make_jordan, make_monster
 from .scalars import QQ, FunctionField, PrimeField
+from .skewverify import _require, _require_equal, _require_zero
 
 half = Fraction(1, 2)
 third = Fraction(1, 3)
@@ -97,36 +101,40 @@ def _result(name, detail=""):
     return skewverify.CheckResult(name, True, detail)
 
 
-def _is_eigvec(A, axis, lam, v, what):
-    if v.is_zero():
-        raise skewverify.IdentityFails(what + " (zero vector)", v)
-    r = axis * v - lam * v
-    if not r.is_zero():
-        raise skewverify.IdentityFails(what, r)
+def _is_eigvec(axis, lam, v, what):
+    _require(what, v, "zero vector")
+    _require_zero(what, axis * v - lam * v)
+
+
+def _identity(A):
+    one = A.find_identity()
+    _require("the algebra has an identity", one is not None)
+    return one
+
+
+def _swaps(tau, u, v, what):
+    _require_equal(what, tau(u), v)
+    _require(what + ": an involution", tau.is_involution())
 
 
 # -- table fidelity -----------------------------------------------------------
 
-def check_table_Q2_third():
-    bad = table_mismatches(make_Q2_third(QQ), Q2_THIRD_EXPECTED)
-    if bad:
-        raise skewverify.IdentityFails("swapped-pair table entries", bad)
-    return _result("table-Q2-third", "10 pair entries")
+# item -> (constructor, frozen table, detail)
+TABLES = {
+    "table-Q2-third": (lambda: make_Q2_third(QQ), Q2_THIRD_EXPECTED,
+                       "10 pair entries"),
+    "table-Q2x-plus-one": (lambda: make_Q2x_plus_one().algebra,
+                           Q2X_PLUS_ONE_EXPECTED, "10 pair entries over F_5"),
+    "table-orthogonal-branch": (lambda: make_orthogonal_branch(QQ).algebra,
+                                ORTHOGONAL_BRANCH_EXPECTED, "10 pair entries"),
+}
 
 
-def check_table_Q2x_plus_one():
-    bad = table_mismatches(make_Q2x_plus_one().algebra, Q2X_PLUS_ONE_EXPECTED)
-    if bad:
-        raise skewverify.IdentityFails("adjoined-identity table entries", bad)
-    return _result("table-Q2x-plus-one", "10 pair entries over F_5")
-
-
-def check_table_orthogonal():
-    bad = table_mismatches(make_orthogonal_branch(QQ).algebra,
-                           ORTHOGONAL_BRANCH_EXPECTED)
-    if bad:
-        raise skewverify.IdentityFails("orthogonal-branch table entries", bad)
-    return _result("table-orthogonal-branch", "10 pair entries")
+def check_table(name):
+    build, expected, detail = TABLES[name]
+    bad = table_mismatches(build(), expected)
+    _require(name + " entries", not bad, ", ".join(bad))
+    return _result(name, detail)
 
 
 # -- displayed products -------------------------------------------------------
@@ -137,14 +145,10 @@ def _check_3C_products_at(alpha, field=None):
     w = ex.m_axis
     y, z = A.gen("y"), A.gen("z")
     a = ex.alpha
-    want = ((a + 1) / 2) * w + ((1 - a) / 2) * (y - z)
-    if w * y != want:
-        raise skewverify.IdentityFails("w y in 3C(%s, 1-%s)" % (a, a),
-                                       w * y - want)
-    decomposition = (a / 2) * A.gen("x") + ((a + 1) / 2) * w + half * (y - z)
-    if y != decomposition:
-        raise skewverify.IdentityFails("expansion of y in 3C(%s, 1-%s)"
-                                       % (a, a), y - decomposition)
+    _require_equal("w y in " + ex.label, w * y,
+                   ((a + 1) / 2) * w + ((1 - a) / 2) * (y - z))
+    _require_equal("expansion of y in " + ex.label, y,
+                   (a / 2) * A.gen("x") + ((a + 1) / 2) * w + half * (y - z))
 
 
 def check_products_3C():
@@ -161,13 +165,9 @@ def check_products_3C_minus1_2():
     A = ex.algebra
     u, v, w = A.basis()
     y, z = ex.j_axis, ex.third
-    if w * y != v - u:
-        raise skewverify.IdentityFails("w y = v - u", w * y - (v - u))
-    if y * (u - v) != u - w:
-        raise skewverify.IdentityFails("y(u - v) = u - w",
-                                       y * (u - v) - (u - w))
-    if y * z != -(y + z):
-        raise skewverify.IdentityFails("y z = -(y + z)", y * z + y + z)
+    _require_equal("w y = v - u", w * y, v - u)
+    _require_equal("y(u - v) = u - w", y * (u - v), u - w)
+    _require_equal("y z = -(y + z)", y * z, -(y + z))
     return _result("products-3C-minus1-2", "w y, y(u-v), y z")
 
 
@@ -175,63 +175,44 @@ def check_products_Q2_skew():
     ex = make_Q2_skew(QQ)
     A = ex.algebra
     s1, s2 = A.gen("s1"), A.gen("s2")
-    one = A.find_identity()
+    one = _identity(A)
     t1 = one - A.gen("d1")
     t2 = one - A.gen("d2")
-    if ex.m_axis != t1:
-        raise skewverify.IdentityFails("distinguished axis is one - d1",
-                                       ex.m_axis - t1)
-    want = 2 * third * s1 + sixth * t1 - sixth * t2
-    if s1 * t1 != want:
-        raise skewverify.IdentityFails("s1 t1", s1 * t1 - want)
-    want = 2 * third * (s1 + s2) - third * (t1 + t2)
-    if t1 * t2 != want:
-        raise skewverify.IdentityFails("t1 t2", t1 * t2 - want)
+    _require_equal("distinguished axis is one - d1", ex.m_axis, t1)
+    _require_equal("s1 t1", s1 * t1,
+                   2 * third * s1 + sixth * t1 - sixth * t2)
+    _require_equal("t1 t2", t1 * t2,
+                   2 * third * (s1 + s2) - third * (t1 + t2))
     return _result("products-Q2-skew", "s1 t1 and t1 t2")
 
 
 def check_products_F5():
     ex = make_Q2x_plus_one()
     A = ex.algebra
-    x, y, z = A.gen("x"), A.gen("y"), A.gen("z")
+    x, y = A.gen("x"), A.gen("y")
     w = ex.m_axis
-    if w * x != A.element({"x": 3, "y": 4, "z": 3}):
-        raise skewverify.IdentityFails("w x over F_5",
-                                       w * x - A.element({"x": 3, "y": 4,
-                                                          "z": 3}))
-    if w * y != A.element({"x": 4, "y": 3, "z": 3}):
-        raise skewverify.IdentityFails("w y over F_5",
-                                       w * y - A.element({"x": 4, "y": 3,
-                                                          "z": 3}))
+    _require_equal("w x over F_5", w * x, A.element({"x": 3, "y": 4, "z": 3}))
+    _require_equal("w y over F_5", w * y, A.element({"x": 4, "y": 3, "z": 3}))
     return _result("products-F5", "w x and w y")
 
 
 # -- axis certification -------------------------------------------------------
 
-def check_axes_char0():
-    count = 0
-    for ex in skew_examples(0):
+def _skew_pairs(char):
+    """The skew examples whose axes and axets the suite certifies."""
+    return skew_examples(0) if char == 0 else [make_Q2x_plus_one()]
+
+
+def check_axes(char):
+    examples = _skew_pairs(char)
+    for ex in examples:
         for axis, law, tag in ((ex.m_axis, ex.m_law, "m"),
                                (ex.j_axis, ex.j_law, "j")):
             report = verify_axis(ex.algebra, axis, law)
-            if not report.passed:
-                raise skewverify.IdentityFails(
-                    "%s axis of %s: %s" % (tag, ex.label, report.summary()),
-                    report)
-            count += 1
-    return _result("axes-char0", "%d axes under their stated laws" % count)
-
-
-def check_axes_char5():
-    ex = make_Q2x_plus_one()
-    for axis, law, tag in ((ex.m_axis, ex.m_law, "m"),
-                           (ex.j_axis, ex.j_law, "j")):
-        report = verify_axis(ex.algebra, axis, law)
-        if not report.passed:
-            raise skewverify.IdentityFails(
-                "%s axis of %s: %s" % (tag, ex.label, report.summary()),
-                report)
-    return _result("axes-char5", "2 axes under their stated laws")
+            _require("%s axis of %s" % (tag, ex.label), report.passed,
+                     report.summary())
+    return _result("axes-char%d" % char,
+                   "%d axes under their stated laws" % (2 * len(examples)))
 
 
 def check_bullets_3C():
@@ -241,17 +222,14 @@ def check_bullets_3C():
     A = ex.algebra
     w = ex.m_axis
     x, y, z = A.basis()
-    _is_eigvec(A, w, field.one, w, "w in the 1 part of w")
-    _is_eigvec(A, w, field.zero, x, "x in the 0 part of w")
-    _is_eigvec(A, w, 1 - alpha, y - z, "y - z in the 1-alpha part of w")
+    _is_eigvec(w, field.one, w, "w in the 1 part of w")
+    _is_eigvec(w, field.zero, x, "x in the 0 part of w")
+    _is_eigvec(w, 1 - alpha, y - z, "y - z in the 1-alpha part of w")
     w_basis = Eigenbasis(A, w, ex.m_law)
-    if w_basis.eigenspace(alpha):
-        raise skewverify.IdentityFails("alpha part of w is nonzero", alpha)
-    tau = w_basis.miyamoto
-    if tau(y) != z or not tau.is_involution():
-        raise skewverify.IdentityFails("tau_w swaps y and z", tau(y) - z)
-    if not miyamoto(A, y, ex.m_law).is_identity():
-        raise skewverify.IdentityFails("tau_y is the identity", y)
+    _require("alpha part of w is zero", not w_basis.eigenspace(alpha))
+    _swaps(w_basis.miyamoto, y, z, "tau_w swaps y and z")
+    _require("tau_y is the identity",
+             miyamoto(A, y, ex.m_law).is_identity())
     return _result("bullets-3C", "symbolic eigenvector bullets over Q(alpha)")
 
 
@@ -259,32 +237,26 @@ def check_bullets_3C_minus1_2():
     ex = make_3C_minus1_2(QQ)
     A = ex.algebra
     w, y, z = ex.m_axis, ex.j_axis, ex.third
-    one = A.find_identity()
-    _is_eigvec(A, w, QQ.one, w, "w in the 1 part of w")
-    _is_eigvec(A, w, QQ.zero, one - w, "one - w in the 0 part of w")
-    if one - w != -(y + z):
-        raise skewverify.IdentityFails("one - w = -(y + z)", one - w + y + z)
-    _is_eigvec(A, w, Fraction(2), y - z, "y - z in the 2 part of w")
-    if y != half * (y + z) + half * (y - z):
-        raise skewverify.IdentityFails("expansion of y", y)
-    tau = miyamoto(A, w, ex.m_law)
-    if tau(y) != z or not tau.is_involution():
-        raise skewverify.IdentityFails("tau_w swaps y and z", tau(y) - z)
-    if not miyamoto(A, y, ex.m_law).is_identity():
-        raise skewverify.IdentityFails("tau_y is the identity", y)
+    one = _identity(A)
+    _is_eigvec(w, QQ.one, w, "w in the 1 part of w")
+    _is_eigvec(w, QQ.zero, one - w, "one - w in the 0 part of w")
+    _require_equal("one - w = -(y + z)", one - w, -(y + z))
+    _is_eigvec(w, Fraction(2), y - z, "y - z in the 2 part of w")
+    _require_equal("expansion of y", y, half * (y + z) + half * (y - z))
+    _swaps(miyamoto(A, w, ex.m_law), y, z, "tau_w swaps y and z")
+    _require("tau_y is the identity",
+             miyamoto(A, y, ex.m_law).is_identity())
 
     # the pair algebra of y and z is the unital-quotient 3C
     span = A.subalgebra_closure([y, z])
-    if len(span) != 2:
-        raise skewverify.IdentityFails("pair algebra of y, z is 2-dimensional",
-                                       len(span))
+    _require("pair algebra of y, z is 2-dimensional", len(span) == 2,
+             len(span))
     target = make_3Cx_minus1(QQ)
     pair = A.span_subalgebra([y, z], ("y", "z"))
     iso = LinearMap.from_pairs(pair, target,
                                [(pair.gen("y"), target.gen("y")),
                                 (pair.gen("z"), target.gen("z"))])
-    if not check_linear_map_is_isomorphism(iso):
-        raise skewverify.IdentityFails("pair algebra is 3C(-1)^x", iso)
+    _require("pair algebra is 3C(-1)^x", check_linear_map_is_isomorphism(iso))
     return _result("bullets-3C-minus1-2",
                    "eigenvector bullets and the 3C(-1)^x pair algebra")
 
@@ -294,25 +266,19 @@ def check_bullets_Q2_skew():
     A = ex.algebra
     t1 = ex.m_axis
     s1, s2, d1, d2 = A.basis()
-    one = A.find_identity()
-    t2 = one - d2
-    _is_eigvec(A, t1, QQ.one, t1, "t1 in the 1 part of t1")
-    _is_eigvec(A, t1, QQ.zero, d1, "d1 in the 0 part of t1")
-    _is_eigvec(A, t1, third, s1 + s2 - d2, "s1+s2-d2 in the 1/3 part of t1")
-    _is_eigvec(A, t1, 2 * third, s1 - s2, "s1-s2 in the 2/3 part of t1")
-    want = Fraction(5, 12) * t1 + sixth * d1 + Fraction(1, 4) * (s1 + s2 - d2) \
-        + half * (s1 - s2)
-    if s1 != want:
-        raise skewverify.IdentityFails("expansion of s1 over t1", s1 - want)
-    tau = miyamoto(A, t1, ex.m_law)
-    if tau(s1) != s2 or not tau.is_involution():
-        raise skewverify.IdentityFails("tau_t1 swaps s1 and s2", tau(s1) - s2)
+    one = _identity(A)
+    _is_eigvec(t1, QQ.one, t1, "t1 in the 1 part of t1")
+    _is_eigvec(t1, QQ.zero, d1, "d1 in the 0 part of t1")
+    _is_eigvec(t1, third, s1 + s2 - d2, "s1+s2-d2 in the 1/3 part of t1")
+    _is_eigvec(t1, 2 * third, s1 - s2, "s1-s2 in the 2/3 part of t1")
+    _require_equal("expansion of s1 over t1", s1,
+                   Fraction(5, 12) * t1 + sixth * d1
+                   + Fraction(1, 4) * (s1 + s2 - d2) + half * (s1 - s2))
+    _swaps(miyamoto(A, t1, ex.m_law), s1, s2, "tau_t1 swaps s1 and s2")
     for j_axis in (s1, s2):
-        if not miyamoto(A, j_axis, ex.m_law).is_identity():
-            raise skewverify.IdentityFails("tau is the identity on a "
-                                           "swapped-pair axis", j_axis)
-    if one - t1 != d1 or t2 != one - d2:
-        raise skewverify.IdentityFails("t axes complement the d axes", one)
+        _require("tau is the identity on a swapped-pair axis",
+                 miyamoto(A, j_axis, ex.m_law).is_identity(), j_axis)
+    _require_equal("one - t1 = d1", one - t1, d1)
     return _result("bullets-Q2-skew", "eigenvector bullets for t1")
 
 
@@ -322,89 +288,69 @@ def check_bullets_F5():
     A = ex.algebra
     w = ex.m_axis
     x, y, z, one = A.basis()
-    _is_eigvec(A, w, F5.one, w, "w in the 1 part of w")
-    _is_eigvec(A, w, F5.zero, z, "z in the 0 part of w")
-    _is_eigvec(A, w, F5.coerce(third), x + y + 3 * z,
+    _is_eigvec(w, F5.one, w, "w in the 1 part of w")
+    _is_eigvec(w, F5.zero, z, "z in the 0 part of w")
+    _is_eigvec(w, F5.coerce(third), x + y + 3 * z,
                "x+y+3z in the 1/3 part of w")
-    _is_eigvec(A, w, F5.coerce(2 * third), x - y,
-               "x-y in the 2/3 part of w")
-    want = z + 3 * (x + y + 3 * z) + 3 * (x - y)
-    if x != want:
-        raise skewverify.IdentityFails("expansion of x over w", x - want)
-    tau = miyamoto(A, w, ex.m_law)
-    if tau(x) != y or not tau.is_involution():
-        raise skewverify.IdentityFails("tau_w swaps x and y", tau(x) - y)
+    _is_eigvec(w, F5.coerce(2 * third), x - y, "x-y in the 2/3 part of w")
+    _require_equal("expansion of x over w", x,
+                   z + 3 * (x + y + 3 * z) + 3 * (x - y))
+    _swaps(miyamoto(A, w, ex.m_law), x, y, "tau_w swaps x and y")
     # x has a two-dimensional 0 part containing y and one - x, and no
     # 2/3 part, so its involution is the identity
-    _is_eigvec(A, x, F5.zero, y, "y in the 0 part of x")
-    _is_eigvec(A, x, F5.zero, one - x, "one - x in the 0 part of x")
+    _is_eigvec(x, F5.zero, y, "y in the 0 part of x")
+    _is_eigvec(x, F5.zero, one - x, "one - x in the 0 part of x")
     x_basis = Eigenbasis(A, x, ex.m_law)
-    if len(x_basis.eigenspace(F5.zero)) != 2:
-        raise skewverify.IdentityFails("0 part of x has dimension 2", x)
-    if x_basis.eigenspace(F5.coerce(2 * third)):
-        raise skewverify.IdentityFails("2/3 part of x is nonzero", x)
-    if not x_basis.miyamoto.is_identity():
-        raise skewverify.IdentityFails("tau_x is the identity", x)
+    zero_part = x_basis.eigenspace(F5.zero)
+    _require("0 part of x has dimension 2", len(zero_part) == 2,
+             len(zero_part))
+    _require("2/3 part of x is zero",
+             not x_basis.eigenspace(F5.coerce(2 * third)))
+    _require("tau_x is the identity", x_basis.miyamoto.is_identity())
 
     # the quotient without the identity: axes x and z close into X(4)
     Q = make_Q2x()
     law = make_monster(F5.coerce(2 * third), F5.coerce(third))
     x3, y3, z3 = Q.basis()
-    _is_eigvec(Q, z3, F5.coerce(2 * third), x3 + y3 + 3 * z3,
+    _is_eigvec(z3, F5.coerce(2 * third), x3 + y3 + 3 * z3,
                "x+y+3z in the 2/3 part of z")
-    _is_eigvec(Q, z3, F5.coerce(third), x3 - y3,
-               "x-y in the 1/3 part of z")
+    _is_eigvec(z3, F5.coerce(third), x3 - y3, "x-y in the 1/3 part of z")
     z3_basis = Eigenbasis(Q, z3, law)
-    if z3_basis.eigenspace(F5.zero):
-        raise skewverify.IdentityFails("0 part of z is nonzero", z3)
-    _is_eigvec(Q, x3, F5.zero, y3, "y in the 0 part of x")
-    _is_eigvec(Q, x3, F5.coerce(third), 3 * x3 + 3 * y3 + z3,
+    _require("0 part of z is zero", not z3_basis.eigenspace(F5.zero))
+    _is_eigvec(x3, F5.zero, y3, "y in the 0 part of x")
+    _is_eigvec(x3, F5.coerce(third), 3 * x3 + 3 * y3 + z3,
                "3x+3y+z in the 1/3 part of x")
     x3_basis = Eigenbasis(Q, x3, law)
-    if x3_basis.eigenspace(F5.coerce(2 * third)):
-        raise skewverify.IdentityFails("2/3 part of x is nonzero", x3)
-    if z3_basis.miyamoto(x3) != y3:
-        raise skewverify.IdentityFails("tau_z swaps x and y", z3)
-    if x3_basis.miyamoto(z3) != 4 * (x3 + y3 + z3):
-        raise skewverify.IdentityFails("tau_x sends z to -(x+y+z)", x3)
+    _require("2/3 part of x is zero",
+             not x3_basis.eigenspace(F5.coerce(2 * third)))
+    _require_equal("tau_z swaps x and y", z3_basis.miyamoto(x3), y3)
+    _require_equal("tau_x sends z to -(x+y+z)", x3_basis.miyamoto(z3),
+                   4 * (x3 + y3 + z3))
     return _result("bullets-F5", "eigenvector bullets over F_5")
 
 
 # -- axet shapes ---------------------------------------------------------------
 
-def _check_skew_realization(ex):
-    realized = realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
-                             verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
-    if realized.size != 3:
-        raise skewverify.IdentityFails(
-            "%s: expected 3 points, got %d" % (ex.label, realized.size),
-            realized.size)
-    if classify_shape(realized) != "Xskew(1)":
-        raise skewverify.IdentityFails("%s: shape is not Xskew(1)" % ex.label,
-                                       classify_shape(realized))
-    if realized.perm(0) != [0, 2, 1]:
-        raise skewverify.IdentityFails(
-            "%s: the m involution does not transpose the other two points"
-            % ex.label, realized.perm(0))
-    if realized.perm(1) != [0, 1, 2] or realized.perm(2) != [0, 1, 2]:
-        raise skewverify.IdentityFails(
-            "%s: a j involution moves points" % ex.label, realized.perms)
-    if ex.third != realized.points[2]:
-        raise skewverify.IdentityFails(
-            "%s: the third point is not the recorded one" % ex.label,
-            ex.third)
-
-
-def check_axets_char0():
-    for ex in skew_examples(0):
-        _check_skew_realization(ex)
-    return _result("axets-char0",
-                   "3-point skew realizations for the rational examples")
-
-
-def check_axets_char5():
-    _check_skew_realization(make_Q2x_plus_one())
-    return _result("axets-char5", "3-point skew realization over F_5")
+def check_axets(char):
+    for ex in _skew_pairs(char):
+        reports = [verify_axis(ex.algebra, axis, ex.m_law)
+                   for axis in (ex.m_axis, ex.j_axis)]
+        _require(ex.label + ": both axes verify under the M law",
+                 all(r.passed for r in reports))
+        realized = realize_axet(reports)
+        shape = classify_shape(realized)
+        _require(ex.label + ": 3 points of shape Xskew(1)",
+                 (realized.size, shape) == (3, "Xskew(1)"),
+                 (realized.size, shape))
+        _require(ex.label + ": the m involution transposes the other two "
+                 "points and the j involutions move none",
+                 realized.perms == [[0, 2, 1], [0, 1, 2], [0, 1, 2]],
+                 realized.perms)
+        _require_equal(ex.label + ": the third point is the recorded one",
+                       realized.points[2], ex.third)
+    return _result("axets-char%d" % char,
+                   "3-point skew realizations for the rational examples"
+                   if char == 0 else "3-point skew realization over F_5")
 
 
 def check_axet_X4():
@@ -412,31 +358,28 @@ def check_axet_X4():
     Q = make_Q2x()
     law = make_monster(F5.coerce(2 * third), F5.coerce(third))
     realized = realize_axet([verify_axis(Q, Q.gen(n), law) for n in "xz"])
-    if realized.size != 4 or classify_shape(realized) != "X(4)":
-        raise skewverify.IdentityFails("axet of the quotient from {x, z}",
-                                       classify_shape(realized))
+    shape = classify_shape(realized)
+    _require("axet of the quotient from {x, z} is X(4)",
+             (realized.size, shape) == (4, "X(4)"), shape)
     return _result("axet-X4", "4 points with the square action")
 
 
 def check_abstract_closures():
     for k in range(1, 9):
         axet = AbstractAxet.skew(k)
-        if axet.size != 3 * k:
-            raise skewverify.IdentityFails("Xskew(%d) point count" % k,
-                                           axet.size)
+        _require("Xskew(%d) has 3k points" % k, axet.size == 3 * k, axet.size)
         pts = closure(axet, ["a0", "a1"])
-        if len(pts) != 3 * k:
-            raise skewverify.IdentityFails(
-                "closure of {a0, a1} in Xskew(%d)" % k, len(pts))
+        _require("closure of {a0, a1} in Xskew(%d)" % k, len(pts) == 3 * k,
+                 len(pts))
     return _result("abstract-closures", "3k points for k = 1..8")
 
 
 def check_odd_subaxets():
     for k in (3, 5, 7):
         sub = odd_subaxet(AbstractAxet.skew(k))
-        if sub.size != 3 or classify_shape(sub) != "Xskew(1)":
-            raise skewverify.IdentityFails("odd subaxet at k = %d" % k,
-                                           classify_shape(sub))
+        shape = classify_shape(sub)
+        _require("odd subaxet at k = %d is Xskew(1)" % k,
+                 (sub.size, shape) == (3, "Xskew(1)"), shape)
     return _result("odd-subaxets", "Xskew(1) inside Xskew(k), k = 3, 5, 7")
 
 
@@ -444,43 +387,31 @@ def check_odd_subaxets():
 
 def check_identity_rational():
     A = make_Q2_third(QQ)
-    one = A.find_identity()
-    want = Fraction(3, 5) * (A.gen("s1") + A.gen("s2")
-                             + A.gen("d1") + A.gen("d2"))
-    if one is None or one != want:
-        raise skewverify.IdentityFails("identity of the swapped-pair algebra",
-                                       one)
+    _require_equal("identity of the swapped-pair algebra", _identity(A),
+                   Fraction(3, 5) * (A.gen("s1") + A.gen("s2")
+                                     + A.gen("d1") + A.gen("d2")))
     return _result("identity-rational", "one = 3/5 of the basis sum")
 
 
 def check_radical_F5():
-    F5 = PrimeField(5)
-    A = make_Q2_third(F5)
-    if A.find_identity() is not None:
-        raise skewverify.IdentityFails("no identity over F_5",
-                                       A.find_identity())
+    A = make_Q2_third(PrimeField(5))
+    _require("no identity over F_5", A.find_identity() is None)
     ann = A.annihilator()
     total = A.element([1, 1, 1, 1])
-    if len(ann) != 1 or ann[0] != total:
-        raise skewverify.IdentityFails("annihilator is the basis sum", ann)
+    _require("annihilator is the basis sum", ann == [total], ann)
     for b in A.basis():
-        if not (total * b).is_zero():
-            raise skewverify.IdentityFails("basis sum annihilates", b)
+        _require_zero("the basis sum annihilates the basis", total * b)
     return _result("radical-F5", "no identity; the basis sum annihilates")
 
 
 def check_quotient_pipeline():
-    direct = make_Q2x()
     via = make_Q2x_via_radical()
-    if not via.same_table(direct):
-        raise skewverify.IdentityFails("radical quotient table", via)
+    _require("radical quotient table", via.same_table(make_Q2x()))
     rebuilt = via.adjoin_identity("one")
     bad = table_mismatches(rebuilt, Q2X_PLUS_ONE_EXPECTED)
-    if bad:
-        raise skewverify.IdentityFails("adjoined-identity pipeline", bad)
-    if not rebuilt.same_table(make_Q2x_plus_one().algebra):
-        raise skewverify.IdentityFails("pipeline vs direct construction",
-                                       rebuilt)
+    _require("adjoined-identity pipeline", not bad, ", ".join(bad))
+    _require("pipeline vs direct construction",
+             rebuilt.same_table(make_Q2x_plus_one().algebra))
     return _result("quotient-pipeline",
                    "radical quotient plus adjoined identity")
 
@@ -490,24 +421,22 @@ def check_quotient_pipeline():
 def check_parameter_sum(char=0):
     labels = []
     for ex in skew_examples(char):
-        field = ex.algebra.field
-        if ex.alpha + ex.beta != field.one:
-            raise skewverify.IdentityFails(
-                "alpha + beta = 1 for %s" % ex.label, ex.alpha + ex.beta)
+        _require_equal("alpha + beta = 1 for %s" % ex.label,
+                       ex.alpha + ex.beta, ex.algebra.field.one)
         labels.append(ex.label)
     return _result("parameter-sum", "alpha + beta = 1 for " +
                    ", ".join(labels))
 
 
 def check_rehren_oracle():
-    if rehren_oracle(Fraction(1, 4), Fraction(3, 4)) \
-            != ("2B", "3C(1/4,3/4)"):
-        raise skewverify.IdentityFails("pair oracle at (1/4, 3/4)", None)
-    if "3C(-1,2)" not in rehren_oracle(-1, 2):
-        raise skewverify.IdentityFails("pair oracle at (-1, 2)", None)
-    if rehren_oracle(Fraction(1, 3), Fraction(1, 2)) != ("2B",):
-        raise skewverify.IdentityFails("pair oracle away from alpha+beta=1",
-                                       None)
+    labels = rehren_oracle(Fraction(1, 4), Fraction(3, 4))
+    _require("pair oracle at (1/4, 3/4)", labels == ("2B", "3C(1/4,3/4)"),
+             labels)
+    labels = rehren_oracle(-1, 2)
+    _require("pair oracle at (-1, 2) admits 3C(-1,2)", "3C(-1,2)" in labels,
+             labels)
+    labels = rehren_oracle(Fraction(1, 3), Fraction(1, 2))
+    _require("pair oracle away from alpha+beta=1", labels == ("2B",), labels)
     return _result("rehren-oracle", "admissible outcome labels")
 
 
@@ -524,108 +453,88 @@ def seress_property(A, a, law):
     return True, None
 
 
-def _seress_cases_char0():
-    two_b = make_2B(QQ)
-    q13 = make_monster(Fraction(1, 3), Fraction(2, 3))
-    cases = [(two_b, two_b.gen("a"), q13), (two_b, two_b.gen("b"), q13)]
-    plain = make_3C(Fraction(1, 4))
-    j14 = make_jordan(Fraction(1, 4))
-    for n in plain.basis_names:
-        cases.append((plain, plain.gen(n), j14))
-    q2 = make_Q2_third(QQ)
-    j13 = make_jordan(Fraction(1, 3))
-    m23 = make_monster(Fraction(2, 3), Fraction(1, 3))
-    cases += [(q2, q2.gen("s1"), j13), (q2, q2.gen("s2"), j13),
-              (q2, q2.gen("d1"), m23), (q2, q2.gen("d2"), m23)]
-    x_minus = make_3Cx_minus1(QQ)
-    jm1 = make_jordan(Fraction(-1))
-    cases += [(x_minus, x_minus.gen("y"), jm1),
-              (x_minus, x_minus.gen("z"), jm1)]
-    for ex in skew_examples(0):
-        cases.append((ex.algebra, ex.m_axis, ex.m_law))
-        cases.append((ex.algebra, ex.j_axis, ex.j_law))
-    return cases
-
-
-def _seress_cases_char5():
-    F5 = PrimeField(5)
-    law = make_monster(F5.coerce(2 * third), F5.coerce(third))
-    Q = make_Q2x()
-    cases = [(Q, Q.gen("x"), law), (Q, Q.gen("z"), law)]
-    ex = make_Q2x_plus_one()
-    cases += [(ex.algebra, ex.m_axis, ex.m_law),
-              (ex.algebra, ex.j_axis, ex.j_law)]
+def _seress_cases(char):
+    """(algebra, axis, law) for each catalog axis of the characteristic."""
+    if char == 5:
+        F5 = PrimeField(5)
+        law = make_monster(F5.coerce(2 * third), F5.coerce(third))
+        Q = make_Q2x()
+        cases = [(Q, Q.gen("x"), law), (Q, Q.gen("z"), law)]
+    else:
+        two_b = make_2B(QQ)
+        q13 = make_monster(Fraction(1, 3), Fraction(2, 3))
+        cases = [(two_b, two_b.gen("a"), q13), (two_b, two_b.gen("b"), q13)]
+        plain = make_3C(Fraction(1, 4))
+        j14 = make_jordan(Fraction(1, 4))
+        cases += [(plain, plain.gen(n), j14) for n in plain.basis_names]
+        q2 = make_Q2_third(QQ)
+        j13 = make_jordan(Fraction(1, 3))
+        m23 = make_monster(Fraction(2, 3), Fraction(1, 3))
+        cases += [(q2, q2.gen("s1"), j13), (q2, q2.gen("s2"), j13),
+                  (q2, q2.gen("d1"), m23), (q2, q2.gen("d2"), m23)]
+        x_minus = make_3Cx_minus1(QQ)
+        jm1 = make_jordan(Fraction(-1))
+        cases += [(x_minus, x_minus.gen("y"), jm1),
+                  (x_minus, x_minus.gen("z"), jm1)]
+    for ex in _skew_pairs(char):
+        cases += [(ex.algebra, ex.m_axis, ex.m_law),
+                  (ex.algebra, ex.j_axis, ex.j_law)]
     return cases
 
 
 def check_seress(char=0):
-    cases = _seress_cases_char0() if char == 0 else _seress_cases_char5()
+    cases = _seress_cases(char)
     for A, a, law in cases:
         ok, witness = seress_property(A, a, law)
-        if not ok:
-            raise skewverify.IdentityFails(
-                "Seress property in %r at axis %r" % (A, a), witness)
+        _require("Seress property at (algebra, axis, (u, x))", ok,
+                 (A, a, witness))
     return _result("seress-property",
                    "a(xu) = (ax)u across %d algebra/axis pairs" % len(cases))
 
 
 # -- dichotomy examples ----------------------------------------------------------
 
-def check_dichotomy_char0():
-    ex = make_Q2_skew(QQ)
-    kind, label = skewverify.dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
-                                             ex.m_law, ex.j_law)
-    if (kind, label) != ("skew", "Q2(1/3,2/3)"):
-        raise skewverify.IdentityFails("dichotomy on the double-axis algebra",
-                                       (kind, label))
-    ex = make_3C_skew(Fraction(1, 4))
-    kind, label = skewverify.dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
-                                             ex.m_law, ex.j_law)
-    if (kind, label) != ("skew", "3C(1/4,3/4)"):
-        raise skewverify.IdentityFails("dichotomy on 3C(1/4,3/4)",
-                                       (kind, label))
-    two_b = make_2B(QQ)
-    law = make_monster(Fraction(1, 3), Fraction(2, 3))
-    kind, label = skewverify.dichotomy_check(two_b, two_b.gen("a"),
-                                             two_b.gen("b"), law)
-    if (kind, label) != ("jordan", "J(1/3)"):
-        raise skewverify.IdentityFails("dichotomy on the orthogonal pair",
-                                       (kind, label))
-    return _result("dichotomy-char0", "fixed pair and two skew pairs")
+def _skew_pair_args(ex):
+    return ex.algebra, ex.m_axis, ex.j_axis, ex.m_law, ex.j_law
 
 
-def check_dichotomy_char5():
-    ex = make_Q2x_plus_one()
-    kind, label = skewverify.dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
-                                             ex.m_law, ex.j_law)
-    if (kind, label) != ("skew", "Q2(1/3)^x + one"):
-        raise skewverify.IdentityFails("dichotomy over F_5", (kind, label))
-    return _result("dichotomy-char5", "the adjoined-identity quotient")
+def check_dichotomy(char):
+    if char == 0:
+        two_b = make_2B(QQ)
+        law = make_monster(Fraction(1, 3), Fraction(2, 3))
+        cases = [(_skew_pair_args(make_Q2_skew(QQ)), ("skew", "Q2(1/3,2/3)")),
+                 (_skew_pair_args(make_3C_skew(Fraction(1, 4))),
+                  ("skew", "3C(1/4,3/4)")),
+                 ((two_b, two_b.gen("a"), two_b.gen("b"), law),
+                  ("jordan", "J(1/3)"))]
+    else:
+        cases = [(_skew_pair_args(make_Q2x_plus_one()),
+                  ("skew", "Q2(1/3)^x + one"))]
+    for args, want in cases:
+        try:
+            got = skewverify.dichotomy_check(*args)
+        except skewverify.NoMatch as e:
+            got = "NoMatch: %s" % e
+        _require("dichotomy gives %s %s" % want, got == want, got)
+    return _result("dichotomy-char%d" % char,
+                   "fixed pair and two skew pairs" if char == 0
+                   else "the adjoined-identity quotient")
 
 
 # -- replays ---------------------------------------------------------------------
 
-def check_replay_orthogonal_char0():
-    report = skewverify.replay_orthogonal_branch(0)
-    if report.outcome != "Q2(1/3,2/3)":
-        raise skewverify.ContradictionNotFound(report.outcome)
-    return _result("replay-orthogonal", report.outcome)
-
-
-def check_replay_orthogonal_char5():
-    report = skewverify.replay_orthogonal_branch(5)
-    if report.outcome != "Q2(1/3)^x + one":
-        raise skewverify.ContradictionNotFound(report.outcome)
-    return _result("replay-orthogonal-F5", report.outcome)
+def check_replay_orthogonal(char):
+    outcome = skewverify.replay_orthogonal_branch(char).outcome
+    want = "Q2(1/3,2/3)" if char == 0 else "Q2(1/3)^x + one"
+    _require("orthogonal replay outcome", outcome == want, outcome)
+    return _result("replay-orthogonal" + ("-F5" if char else ""), outcome)
 
 
 def check_replay_nonorthogonal():
-    reports = skewverify.replay_nonorthogonal_branch()
-    outcomes = [r.outcome for r in reports]
-    want = ["contradiction", "contradiction", "3C(-1,2)",
-            "3C(alpha,1-alpha) for alpha != -1"]
-    if outcomes != want:
-        raise skewverify.ContradictionNotFound(repr(outcomes))
+    outcomes = [r.outcome for r in skewverify.replay_nonorthogonal_branch()]
+    _require("non-orthogonal replay outcomes",
+             outcomes == ["contradiction", "contradiction", "3C(-1,2)",
+                          "3C(alpha,1-alpha) for alpha != -1"], outcomes)
     return _result("replay-nonorthogonal", "; ".join(outcomes))
 
 
@@ -670,22 +579,23 @@ class SuiteReport:
 
 
 SUITE = (
-    ("table-Q2-third", (0,), check_table_Q2_third),
-    ("table-Q2x-plus-one", (5,), check_table_Q2x_plus_one),
-    ("table-orthogonal-branch", (0,), check_table_orthogonal),
+    ("table-Q2-third", (0,), partial(check_table, "table-Q2-third")),
+    ("table-Q2x-plus-one", (5,), partial(check_table, "table-Q2x-plus-one")),
+    ("table-orthogonal-branch", (0,),
+     partial(check_table, "table-orthogonal-branch")),
     ("products-3C", (0,), check_products_3C),
     ("products-3C-minus1-2", (0,), check_products_3C_minus1_2),
     ("products-Q2-skew", (0,), check_products_Q2_skew),
     ("products-F5", (5,), check_products_F5),
-    ("axes-char0", (0,), check_axes_char0),
-    ("axes-char5", (5,), check_axes_char5),
+    ("axes-char0", (0,), partial(check_axes, 0)),
+    ("axes-char5", (5,), partial(check_axes, 5)),
     ("bullets-3C", (0,), check_bullets_3C),
     ("bullets-3C-minus1-2", (0,), check_bullets_3C_minus1_2),
     ("bullets-Q2-skew", (0,), check_bullets_Q2_skew),
     ("bullets-F5", (5,), check_bullets_F5),
     ("eigenvectors-generic", (0,), skewverify.check_eigenvectors_generic),
-    ("axets-char0", (0,), check_axets_char0),
-    ("axets-char5", (5,), check_axets_char5),
+    ("axets-char0", (0,), partial(check_axets, 0)),
+    ("axets-char5", (5,), partial(check_axets, 5)),
     ("axet-X4", (5,), check_axet_X4),
     ("abstract-closures", (0, 5), check_abstract_closures),
     ("odd-subaxets", (0, 5), check_odd_subaxets),
@@ -697,8 +607,8 @@ SUITE = (
     ("shifted-pair", (0,), skewverify.check_shifted_pair),
     ("flip-symmetry", (0,), skewverify.check_flip_symmetry),
     ("shift-expansion", (0,), skewverify.check_shift_expansion),
-    ("replay-orthogonal", (0,), check_replay_orthogonal_char0),
-    ("replay-orthogonal-F5", (5,), check_replay_orthogonal_char5),
+    ("replay-orthogonal", (0,), partial(check_replay_orthogonal, 0)),
+    ("replay-orthogonal-F5", (5,), partial(check_replay_orthogonal, 5)),
     ("replay-nonorthogonal", (0,), check_replay_nonorthogonal),
     ("identity-rational", (0,), check_identity_rational),
     ("radical-F5", (5,), check_radical_F5),
@@ -706,8 +616,8 @@ SUITE = (
     ("parameter-sum", (0, 5), None),
     ("rehren-oracle", (0,), check_rehren_oracle),
     ("seress-property", (0, 5), None),
-    ("dichotomy-char0", (0,), check_dichotomy_char0),
-    ("dichotomy-char5", (5,), check_dichotomy_char5),
+    ("dichotomy-char0", (0,), partial(check_dichotomy, 0)),
+    ("dichotomy-char5", (5,), partial(check_dichotomy, 5)),
 )
 
 

@@ -684,7 +684,7 @@ class RationalFunction:
     def evaluate(self, assignment, field):
         """Evaluate at a point; raises DenominatorVanishes at poles."""
         den = self.den.evaluate(assignment, field)
-        if den == field.zero:
+        if not den:
             raise DenominatorVanishes("denominator vanishes at %r" % (assignment,))
         return self.num.evaluate(assignment, field) / den
 
@@ -887,9 +887,9 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
@@ -908,6 +908,15 @@ def tokenize(text):
         raise ExprError("unexpected character %r" % ch, pos=i)
     tokens.append(("END", "", n))
     return tokens
+
+
+def _integer(text, pos):
+    """The value of an INT token; int() refuses over 4,300 digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprError("integer literal of %d digits is too long"
+                        % len(text), pos=pos) from None
 
 
 class _Parser:
@@ -985,7 +994,7 @@ class _Parser:
                 if kind != "INT":
                     raise ExprError("exponent must be a nonnegative integer",
                                     pos=pos)
-                n, size = int(text), _power_size(v)
+                n, size = _integer(text, pos), _power_size(v)
                 if n * size > MAX_POWER_SIZE:
                     raise ExprError("power too large: exponent %d times base"
                                     " size %d is over %d"
@@ -1001,7 +1010,7 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.next()
         if kind == "INT":
-            return self.field.coerce(int(text))
+            return self.field.coerce(_integer(text, pos))
         if kind == "NAME":
             if text not in self.names:
                 raise UnboundSymbol("unknown symbol %r" % text, pos=pos)

@@ -4,6 +4,11 @@ replay of the classification of the three-point skew case.
 Everything here runs over the eight-symbol function field unless a branch
 substitution has already pinned the parameters; no identity is ever
 checked by floating approximation.
+
+Every check here and in papersuite fails through one of three helpers:
+_require_zero and _require_equal raise IdentityFails with the residual
+of a scalar or element identity, and _require raises
+ContradictionNotFound for a condition, label or count.
 """
 
 from dataclasses import dataclass, field as datafield
@@ -23,9 +28,11 @@ from .fusion import DegenerateParameter
 from .scalars import (QQ, FunctionField, PrimeField, RationalFunction,
                       skew_field, solve_linear)
 
+half = Fraction(1, 2)
+
 
 class IdentityFails(ValueError):
-    """A claimed rational-function identity has a nonzero residual."""
+    """A claimed identity of scalars or elements has a nonzero residual."""
 
     def __init__(self, name, residual):
         super().__init__("%s: nonzero residual %r" % (name, residual))
@@ -34,7 +41,7 @@ class IdentityFails(ValueError):
 
 
 class ContradictionNotFound(ValueError):
-    """A replayed branch failed to reach its recorded conclusion."""
+    """A condition or recorded conclusion of a check does not hold."""
 
 
 class NoMatch(ValueError):
@@ -71,15 +78,24 @@ class BranchReport:
         return "\n".join(lines)
 
 
-def _require_zero(name, value):
-    if value:
-        raise IdentityFails(name, value)
+def _require_zero(name, residual):
+    """Fail the identity `name` unless the scalar or element is zero."""
+    if residual:
+        raise IdentityFails(name, residual)
 
 
-def _require(name, condition, detail=""):
+def _require_equal(name, got, want):
+    """Fail the identity got = want; the residual is formed only on failure."""
+    if got != want:
+        raise IdentityFails(name, got - want)
+
+
+def _require(name, condition, detail=None):
+    """Fail unless condition holds; detail, such as the label, count or
+    value found, is formatted only on failure."""
     if not condition:
-        raise ContradictionNotFound("%s%s" % (name,
-                                              ": " + detail if detail else ""))
+        raise ContradictionNotFound(
+            name if detail is None else "%s: %s" % (name, detail))
 
 
 def generic_context():
@@ -93,7 +109,6 @@ def generic_context():
 def eigenvectors_a(A, c):
     """The four eigenvectors of the first generator, keyed by eigenvalue."""
     a, b, cc, s = A.basis()
-    half = Fraction(1, 2)
     return [
         (A.field.one, a),
         (A.field.zero, c.eps * a + half * (c.alpha - c.beta) * (b + cc) - s),
@@ -117,23 +132,18 @@ def check_eigenvectors_generic(context=None):
     """Every listed eigenvector of ad_a and ad_b, plus the expansion of b
     over the ad_a eigenbasis, as rational-function identities."""
     c, A = context or generic_context()
-    a, b, cc, s = A.basis()
-    for who, gen, vectors in (("a", a, eigenvectors_a(A, c)),
+    a, b, _, _ = A.basis()
+    vectors_a = eigenvectors_a(A, c)
+    for who, gen, vectors in (("a", a, vectors_a),
                               ("b", b, eigenvectors_b(A, c))):
         for lam, v in vectors:
-            r = gen * v - lam * v
-            if not r.is_zero():
-                raise IdentityFails("ad_%s eigenvector at %r" % (who, lam), r)
+            _require_zero("ad_%s eigenvector at %r" % (who, lam),
+                          gen * v - lam * v)
+    (_, v1), (_, v0), (_, v_alpha), (_, v_beta) = vectors_a
     inv_alpha = 1 / c.alpha
-    half = Fraction(1, 2)
-    expansion = (c.l1 * a
-                 + inv_alpha * (c.eps * a
-                                + half * (c.alpha - c.beta) * (b + cc) - s)
-                 + inv_alpha * (c.gamma * a + half * c.beta * (b + cc) + s)
-                 + half * (b - cc))
-    if not (b - expansion).is_zero():
-        raise IdentityFails("expansion of b over the ad_a eigenbasis",
-                            b - expansion)
+    expansion = (c.l1 * v1 + inv_alpha * v0 + inv_alpha * v_alpha
+                 + half * v_beta)
+    _require_zero("expansion of b over the ad_a eigenbasis", b - expansion)
     return CheckResult("eigenvectors-generic", True,
                        "7 eigenvector identities and the expansion of b")
 
@@ -193,8 +203,7 @@ def decompose_over_b(A, c, v):
     """Coordinates of v over the ad_b eigenbasis (1, 0, 0, alpha order)."""
     cols = [vec.coords for _, vec in eigenvectors_b(A, c)]
     x = linalg.solve(linalg.transpose(cols), v.coords, A.field)
-    if x is None:
-        raise IdentityFails("decomposition over the ad_b eigenbasis", v)
+    _require("decomposition over the ad_b eigenbasis", x is not None, v)
     return x
 
 
@@ -227,7 +236,7 @@ def proof2_expression(c):
     """The displayed value of [(ba)u] - [b(au)] beta components."""
     ab = c.alpha - c.beta
     return (-c.beta ** 2 * ab - c.beta * c.delta
-            + Fraction(1, 2) * c.beta * ab
+            + half * c.beta * ab
             - (c.alpha - 2 * c.beta) * c.deltaf)
 
 
@@ -240,7 +249,6 @@ def check_seress_relation_u(context=None):
     c, A = context or generic_context()
     a, b, _, s = A.basis()
     ab = c.alpha - c.beta
-    half = Fraction(1, 2)
     u = s - ab * a
     x = decompose_over_b(A, c, u)
     _require_zero("u has no alpha part over ad_b", x[3])
@@ -251,14 +259,14 @@ def check_seress_relation_u(context=None):
                  + ab * beta_component(b * s))
     want_inner = (c.beta * (c.delta - ab) + half * c.beta * ab
                   + ab * c.deltaf)
-    _require_zero("[b(au)] beta component",
-                  beta_component(b * (a * u)) - want_inner)
+    inner = beta_component(b * (a * u))
+    _require_zero("[b(au)] beta component", inner - want_inner)
     _require_zero("[b(au)] beta component, linear form",
                   lhs_inner - want_inner)
     want_outer = c.beta * c.deltaf - c.beta ** 2 * ab
-    _require_zero("[(ba)u] beta component",
-                  beta_component((b * a) * u) - want_outer)
-    diff = beta_component((b * a) * u) - beta_component(b * (a * u))
+    outer = beta_component((b * a) * u)
+    _require_zero("[(ba)u] beta component", outer - want_outer)
+    diff = outer - inner
     _require_zero("[(ba)u] - [b(au)] displayed form",
                   diff - proof2_expression(c))
     return CheckResult("seress-relation-u", True,
@@ -269,7 +277,7 @@ def proof3_expression(c):
     """The displayed value of [b(av)] - [(ba)v] beta components."""
     ab = c.alpha - c.beta
     bracket = (c.beta ** 2 + c.beta * c.delta
-               + Fraction(1, 2) * c.beta * ab
+               + half * c.beta * ab
                + (c.alpha - 2 * c.beta) * c.deltaf - c.beta ** 3)
     return (c.P / c.beta) * bracket - 2 * c.alpha * (c.deltaf + c.beta ** 2)
 
@@ -284,7 +292,6 @@ def check_seress_relation_v(context=None):
     c, A = context or generic_context()
     a, b, cc, s = A.basis()
     ab = c.alpha - c.beta
-    half = Fraction(1, 2)
     v = c.P * a + (c.P / c.beta) * s - c.alpha * cc
     x = decompose_over_b(A, c, v)
     _require_zero("v has no alpha part over ad_b", x[3])
@@ -294,20 +301,20 @@ def check_seress_relation_v(context=None):
                    + half * ab * c.P * b
                    + (half * ab * c.P - c.alpha * c.beta) * cc
                    + ((c.P / c.beta) * ab - c.alpha) * s)
-    if not (a * v - av_expanded).is_zero():
-        raise IdentityFails("expansion of av", a * v - av_expanded)
+    av = a * v
+    _require_zero("expansion of av", av - av_expanded)
 
     want_inner = (c.beta * c.P + c.P * c.delta - c.alpha * c.beta ** 2
                   + half * ab * c.P + (c.P / c.beta) * ab * c.deltaf
                   - c.alpha * c.deltaf)
-    _require_zero("[b(av)] beta component",
-                  beta_component(b * (a * v)) - want_inner)
+    inner = beta_component(b * av)
+    _require_zero("[b(av)] beta component", inner - want_inner)
     want_outer = (c.alpha * c.deltaf + c.alpha * c.beta ** 2
                   + c.beta ** 2 * c.P + c.P * c.deltaf)
-    _require_zero("[(ba)v] beta component",
-                  beta_component((b * a) * v) - want_outer)
+    outer = beta_component((b * a) * v)
+    _require_zero("[(ba)v] beta component", outer - want_outer)
 
-    diff = beta_component(b * (a * v)) - beta_component((b * a) * v)
+    diff = inner - outer
     _require_zero("[b(av)] - [(ba)v] displayed form",
                   diff - proof3_expression(c))
 
@@ -327,9 +334,8 @@ def check_shifted_pair(context=None):
     """sigma(0,2) degenerates: a a_2 - beta(a + a_2) = (1 - 2 beta)a."""
     c, A = context or generic_context()
     a = A.gen("a")
-    r = a * a - 2 * c.beta * a - (1 - 2 * c.beta) * a
-    if not r.is_zero():
-        raise IdentityFails("sigma(0,2) = (1 - 2 beta)a", r)
+    _require_zero("sigma(0,2) = (1 - 2 beta)a",
+                  a * a - 2 * c.beta * a - (1 - 2 * c.beta) * a)
     return CheckResult("shifted-pair", True, "sigma(0,2) collapse")
 
 
@@ -347,7 +353,7 @@ def check_flip_symmetry(c=None):
     _require_zero("flip sends delta to deltaf", swapped_delta - c.deltaf)
     _require_zero("flip fixes the sigma coefficient",
                   (c.alpha - c.beta).substitute(swap) - (c.alpha - c.beta))
-    doubled = (Fraction(1, 2) * c.beta * (c.alpha - c.beta)) * 2
+    doubled = (half * c.beta * (c.alpha - c.beta)) * 2
     _require_zero("the b+c coefficient folds onto a",
                   doubled - c.beta * (c.alpha - c.beta))
     return CheckResult("flip-symmetry", True,
@@ -362,46 +368,46 @@ def check_shift_expansion(context=None):
     difference against -(P/beta) gammaf is reported, not asserted: it
     vanishes at the classified parameter points but not identically.
     """
-    c, A = context or generic_context()
+    c, _ = context or generic_context()
     field = skew_field()
     one = RationalFunction.constant(field.names, 1)
     zero = RationalFunction.constant(field.names, 0)
     coeff = c.Q.substitute({"l2f": one}) - c.Q.substitute({"l2f": zero})
     _require_zero("Q is affine in l2f with slope alpha/(2(alpha-beta))",
                   coeff - c.alpha / (2 * (c.alpha - c.beta)))
-    solved = solve_linear(c.Q + c.beta, "l2f")
-    difference = solved - (-(c.P / c.beta) * c.gammaf)
-    branch_point = {"alpha": Fraction(1, 3), "beta": Fraction(2, 3),
-                    "l1": Fraction(5, 12), "l1f": Fraction(2, 3),
-                    "zeta": 0, "theta": 0, "kappa": 0, "l2f": 0}
-    at_branch = difference.evaluate(branch_point, QQ)
+    difference_at = _shift_difference(c)
     _require_zero("difference vanishes at the orthogonal branch point",
-                  at_branch)
-    probe = {"alpha": 2, "beta": 5, "l1": 7, "l1f": 11,
-             "zeta": 0, "theta": 0, "kappa": 0, "l2f": 0}
-    generic_value = difference.evaluate(probe, QQ)
+                  difference_at(Fraction(1, 3), Fraction(2, 3),
+                                Fraction(5, 12), Fraction(2, 3)))
     return CheckResult(
         "shift-expansion", True,
         "difference is %s at a generic probe, 0 at the branch point"
-        % generic_value)
+        % difference_at(2, 5, 7, 11))
+
+
+def _shift_difference(c):
+    """lambda_b(c) solved from Q = -beta minus -(P/beta) gammaf, as a
+    function of (alpha, beta, l1, l1f) with the sigma^2 unknowns at 0."""
+    solved = solve_linear(c.Q + c.beta, "l2f")
+    difference = solved - (-(c.P / c.beta) * c.gammaf)
+
+    def at(alpha, beta, l1, l1f):
+        return difference.evaluate(
+            {"alpha": alpha, "beta": beta, "l1": l1, "l1f": l1f,
+             "zeta": 0, "theta": 0, "kappa": 0, "l2f": 0}, QQ)
+    return at
 
 
 def shift_difference_at(alpha, beta, l1, l1f):
     """The lambda_b(c) discrepancy evaluated at one parameter point."""
-    c, _ = generic_context()
-    solved = solve_linear(c.Q + c.beta, "l2f")
-    difference = solved - (-(c.P / c.beta) * c.gammaf)
-    point = {"alpha": alpha, "beta": beta, "l1": l1, "l1f": l1f,
-             "zeta": 0, "theta": 0, "kappa": 0, "l2f": 0}
-    return difference.evaluate(point, QQ)
+    return _shift_difference(SkewConstants.generic())(alpha, beta, l1, l1f)
 
 
 # -- the orthogonal branch replay ---------------------------------------------
 
 def _constant(c):
     """A constant rational function's value as a Fraction."""
-    if not c.is_constant():
-        raise ContradictionNotFound("expected a pinned constant, got %r" % c)
+    _require("expected a pinned constant", c.is_constant(), c)
     return c.constant_value()
 
 
@@ -420,7 +426,6 @@ def replay_orthogonal_branch(char=0):
     field = skew_field()
     c = SkewConstants.generic()
     A = make_generic_skew(c)
-    half = Fraction(1, 2)
 
     # if the even subalgebra were 2B the alpha eigenvector of ad_a would
     # collapse to -l1 a, so it is a 3C and Rehren admissibility applies
@@ -673,18 +678,14 @@ def _case_three_dimensional():
     """If the pair algebra is 3-dimensional the whole algebra equals it."""
     report = BranchReport(branch="P != 0, pair algebra 3-dimensional")
     c, A = generic_context()
-    a, b, cc, s = A.basis()
-    v0 = -(c.P / c.beta) * a + c.P * b + cc
-    valpha = c.beta * a + c.gammaf * b + s
-    product = v0 * valpha
-    coeff_c = product.coeff("c")
-    displayed = -Fraction(1, 2) * (c.alpha - c.beta) * c.P \
+    _, (_, v0), _, (_, v_alpha) = eigenvectors_b(A, c)
+    coeff_c = (v0 * v_alpha).coeff("c")
+    displayed = -half * (c.alpha - c.beta) * c.P \
         + c.beta ** 2 + c.deltaf
     _require_zero("c coefficient of the zero-by-alpha product",
                   coeff_c - displayed)
     report.constraints.append(
         "fusion forces (alpha-beta)P/2 = beta^2 + deltaf = (alpha-1)gammaf")
-    half = Fraction(1, 2)
     residual = half * (c.alpha - c.beta) * c.P - half * (1 - c.beta) * c.P
     _require_zero("residual against the v obstruction",
                   residual - half * (c.alpha - 1) * c.P)

@@ -324,8 +324,7 @@ def test_09_parameter_sum():
                "and axis")
 def test_10_seress_property():
     for char, count in ((0, 17), (5, 4)):
-        cases = (ps._seress_cases_char0() if char == 0
-                 else ps._seress_cases_char5())
+        cases = ps._seress_cases(char)
         assert len(cases) == count
         for A, a, law in cases:
             ok, witness = ps.seress_property(A, a, law)

@@ -161,10 +161,10 @@ def test_format_element():
     A = make_Q2_third()
     v = A.element({"s1": Fraction(1, 3), "d1": Fraction(1, 6),
                    "d2": Fraction(-1, 6)})
-    assert format_element(v.coords, A.basis_names, QQ.zero) \
+    assert format_element(v.coords, A.basis_names) \
         == "1/3*s1 + 1/6*d1 - 1/6*d2"
-    assert format_element(A.zero.coords, A.basis_names, QQ.zero) == "0"
-    assert format_element(A.gen("s2").coords, A.basis_names, QQ.zero) == "s2"
+    assert format_element(A.zero.coords, A.basis_names) == "0"
+    assert format_element(A.gen("s2").coords, A.basis_names) == "s2"
 
 
 def test_emit_is_deterministic():

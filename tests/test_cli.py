@@ -232,6 +232,22 @@ def test_huge_power_exits_2_with_position(tmp_path, capsys, field, expr,
     assert err.startswith("error: line 4, column %d: power too large" % column)
 
 
+@pytest.mark.parametrize("expr, column, message", [
+    ("²*e", 15, "unexpected character"),
+    ("1" * 5000 + "*e", 15, "integer literal of 5000 digits is too long"),
+    ("2^" + "1" * 5000 + "*e", 17,
+     "integer literal of 5000 digits is too long"),
+])
+def test_bad_integer_literal_exits_2_with_position(tmp_path, capsys, expr,
+                                                   column, message):
+    path = tmp_path / "literal.alg"
+    path.write_text("field rational\ndim 1\nbasis e\nproduct e e = %s\n"
+                    "axis jordan 1/3 e\n" % expr, encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4, column %d: %s" % (column, message))
+
+
 def test_dim_over_the_bound_exits_2_with_position(tmp_path, capsys):
     path = tmp_path / "wide.alg"
     names = " ".join("e%d" % i for i in range(200))

@@ -1,5 +1,6 @@
 """The bundled verification suite: table freezes, runner, reporting."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import axetlab.papersuite as ps
-from axetlab.catalog import (make_orthogonal_branch, make_Q2_third,
-                             make_Q2x_plus_one)
+from axetlab import skewverify
+from axetlab.catalog import (make_orthogonal_branch, make_Q2_skew,
+                             make_Q2_third, make_Q2x_plus_one, skew_examples)
 from axetlab.scalars import QQ
 
 
@@ -140,3 +142,80 @@ def test_mutated_table_turns_an_item_red(monkeypatch):
     report = ps.run_suite(0)
     assert not report.passed
     assert "(s1, d1)" in report.items[0].detail
+
+
+def perturbed_example(ex, i, j, k):
+    """The example over a copy of its algebra with one constant shifted."""
+    A = ps.perturbed(ex.algebra, i, j, k)
+
+    def home(element):
+        return A.element(list(element.coords))
+    return dataclasses.replace(ex, algebra=A, m_axis=home(ex.m_axis),
+                               j_axis=home(ex.j_axis), third=home(ex.third))
+
+
+def failure_details(char):
+    report = ps.run_suite(char)
+    details = {i.name: i.detail for i in report.items if i.status == "fail"}
+    assert not any("residual None" in d for d in details.values())
+    return details
+
+
+def perturb_orthogonal_branch(monkeypatch):
+    def build(field=None):
+        return perturbed_example(make_orthogonal_branch(field), 0, 0, 0)
+    monkeypatch.setattr(ps, "make_orthogonal_branch", build)
+    monkeypatch.setattr(skewverify, "make_orthogonal_branch", build)
+
+
+def test_perturbed_rational_examples_turn_the_merged_checks_red(monkeypatch):
+    monkeypatch.setattr(ps, "skew_examples", lambda char=0: [
+        perturbed_example(ex, 0, 0, 0) if ex.label == "3C(1/4,3/4)" else ex
+        for ex in skew_examples(char)])
+    monkeypatch.setattr(ps, "make_Q2_skew", lambda field=None:
+                        perturbed_example(make_Q2_skew(field), 0, 0, 0))
+    perturb_orthogonal_branch(monkeypatch)
+    details = failure_details(0)
+    assert details["table-orthogonal-branch"] == (
+        "ContradictionNotFound: table-orthogonal-branch entries: (b, b)")
+    assert details["axes-char0"].startswith(
+        "ContradictionNotFound: m axis of 3C(1/4,3/4): idempotent=False")
+    assert details["axets-char0"] == ("ContradictionNotFound: 3C(1/4,3/4): "
+                                      "both axes verify under the M law")
+    assert details["replay-orthogonal"] == (
+        "ContradictionNotFound: rebuilt table matches the orthogonal "
+        "branch table")
+    assert details["dichotomy-char0"] == (
+        "ContradictionNotFound: dichotomy gives skew Q2(1/3,2/3): "
+        "NoMatch: p is not an axis under the given law")
+    for name in ("products-Q2-skew", "bullets-Q2-skew"):
+        assert details[name] == ("ContradictionNotFound: the algebra has an "
+                                 "identity")
+
+
+def test_perturbed_F5_example_turns_the_merged_checks_red(monkeypatch):
+    monkeypatch.setattr(ps, "make_Q2x_plus_one", lambda:
+                        perturbed_example(make_Q2x_plus_one(), 2, 2, 2))
+    perturb_orthogonal_branch(monkeypatch)
+    details = failure_details(5)
+    label = "Q2(1/3)^x + one"
+    assert details["table-Q2x-plus-one"] == (
+        "ContradictionNotFound: table-Q2x-plus-one entries: (z, z)")
+    assert details["axes-char5"].startswith(
+        "ContradictionNotFound: m axis of %s: idempotent=False" % label)
+    assert details["axets-char5"] == ("ContradictionNotFound: %s: both axes "
+                                      "verify under the M law" % label)
+    assert details["replay-orthogonal-F5"] == (
+        "ContradictionNotFound: rebuilt table matches the orthogonal "
+        "branch table")
+    assert details["dichotomy-char5"] == (
+        "ContradictionNotFound: dichotomy gives skew Q2(1/3)^x + one: "
+        "NoMatch: p is not an axis under the given law")
+    assert details["bullets-F5"] == ("IdentityFails: w in the 1 part of w: "
+                                     "nonzero residual z")
+
+
+def test_a_wrong_oracle_label_is_named_in_the_detail(monkeypatch):
+    monkeypatch.setattr(ps, "rehren_oracle", lambda alpha, beta: ("2B",))
+    assert failure_details(0)["rehren-oracle"] == (
+        "ContradictionNotFound: pair oracle at (1/4, 3/4): ('2B',)")
