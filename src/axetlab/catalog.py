@@ -211,6 +211,12 @@ def make_Q2x(field=None):
     })
 
 
+def make_Q2x_law():
+    """The M(2/3, 1/3) law of the axes x and z of Q2(1/3)^x over F_5."""
+    F5 = PrimeField(5)
+    return make_monster(F5.coerce(Fraction(2, 3)), F5.coerce(Fraction(1, 3)))
+
+
 def make_Q2x_via_radical():
     """Q2(1/3)^x computed as the quotient by the annihilator radical.
 

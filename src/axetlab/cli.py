@@ -20,9 +20,10 @@ from .axets import (NotAnAxis, NotClosedWithinBound, TooLarge,
                     classify_shape, realize_axet)
 from .catalog import (BadCharacteristic, make_2B, make_3C, make_3C_minus1_2,
                       make_3C_skew, make_orthogonal_branch, make_Q2_skew,
-                      make_Q2_third, make_Q2x, make_Q2x_plus_one)
+                      make_Q2_third, make_Q2x, make_Q2x_law,
+                      make_Q2x_plus_one)
 from .fusion import DegenerateParameter, make_jordan, make_monster
-from .scalars import (BadField, DivisionByZero, ExprError, MixedFields,
+from .scalars import (QQ, BadField, DivisionByZero, ExprError, MixedFields,
                       UnboundSymbol, parse_scalar)
 
 USAGE_ERRORS = (ParseError, BadField, BadCharacteristic, DegenerateParameter,
@@ -106,12 +107,10 @@ def cmd_paper_suite(args):
 
 
 def _catalog_document(name, alpha):
-    def frac(default=None):
+    def frac():
         if alpha is None:
-            if default is None:
-                raise DegenerateParameter("%s needs --alpha" % name)
-            return default
-        return Fraction(alpha)
+            raise DegenerateParameter("%s needs --alpha" % name)
+        return parse_scalar(alpha, QQ)
 
     if name == "2B":
         A = make_2B()
@@ -138,8 +137,7 @@ def _catalog_document(name, alpha):
         return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
     if name == "Q2x":
         A = make_Q2x()
-        m = make_monster(A.field.coerce(Fraction(2, 3)),
-                         A.field.coerce(Fraction(1, 3)))
+        m = make_Q2x_law()
         return A, [(A.gen("x"), m), (A.gen("z"), m)]
     if name == "Q2x5":
         ex = make_Q2x_plus_one()

@@ -560,117 +560,82 @@ def _case_2B():
     return report
 
 
-def _pair_case_algebra(lam):
-    """The three-dimensional span when bc = lam (b + c) and P != 0.
+# lam, label, mu and (b+c)^2 as the reports print them
+_PAIR_CASES = ((half, "S(2)deg", "beta/p + beta", "2(b+c)"),
+               (-1, "3C(-1)^x", "-2beta/p + beta", "-(b+c)"))
+
+
+def _case_pair(lam, label, mu_text, square_text):
+    """bc = lam (b+c) with P != 0, one derivation for both values of lam.
 
     The pair row pins sigma = (beta/P) lam (b+c) - beta a, which folds the
     generator rows of the four-dimensional table onto the span (a, b, c);
-    P is kept as the free symbol p.
+    P is kept as the free symbol p.  The pair oracle decides the ending.
     """
+    report = BranchReport(branch="P != 0, pair algebra " + label)
     field = FunctionField(("beta", "p"))
-    beta = field.sym("beta")
-    p = field.sym("p")
-    table = {
+    beta, p = field.sym("beta"), field.sym("p")
+    A = StructureAlgebra.from_table(field, ("a", "b", "c"), {
         ("a", "a"): {"a": 1},
         ("b", "b"): {"b": 1},
         ("c", "c"): {"c": 1},
         ("b", "c"): {"b": lam, "c": lam},
         ("a", "b"): {"b": beta + beta * lam / p, "c": beta * lam / p},
         ("a", "c"): {"c": beta + beta * lam / p, "b": beta * lam / p},
-    }
-    return field, beta, p, StructureAlgebra.from_table(
-        field, ("a", "b", "c"), table)
-
-
-def _case_S2():
-    """bc = (b+c)/2 makes the pair algebra a half-point Jordan algebra."""
-    report = BranchReport(branch="P != 0, pair algebra S(2)deg")
-    field, beta, p, A = _pair_case_algebra(Fraction(1, 2))
+    })
     a, b, cc = A.basis()
-    mu = beta / p + beta
+    mu = beta + 2 * lam * beta / p
     _require("a(b+c) = mu (b+c)", a * (b + cc) == mu * (b + cc))
-    report.constraints.append("b + c is a mu eigenvector, mu = beta/p + beta")
+    report.constraints.append("b + c is a mu eigenvector, mu = " + mu_text)
     _require("mu = 1 impossible", not linalg.in_span(
         [a.coords], (b + cc).coords, field),
         "b + c would join the one-dimensional 1 part")
-    mu_beta = solve_linear(mu - beta, "beta")
-    _require("mu = beta forces beta = 0", mu_beta == 0)
-    report.constraints.append("mu avoids 1 and beta, so mu is 0 or 1/2")
+    _require("mu = beta forces beta = 0",
+             solve_linear(mu - beta, "beta") == 0)
+    report.constraints.append("mu avoids 1 and beta, so mu is 0 or %s" % lam)
 
-    # mu = 1/2: the square of b + c stays in the odd-alpha part
-    sq = (b + cc) * (b + cc)
-    _require("(b+c)^2 = 2(b+c)", sq == 2 * (b + cc))
+    # mu = lam: the square of b + c stays in the odd-alpha part
+    _require("(b+c)^2 = " + square_text,
+             (b + cc) * (b + cc) == (1 + 2 * lam) * (b + cc))
     report.constraints.append(
-        "mu = 1/2: (b+c)^2 = 2(b+c) violates alpha*alpha = {1,0}, "
-        "forcing b + c = 0 against independence")
+        "mu = %s: (b+c)^2 = %s violates alpha*alpha = {1,0}, "
+        "forcing b + c = 0 against independence" % (lam, square_text))
 
-    # mu = 0: p = -1 and a is a Jordan axis of type beta
-    p_value = solve_linear(mu, "p")
-    _require("mu = 0 forces p = -1", p_value == -1)
-    sub = {"p": RationalFunction.constant(field.names, -1)}
+    # mu = 0: a is a Jordan axis of type beta and Rehren needs beta + lam = 1
+    p_value, beta_value = -2 * lam, 1 - lam
+    _require("mu = 0 forces p = %s" % p_value,
+             _constant(solve_linear(mu, "p")) == p_value)
+    sub = {"p": RationalFunction.constant(field.names, p_value)}
     A0 = A.map_coefficients(lambda x: x.substitute(sub), field)
     a, b, cc = A0.basis()
-    _require("a(b-c) = beta(b-c)", a * (b - cc)
-             == field.sym("beta") * (b - cc))
+    _require("a(b-c) = beta(b-c)", a * (b - cc) == beta * (b - cc))
     _require("a(b+c) = 0", (a * (b + cc)).is_zero())
-    report.constraints.append("mu = 0: p = -1 and a is a Jordan beta axis")
-    ab = a * b
-    _require("ab != 0 excludes 2B", not ab.is_zero())
-    # Rehren then needs beta + 1/2 = 1, i.e. beta = 1/2 = alpha, and the
-    # pair oracle rejects equal parameters outright
-    beta_value = solve_linear(field.sym("beta") + Fraction(1, 2) - 1, "beta")
-    _require("beta = 1/2", _constant(beta_value) == Fraction(1, 2))
-    try:
-        rehren_oracle(Fraction(1, 2), Fraction(1, 2))
-    except DegenerateParameter:
-        report.outcome = "contradiction"
-        report.witness = "beta = 1/2 = alpha collapses the fusion parameters"
-        return report
-    raise ContradictionNotFound("the degenerate pair (1/2, 1/2) was accepted")
-
-
-def _case_3Cx():
-    """bc = -(b+c) makes the pair algebra the quotient 3C(-1)^x."""
-    report = BranchReport(branch="P != 0, pair algebra 3C(-1)^x")
-    field, beta, p, A = _pair_case_algebra(-1)
-    a, b, cc = A.basis()
-    mu = -2 * beta / p + beta
-    _require("a(b+c) = mu (b+c)", a * (b + cc) == mu * (b + cc))
-    report.constraints.append("b + c is a mu eigenvector, mu = -2beta/p + beta")
-    mu_beta = solve_linear(mu - beta, "beta")
-    _require("mu = beta forces beta = 0", mu_beta == 0)
-    report.constraints.append("mu avoids 1 and beta, so mu is 0 or -1")
-
-    sq = (b + cc) * (b + cc)
-    _require("(b+c)^2 = -(b+c)", sq == -(b + cc))
-    report.constraints.append(
-        "mu = -1: (b+c)^2 = -(b+c) violates alpha*alpha = {1,0}, "
-        "forcing b + c = 0 against independence")
-
-    p_value = solve_linear(mu, "p")
-    _require("mu = 0 forces p = 2", p_value == 2)
-    sub = {"p": RationalFunction.constant(field.names, 2)}
-    A0 = A.map_coefficients(lambda x: x.substitute(sub), field)
-    a, b, cc = A0.basis()
-    _require("a(b-c) = beta(b-c)",
-             a * (b - cc) == field.sym("beta") * (b - cc))
     _require("ab != 0 excludes 2B", not (a * b).is_zero())
-    beta_value = solve_linear(field.sym("beta") + (-1) - 1, "beta")
-    _require("beta = 2", _constant(beta_value) == 2)
-    labels = rehren_oracle(2, -1)
+    _require("beta = %s" % beta_value,
+             _constant(solve_linear(beta + lam - 1, "beta")) == beta_value)
+    try:
+        labels = rehren_oracle(beta_value, lam)
+    except DegenerateParameter:
+        # the pair oracle rejects equal parameters outright
+        report.constraints.append(
+            "mu = 0: p = %s and a is a Jordan beta axis" % p_value)
+        report.outcome = "contradiction"
+        report.witness = ("beta = %s = alpha collapses the fusion parameters"
+                          % beta_value)
+        return report
     _require("the pair oracle admits 3C(-1,2)", "3C(-1,2)" in labels)
-    report.constraints.append("mu = 0: p = 2, Rehren pins beta = 2")
+    report.constraints.append(
+        "mu = 0: p = %s, Rehren pins beta = %s" % (p_value, beta_value))
 
     # realize the outcome: the pinned table is 3C(-1,2) on (w, y, z)
-    concrete = A0.specialize({"beta": 2, "p": 2}, QQ)
+    concrete = A0.specialize({"beta": beta_value, "p": p_value}, QQ)
     target = make_3C_minus1_2(QQ)
-    a, b, cc = concrete.basis()
-    iso = LinearMap.from_pairs(concrete, target.algebra, [
-        (a, target.m_axis), (b, target.j_axis), (cc, target.third)])
+    iso = LinearMap.from_pairs(concrete, target.algebra, list(zip(
+        concrete.basis(), (target.m_axis, target.j_axis, target.third))))
     _require("the pinned algebra is 3C(-1,2)",
              check_linear_map_is_isomorphism(iso))
     report.outcome = "3C(-1,2)"
-    report.witness = "alpha = -1, beta = 2"
+    report.witness = "alpha = %s, beta = %s" % (lam, beta_value)
     return report
 
 
@@ -702,7 +667,8 @@ def _case_three_dimensional():
 
 def replay_nonorthogonal_branch():
     """All four subcases of P != 0 with their witnesses."""
-    return [_case_2B(), _case_S2(), _case_3Cx(), _case_three_dimensional()]
+    return ([_case_2B()] + [_case_pair(*row) for row in _PAIR_CASES]
+            + [_case_three_dimensional()])
 
 
 # -- the dichotomy -------------------------------------------------------------

@@ -326,6 +326,6 @@ def test_10_seress_property():
     for char, count in ((0, 17), (5, 4)):
         cases = ps._seress_cases(char)
         assert len(cases) == count
-        for A, a, law in cases:
-            ok, witness = ps.seress_property(A, a, law)
+        for A, a in cases:
+            ok, witness = ps.seress_property(A, a)
             assert ok, witness

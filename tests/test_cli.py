@@ -55,6 +55,15 @@ def test_catalog_degenerate_alpha_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("1/0", "division by zero at position 1"),
+    ("0.25", "unexpected character '.'"),
+])
+def test_catalog_unparsable_alpha_is_usage_error(capsys, alpha, message):
+    assert cli.main(["catalog", "3C", "--alpha", alpha]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_verify_catalog_corpus(tmp_path, capsys):
     for name, extra in [("2B", ()), ("3C", ("--alpha", "1/4")),
                         ("3C-skew", ("--alpha", "1/4")), ("3C-1-2", ()),

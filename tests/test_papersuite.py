@@ -9,8 +9,9 @@ import pytest
 
 import axetlab.papersuite as ps
 from axetlab import skewverify
-from axetlab.catalog import (make_orthogonal_branch, make_Q2_skew,
-                             make_Q2_third, make_Q2x_plus_one, skew_examples)
+from axetlab.catalog import (make_3C_minus1_2, make_orthogonal_branch,
+                             make_Q2_skew, make_Q2_third, make_Q2x_plus_one,
+                             skew_examples)
 from axetlab.scalars import QQ
 
 
@@ -81,6 +82,12 @@ def test_suite_items_match_the_benchmark_oracle():
     for char, want in ((0, expected.SUITE_CHAR0), (5, expected.SUITE_CHAR5)):
         got = {i.name: (i.status, i.detail) for i in ps.run_suite(char).items}
         assert got == want
+    # the full replay text, constraints included
+    for char in (0, 5):
+        assert repr(skewverify.replay_orthogonal_branch(char)) \
+            == expected.REPLAY_ORTHOGONAL[char]
+    assert [repr(r) for r in skewverify.replay_nonorthogonal_branch()] \
+        == expected.REPLAY_NONORTHOGONAL
 
 
 def test_suite_rejects_other_characteristics():
@@ -152,6 +159,21 @@ def perturbed_example(ex, i, j, k):
         return A.element(list(element.coords))
     return dataclasses.replace(ex, algebra=A, m_axis=home(ex.m_axis),
                                j_axis=home(ex.j_axis), third=home(ex.third))
+
+
+def test_pair_case_fails_when_the_oracle_admits_every_pair(monkeypatch):
+    monkeypatch.setattr(skewverify, "rehren_oracle",
+                        lambda alpha, beta, field=None: ("2B", "3C(-1,2)"))
+    with pytest.raises(skewverify.ContradictionNotFound):
+        skewverify.replay_nonorthogonal_branch()
+
+
+def test_pair_case_fails_on_a_perturbed_3C_minus1_2(monkeypatch):
+    monkeypatch.setattr(skewverify, "make_3C_minus1_2", lambda field=None:
+                        perturbed_example(make_3C_minus1_2(field), 0, 0, 0))
+    with pytest.raises(skewverify.ContradictionNotFound,
+                       match="the pinned algebra is 3C\\(-1,2\\)"):
+        skewverify.replay_nonorthogonal_branch()
 
 
 def failure_details(char):
