@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import StructureAlgebra
-from .fusion import make_jordan, make_monster
-from .scalars import (DivisionByZero, ExprError, FunctionField, MixedFields,
-                      PrimeField, PrimeFieldElement, RationalField,
-                      RationalFunction, UnboundSymbol, parse_expression,
-                      QQ)
+from .fusion import DegenerateParameter, make_jordan, make_monster
+from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,
+                      MixedFields, PrimeField, PrimeFieldElement,
+                      RationalField, RationalFunction, UnboundSymbol,
+                      parse_expression, QQ)
 
 _EXPR_ERRORS = (ExprError, UnboundSymbol, MixedFields, DivisionByZero,
                 TypeError, ZeroDivisionError)
@@ -114,11 +114,7 @@ def _parse_element(text, algebra, lineno, column):
         coords = list(zero)
         coords[i] = field.one
         names[n] = _LinComb(field, coords)
-    try:
-        value = parse_expression(text, field, names)
-    except _EXPR_ERRORS as e:
-        pos = getattr(e, "pos", 0) or 0
-        raise ParseError(str(e), lineno, column + pos)
+    value = _parse_scalar_token(text, field, lineno, column, names)
     if isinstance(value, _LinComb):
         return algebra.element(value.coords)
     # a pure scalar is only an element when it is zero
@@ -128,34 +124,60 @@ def _parse_element(text, algebra, lineno, column):
                      column)
 
 
-def _parse_scalar_token(text, field, lineno, column):
+def _parse_scalar_token(text, field, lineno, column, names=None):
     try:
-        return parse_expression(text, field, field.symbols())
+        return parse_expression(text, field, names or field.symbols())
     except _EXPR_ERRORS as e:
         pos = getattr(e, "pos", 0) or 0
         raise ParseError(str(e), lineno, column + pos)
 
 
-def _parse_field_line(parts, lineno):
-    if not parts:
+def _words(raw):
+    """Each word of the line with its 1-based column."""
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
+
+
+def _names(words, what, lineno):
+    """The words as a tuple of names, each a NAME token of the scalar
+    grammar and none repeated; a bad word is refused at its column."""
+    seen = set()
+    for column, n in words:
+        if not (n[0].isalpha() and all(c.isalnum() or c == "_" for c in n)
+                and n not in seen):
+            raise ParseError("bad or repeated %s name %r" % (what, n),
+                             lineno, column)
+        seen.add(n)
+    return tuple(n for _, n in words)
+
+
+def _natural(text, what, lineno, column):
+    """A token of ASCII digits as an int (int() also takes 1_1 and +7)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError("%s must be an integer" % what, lineno, column)
+    return _parse_scalar_token(text, QQ, lineno, column).numerator
+
+
+def _parse_field_line(raw, lineno):
+    words = _words(raw)[1:]
+    if not words:
         raise ParseError("field needs a descriptor", lineno)
-    kind = parts[0]
+    kind = words[0][1]
     if kind == "rational":
-        if len(parts) != 1:
+        if len(words) != 1:
             raise ParseError("field rational takes no arguments", lineno)
         return QQ
     if kind == "prime":
-        if len(parts) != 2:
+        if len(words) != 2:
             raise ParseError("field prime needs one argument", lineno)
+        column, text = words[1]
         try:
-            p = int(parts[1])
-        except ValueError:
-            raise ParseError("prime must be an integer", lineno)
-        return PrimeField(p)
+            return PrimeField(_natural(text, "prime", lineno, column))
+        except BadField as e:
+            raise ParseError(str(e), lineno, column) from None
     if kind == "function":
-        if len(parts) < 2:
+        if len(words) < 2:
             raise ParseError("field function needs symbol names", lineno)
-        return FunctionField(tuple(parts[1:]))
+        return FunctionField(_names(words[1:], "symbol", lineno))
     raise ParseError("unknown field descriptor %r" % kind, lineno)
 
 
@@ -182,36 +204,29 @@ def parse_algebra_file(text):
             if stage != 0:
                 raise ParseError("field must be declared exactly once, first",
                                  lineno)
-            field = _parse_field_line(parts[1:], lineno)
+            field = _parse_field_line(raw, lineno)
             stage = 1
         elif head == "dim":
             if stage != 1:
                 raise ParseError("dim must follow the field line", lineno)
             if len(parts) != 2:
                 raise ParseError("dim needs one integer", lineno)
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                raise ParseError("dim must be an integer", lineno)
+            column = raw.rindex(parts[1]) + 1
+            dim = _natural(parts[1], "dim", lineno, column)
             if dim < 1:
-                raise ParseError("dim must be positive", lineno)
+                raise ParseError("dim must be positive", lineno, column)
             if dim > MAX_DIM:
                 raise ParseError("dim %d is over %d" % (dim, MAX_DIM),
-                                 lineno, raw.rindex(parts[1]) + 1)
+                                 lineno, column)
             stage = 2
         elif head == "basis":
             if stage != 2:
                 raise ParseError("basis must follow the dim line", lineno)
-            basis = tuple(parts[1:])
+            basis = _names(_words(raw)[1:], "basis", lineno)
             if len(basis) != dim:
                 raise ParseError("expected %d basis names, got %d"
                                  % (dim, len(basis)), lineno)
-            if len(set(basis)) != len(basis):
-                raise ParseError("duplicate basis names", lineno)
             for n in basis:
-                if not (n[0].isalpha() and all(c.isalnum() or c == "_"
-                                               for c in n)):
-                    raise ParseError("bad basis name %r" % n, lineno)
                 if n in field.symbols():
                     raise ParseError("basis name %r shadows a field symbol"
                                      % n, lineno)
@@ -261,8 +276,7 @@ def parse_algebra_file(text):
     axes = []
     for lineno, raw in axis_lines:
         # each word with its 1-based column, after the word "axis"
-        rest = [(m.start() + 1, m.group())
-                for m in re.finditer(r"\S+", raw)][1:]
+        rest = _words(raw)[1:]
         if not rest:
             raise ParseError("axis needs a law and an element", lineno)
         law_name = rest[0][1]
@@ -279,8 +293,11 @@ def parse_algebra_file(text):
         else:
             raise ParseError("unknown law %r (want jordan or monster)"
                              % law_name, lineno)
-        law = make_law(*(_parse_scalar_token(text, field, lineno, column)
-                         for column, text in params))
+        try:
+            law = make_law(*(_parse_scalar_token(text, field, lineno, column)
+                             for column, text in params))
+        except DegenerateParameter as e:
+            raise ParseError(str(e), lineno, params[0][0]) from None
         column = rest[len(params) + 1][0]
         element = _parse_element(raw[column - 1:], algebra, lineno, column)
         axes.append((element, law))

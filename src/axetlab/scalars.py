@@ -20,14 +20,20 @@ rationals, and symbol lookup for the expression parser.
 
 Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
-gcd on every operation costs more than it saves.  Common factors are
-cancelled in two places only: ``linalg.rref`` over a function field runs
-every entry of its result through ``cancel``, and ``solve_linear`` cancels
-before it reads degrees.  ``cancel`` uses the heuristic gcd GCDHEU
-(``MultiPoly.gcd``) and leaves the pair as it is when the heuristic fails,
-so no answer ever depends on a gcd: equality is decided by cross
-multiplication, and ``is_constant``/``constant_value`` compare leading
-coefficients, so they answer for the value, not the stored form.
+gcd on every operation costs more than it saves.  Most operands are
+trivial and skip the general formula: a zero or one-term factor, a
+one-term power, a denominator 1 (never multiplied by) and equal
+denominators (numerators compared, as Z[x] has no zero divisors).  Each
+such path returns the (num, den) of the general formula, so no stored
+form depends on it.  Common factors are cancelled in two places only:
+``linalg.rref`` over a function field runs every entry of its result
+through ``cancel``, and ``solve_linear`` cancels before it reads degrees.
+``cancel`` uses ``MultiPoly.gcd`` (the monomial of least exponents when
+one side is a single term, else the heuristic GCDHEU) and leaves the pair
+as it is when the heuristic fails, so no answer depends on a gcd:
+equality is decided by cross multiplication, and
+``is_constant``/``constant_value`` compare leading coefficients, so they
+answer for the value, not the stored form.
 
 ``MultiPoly.exquo`` is exact polynomial division: it divides by the
 leading term in graded order and raises ``InexactDivision`` on a nonzero
@@ -294,6 +300,17 @@ class MultiPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        many, one = self.terms, o.terms
+        if not many or not one:
+            return MultiPoly(self.names, {})
+        if len(many) == 1:
+            many, one = one, many
+        if len(one) == 1:  # distinct exponents stay distinct, none is zero
+            (e2, c2), = one.items()
+            if any(e2):
+                return MultiPoly(self.names, {tuple(map(add, e, e2)): c * c2
+                                              for e, c in many.items()})
+            return MultiPoly(self.names, {e: c * c2 for e, c in many.items()})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -312,6 +329,11 @@ class MultiPoly:
             return NotImplemented
         if not self.terms:
             return MultiPoly.constant(self.names, 0 ** n)
+        if n == 1:
+            return self
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return MultiPoly(self.names, {tuple(k * n for k in e): c ** n})
         rest = MultiPoly(self.names, self.terms)
         lead = min(rest.terms, key=_term_key)
         lc = rest.terms.pop(lead)
@@ -398,15 +420,22 @@ class MultiPoly:
         return gcd(*self.terms.values())
 
     def leading_coefficient(self):
+        if len(self.terms) == 1:
+            return next(iter(self.terms.values()))
         return self.terms[min(self.terms, key=_term_key)] if self.terms else 0
 
     def gcd(self, other):
         """A greatest common divisor by the heuristic GCDHEU, or None.
 
         The result is primitive over Z with a positive leading coefficient;
-        None means the heuristic failed, not that the gcd is trivial.
+        None means the heuristic failed, not that the gcd is trivial.  A
+        one-term side gives the monomial of least exponents, with no GCDHEU.
         """
-        return _heugcd(self.primitive(), self._lift(other).primitive())
+        o = self._lift(other)
+        if self.terms and o.terms and 1 in (len(self.terms), len(o.terms)):
+            return MultiPoly(self.names,
+                             {tuple(map(min, *self.terms, *o.terms)): 1})
+        return _heugcd(self.primitive(), o.primitive())
 
     def primitive(self):
         """self divided by its content: primitive, same sign."""
@@ -421,8 +450,8 @@ class MultiPoly:
 
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
-        for n in self.names:
-            if any(e[self.names.index(n)] for e in self.terms) and n not in assignment:
+        for n, occurs in zip(self.names, map(any, zip(*self.terms))):
+            if occurs and n not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % n)
         total = field.zero
         for e, c in self.terms.items():
@@ -548,12 +577,16 @@ def cancel(num, den):
     constant, or the heuristic fails, the pair comes back unchanged: the
     value never depends on the gcd succeeding.
     """
-    if num.is_constant() or den.is_constant():
-        return num, den
     h = num.gcd(den)
     if h is None or h.is_constant():
         return num, den
     return num.exquo(h), den.exquo(h)
+
+
+def _mul(p, q):
+    """p * q, with no product when either is the constant polynomial 1."""
+    one = {(0,) * len(p.names): 1}
+    return q if p.terms == one else p if q.terms == one else p * q
 
 
 class RationalFunction:
@@ -585,23 +618,26 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, names, value):
+        # a Fraction is already coprime with a positive denominator
         value = Fraction(value)
-        return cls(MultiPoly.constant(names, value.numerator),
-                   MultiPoly.constant(names, value.denominator))
+        self = object.__new__(cls)
+        self.num = MultiPoly.constant(names, value.numerator)
+        self.den = MultiPoly.constant(names, value.denominator)
+        return self
 
     @classmethod
     def symbol(cls, names, name):
         return cls(MultiPoly.variable(names, name))
 
     def _lift(self, other):
+        if isinstance(other, MultiPoly):
+            other = RationalFunction(other)
         if isinstance(other, RationalFunction):
             if other.num.names != self.num.names:
                 raise MixedFields("function-field symbol tuples differ")
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(self.num.names, other)
-        if isinstance(other, MultiPoly):
-            return RationalFunction(other)
         return None
 
     def is_zero(self):
@@ -624,8 +660,8 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+        return RationalFunction(_mul(self.num, o.den) + _mul(o.num, self.den),
+                                _mul(self.den, o.den))
 
     __radd__ = __add__
 
@@ -645,7 +681,7 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return RationalFunction(_mul(self.num, o.num), _mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -655,7 +691,7 @@ class RationalFunction:
             return NotImplemented
         if o.num.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return RationalFunction(_mul(self.num, o.den), _mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -670,6 +706,8 @@ class RationalFunction:
             if self.num.is_zero():
                 raise DivisionByZero("inverting the zero rational function")
             return RationalFunction(self.den, self.num) ** (-n)
+        if n == 1:
+            return self
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __neg__(self):
@@ -679,7 +717,9 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.num * o.den == o.num * self.den
+        if self.den.terms == o.den.terms:  # Z[x] has no zero divisors
+            return self.num.terms == o.num.terms
+        return _mul(self.num, o.den) == _mul(o.num, self.den)
 
     def evaluate(self, assignment, field):
         """Evaluate at a point; raises DenominatorVanishes at poles."""
@@ -759,13 +799,10 @@ class PrimeField:
         self.one = PrimeFieldElement(1, p)
 
     def coerce(self, x):
-        if isinstance(x, PrimeFieldElement):
-            if x.p != self.p:
-                raise MixedFields("cannot coerce F_%d into F_%d" % (x.p, self.p))
-            return x
-        if isinstance(x, (int, Fraction)):
-            return self.zero._lift(Fraction(x))
-        raise MixedFields("cannot coerce %r into F_%d" % (x, self.p))
+        lifted = self.zero._lift(x)
+        if lifted is None:
+            raise MixedFields("cannot coerce %r into F_%d" % (x, self.p))
+        return lifted
 
     def symbols(self):
         return {}
@@ -799,17 +836,10 @@ class FunctionField:
         return RationalFunction.symbol(self.names, name)
 
     def coerce(self, x):
-        if isinstance(x, RationalFunction):
-            if x.num.names != self.names:
-                raise MixedFields("function-field symbol tuples differ")
-            return x
-        if isinstance(x, MultiPoly):
-            if x.names != self.names:
-                raise MixedFields("function-field symbol tuples differ")
-            return RationalFunction(x)
-        if isinstance(x, (int, Fraction)):
-            return RationalFunction.constant(self.names, x)
-        raise MixedFields("cannot coerce %r into Q%r" % (x, (self.names,)))
+        lifted = self.zero._lift(x)
+        if lifted is None:
+            raise MixedFields("cannot coerce %r into Q%r" % (x, (self.names,)))
+        return lifted
 
     def symbols(self):
         return {n: self.sym(n) for n in self.names}

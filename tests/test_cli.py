@@ -266,6 +266,38 @@ def test_dim_over_the_bound_exits_2_with_position(tmp_path, capsys):
         "error: line 2, column 6: dim 200 is over %d\n" % MAX_DIM)
 
 
+ONE_DIM = "dim 1\nbasis e\nproduct e e = e\n"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("field prime 4\n" + ONE_DIM, 1, 13, "4 is not prime"),
+    ("field prime 1_1\n" + ONE_DIM, 1, 13, "prime must be an integer"),
+    ("field prime +7\n" + ONE_DIM, 1, 13, "prime must be an integer"),
+    ("field prime \u0667\n" + ONE_DIM, 1, 13, "prime must be an integer"),
+    ("field function x  x\n" + ONE_DIM, 1, 19,
+     "bad or repeated symbol name 'x'"),
+    ("field function 1x\n" + ONE_DIM, 1, 16,
+     "bad or repeated symbol name '1x'"),
+    ("field rational\ndim 2\nbasis a  a\n", 3, 10,
+     "bad or repeated basis name 'a'"),
+    ("field rational\ndim 2\nbasis a 2b\n", 3, 9,
+     "bad or repeated basis name '2b'"),
+    ("field rational\ndim  1_0\n", 2, 6, "dim must be an integer"),
+    ("field rational\ndim \u0661\n", 2, 5, "dim must be an integer"),
+    ("field rational\n" + ONE_DIM + "axis jordan 1 e\n", 5, 13,
+     "eta must avoid 0 and 1"),
+    ("field prime 5\n" + ONE_DIM + "axis monster  2 2 e\n", 5, 15,
+     "alpha and beta must differ"),
+])
+def test_bad_field_or_law_exits_2_with_position(tmp_path, capsys, text, line,
+                                                column, message):
+    path = tmp_path / "bad.alg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line %d, column %d: %s" % (line, column, message))
+
+
 def test_field_prime_2_pow_61_minus_1(tmp_path, capsys):
     path = tmp_path / "big.alg"
     path.write_text("field prime 2305843009213693951\ndim 1\nbasis e\n"

@@ -536,3 +536,115 @@ def test_truthiness_is_the_value_zero_test(q, F, k, n, d, h):
         assert bool(g) == (g != field.zero) == (not g.is_zero())
     assert not zero
     assert bool(unreduced) == bool(f)
+
+
+# -- fast paths against the general formulas ----------------------------------
+#
+# The kernels skip the general formula for zero, constant and one-term
+# polynomials and for the denominator 1.  The references below are the
+# general formulas, with no shortcut; each fast path must store the very
+# same (num, den).
+
+def general_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return MultiPoly(p.names, terms)
+
+
+def general_pow(p, n):
+    out = MultiPoly.constant(p.names, 1)
+    for _ in range(n):
+        out = general_mul(out, p)
+    return out
+
+
+def general_add(f, g):
+    return RationalFunction(general_mul(f.num, g.den)
+                            + general_mul(g.num, f.den),
+                            general_mul(f.den, g.den))
+
+
+def general_constant(q):
+    return RationalFunction(MultiPoly.constant(NAMES, q.numerator),
+                            MultiPoly.constant(NAMES, q.denominator))
+
+
+def stored(f):
+    return f.num.terms, f.den.terms
+
+
+monomials = st.builds(lambda e, c: MultiPoly(NAMES, {e: c}), exponents,
+                      coeffs.filter(bool))
+shaped_polys = st.one_of(
+    polys, monomials, coeffs.map(lambda c: MultiPoly.constant(NAMES, c)))
+nonzero_polys = shaped_polys.filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def shaped_rfs(draw):
+    """Zero, constant, one-term, unit-denominator and unreduced values."""
+    num = draw(shaped_polys)
+    shape = draw(st.sampled_from(("unit", "quotient", "unreduced")))
+    if shape == "unit":
+        return RationalFunction(num)
+    den = draw(nonzero_polys)
+    if shape == "unreduced":
+        h = draw(nonzero_polys)
+        num, den = general_mul(num, h), general_mul(den, h)
+    return RationalFunction(num, den)
+
+
+@given(shaped_rfs(), shaped_rfs(), ratios, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_fast_paths_store_what_the_general_formulas_store(f, g, q, n):
+    assert stored(f + g) == stored(general_add(f, g))
+    assert stored(f - g) == stored(
+        general_add(f, RationalFunction(-g.num, g.den)))
+    assert stored(f * g) == stored(RationalFunction(
+        general_mul(f.num, g.num), general_mul(f.den, g.den)))
+    if g:
+        assert stored(f / g) == stored(RationalFunction(
+            general_mul(f.num, g.den), general_mul(f.den, g.num)))
+    assert stored(f ** n) == stored(RationalFunction(
+        general_pow(f.num, n), general_pow(f.den, n)))
+    assert (f == g) == (general_mul(f.num, g.den).terms
+                        == general_mul(g.num, f.den).terms)
+    c = RationalFunction.constant(NAMES, q)
+    assert stored(c) == stored(general_constant(q))
+    assert stored(f * q) == stored(f * general_constant(q))
+    assert stored(f + q) == stored(general_add(f, general_constant(q)))
+    for p, r in ((f.num, g.num), (f.den, g.den), (f.num, g.den)):
+        assert (p * r).terms == general_mul(p, r).terms
+        assert (p ** n).terms == general_pow(p, n).terms
+        graded = sorted(p.terms, key=lambda e: (-sum(e), [-k for k in e]))
+        assert p.leading_coefficient() == (p.terms[graded[0]] if graded
+                                           else 0)
+
+
+@given(monomials, polys)
+@settings(max_examples=100, deadline=None)
+def test_one_term_gcd_is_the_heuristic_gcd(m, f):
+    from axetlab.scalars import _heugcd
+    assume(not f.is_zero())
+    want = _heugcd(m.primitive(), f.primitive())
+    assert m.gcd(f) == want
+    assert f.gcd(m) == want
+
+
+def test_orthogonal_replay_makes_few_polynomial_products(monkeypatch):
+    # 1,518 products before the fast paths, 334 with them
+    from axetlab.skewverify import replay_orthogonal_branch
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    replay_orthogonal_branch(0)
+    assert len(calls) <= 334
