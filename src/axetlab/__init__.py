@@ -25,7 +25,7 @@ from .catalog import (BadCharacteristic, SkewConstants, SkewExample, make_2B,
                       orthogonal_branch_to_Q2, orthogonal_branch_to_Q2x_plus_one,
                       rehren_oracle, skew_examples)
 from .fusion import (DegenerateParameter, FusionLaw, Grading,
-                     find_c2_grading, make_jordan, make_monster)
+                     find_c2_grading, law_family, make_jordan, make_monster)
 from .papersuite import (ItemResult, SuiteReport, perturbed, run_suite,
                          table_mismatches)
 from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import StructureAlgebra
-from .fusion import DegenerateParameter, make_jordan, make_monster
+from .fusion import LAWS, DegenerateParameter, law_family, law_parameters
 from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,
                       MixedFields, PrimeField, PrimeFieldElement,
                       RationalField, RationalFunction, UnboundSymbol,
-                      parse_expression, QQ)
+                      parse_expression, parse_natural, QQ)
 
 _EXPR_ERRORS = (ExprError, UnboundSymbol, MixedFields, DivisionByZero,
                 TypeError, ZeroDivisionError)
@@ -151,14 +151,14 @@ def _names(words, what, lineno):
 
 
 def _natural(text, what, lineno, column):
-    """A token of ASCII digits as an int (int() also takes 1_1 and +7)."""
-    if not (text.isascii() and text.isdigit()):
-        raise ParseError("%s must be an integer" % what, lineno, column)
-    return _parse_scalar_token(text, QQ, lineno, column).numerator
+    """A token of ASCII digits as an int, refused at its column."""
+    try:
+        return parse_natural(text)
+    except ExprError as e:
+        raise ParseError("%s %s" % (what, e), lineno, column) from None
 
 
-def _parse_field_line(raw, lineno):
-    words = _words(raw)[1:]
+def _parse_field_line(words, lineno):
     if not words:
         raise ParseError("field needs a descriptor", lineno)
     kind = words[0][1]
@@ -195,24 +195,24 @@ def parse_algebra_file(text):
     stage = 0  # 0 field, 1 dim, 2 basis, 3 products/axes
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # each word of the line with its 1-based column
+        words = _words(raw)
+        if not words or words[0][1].startswith("#"):
             continue
-        parts = line.split()
-        head = parts[0]
+        head = words[0][1]
         if head == "field":
             if stage != 0:
                 raise ParseError("field must be declared exactly once, first",
                                  lineno)
-            field = _parse_field_line(raw, lineno)
+            field = _parse_field_line(words[1:], lineno)
             stage = 1
         elif head == "dim":
             if stage != 1:
                 raise ParseError("dim must follow the field line", lineno)
-            if len(parts) != 2:
+            if len(words) != 2:
                 raise ParseError("dim needs one integer", lineno)
-            column = raw.rindex(parts[1]) + 1
-            dim = _natural(parts[1], "dim", lineno, column)
+            column, word = words[1]
+            dim = _natural(word, "dim", lineno, column)
             if dim < 1:
                 raise ParseError("dim must be positive", lineno, column)
             if dim > MAX_DIM:
@@ -222,7 +222,7 @@ def parse_algebra_file(text):
         elif head == "basis":
             if stage != 2:
                 raise ParseError("basis must follow the dim line", lineno)
-            basis = _names(_words(raw)[1:], "basis", lineno)
+            basis = _names(words[1:], "basis", lineno)
             if len(basis) != dim:
                 raise ParseError("expected %d basis names, got %d"
                                  % (dim, len(basis)), lineno)
@@ -235,28 +235,28 @@ def parse_algebra_file(text):
             if stage != 3:
                 raise ParseError("products must follow the basis line",
                                  lineno)
-            if len(parts) < 5 or parts[3] != "=":
+            if len(words) < 5 or words[3][1] != "=":
                 raise ParseError("expected: product <x> <y> = <expression>",
                                  lineno)
-            x, y = parts[1], parts[2]
-            if x not in basis or y not in basis:
-                raise ParseError("unknown basis name in product pair",
-                                 lineno)
+            for column, n in words[1:3]:
+                if n not in basis:
+                    raise ParseError("unknown basis name %r in product pair"
+                                     % n, lineno, column)
+            x, y = words[1][1], words[2][1]
             pair = tuple(sorted((x, y)))
             if pair in seen_pairs:
                 raise ParseError("duplicate product entry for %s %s" % pair,
-                                 lineno)
+                                 lineno, words[1][0])
             seen_pairs.add(pair)
-            expr = raw[raw.index("=") + 1:]
-            # the 1-based column of the expression's first character
-            column = len(raw) - len(expr.lstrip()) + 1
-            products[(x, y, lineno, column)] = expr.strip()
+            column = words[4][0]
+            products[(x, y, lineno, column)] = raw[column - 1:]
         elif head == "axis":
             if stage != 3:
                 raise ParseError("axes must follow the basis line", lineno)
-            axis_lines.append((lineno, raw))
+            axis_lines.append((lineno, raw, words[1:]))
         else:
-            raise ParseError("unknown directive %r" % head, lineno)
+            raise ParseError("unknown directive %r" % head, lineno,
+                             words[0][0])
 
     if field is None:
         raise ParseError("missing field line", max(1, text.count("\n") + 1))
@@ -274,25 +274,20 @@ def parse_algebra_file(text):
     algebra = StructureAlgebra(field, basis, table)
 
     axes = []
-    for lineno, raw in axis_lines:
-        # each word with its 1-based column, after the word "axis"
-        rest = _words(raw)[1:]
+    for lineno, raw, rest in axis_lines:
         if not rest:
             raise ParseError("axis needs a law and an element", lineno)
         law_name = rest[0][1]
-        if law_name == "jordan":
-            if len(rest) < 3:
-                raise ParseError("expected: axis jordan <eta> <element>",
-                                 lineno)
-            make_law, params = make_jordan, rest[1:2]
-        elif law_name == "monster":
-            if len(rest) < 4:
-                raise ParseError(
-                    "expected: axis monster <alpha> <beta> <element>", lineno)
-            make_law, params = make_monster, rest[1:3]
-        else:
-            raise ParseError("unknown law %r (want jordan or monster)"
-                             % law_name, lineno)
+        make_law = LAWS.get(law_name)
+        if make_law is None:
+            raise ParseError("unknown law %r (want %s)"
+                             % (law_name, " or ".join(LAWS)), lineno)
+        names = law_parameters(law_name)
+        if len(rest) < len(names) + 2:
+            raise ParseError("expected: axis %s %s <element>"
+                             % (law_name, " ".join("<%s>" % n for n in names)),
+                             lineno)
+        params = rest[1:len(names) + 1]
         try:
             law = make_law(*(_parse_scalar_token(text, field, lineno, column)
                              for column, text in params))
@@ -355,14 +350,15 @@ def _format_field(field):
     raise MixedFields("cannot emit field %r" % (field,))
 
 
-def _format_law_params(law):
-    # jordan laws have 3 eigenvalues, monster laws 4; the axis line is
-    # split on whitespace, so each parameter is one token with no spaces
-    params = [_format_coefficient(v).replace(" ", "")
-              for v in law.eigenvalues[2:]]
-    if len(params) == 1:
-        return "jordan %s" % params[0]
-    return "monster %s %s" % tuple(params)
+def _format_law_params(law, field):
+    family = law_family(law)
+    if family is None:
+        raise ValueError("cannot emit %r: not a %s law"
+                         % (law, " or ".join(LAWS)))
+    name, params = family
+    # the axis line is split on whitespace, so each parameter is one token
+    return " ".join([name] + [_format_coefficient(field.coerce(v))
+                              .replace(" ", "") for v in params])
 
 
 def emit_algebra_file(algebra, axes=()):
@@ -380,6 +376,6 @@ def emit_algebra_file(algebra, axes=()):
                             format_element(coords, algebra.basis_names)))
     for element, law in axes:
         lines.append("axis %s %s"
-                     % (_format_law_params(law),
+                     % (_format_law_params(law, algebra.field),
                         format_element(element.coords, algebra.basis_names)))
     return "\n".join(lines) + "\n"

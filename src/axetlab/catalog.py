@@ -7,7 +7,7 @@ four-dimensional two-axis algebra over the eight-symbol function field,
 and the four-dimensional algebra of the orthogonal branch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
 from .algebra import LinearMap, StructureAlgebra
@@ -41,8 +41,9 @@ def _field_of(value, field):
 class SkewExample:
     """A skew generator pair inside one of the catalog algebras.
 
-    m_axis has the full Monster spectrum and swaps j_axis with third;
-    j_axis has an empty beta part, so its involution is trivial.
+    m_axis has the full Monster spectrum M(alpha, beta) and swaps j_axis
+    with third; j_axis, of Jordan type J(alpha), has an empty beta part,
+    so its involution is trivial.  The two laws are built once, here.
     """
 
     label: str
@@ -50,10 +51,14 @@ class SkewExample:
     m_axis: object
     j_axis: object
     third: object
-    m_law: object
-    j_law: object
     alpha: object
     beta: object
+    m_law: object = datafield(init=False, repr=False)
+    j_law: object = datafield(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "m_law", make_monster(self.alpha, self.beta))
+        object.__setattr__(self, "j_law", make_jordan(self.alpha))
 
 
 # -- two and three dimensions ----------------------------------------------
@@ -98,32 +103,21 @@ def make_3Cx_minus1(field=QQ):
 def make_3C_skew(alpha, field=None):
     """3C(alpha, 1-alpha): the skew pair w = identity - x and y in 3C(alpha).
 
-    alpha = 1/2 collapses the two fusion parameters and alpha = -1 kills
-    the identity element, so both are rejected along with 0 and 1.
+    alpha = -1 kills the identity element, so it is rejected here; make_3C
+    rejects 0 and 1, and M(alpha, 1-alpha) rejects 1/2, where the two
+    fusion parameters collapse.
     """
     field = _field_of(alpha, field)
     alpha = field.coerce(alpha)
-    for bad, why in ((0, "no fusion law"), (1, "no fusion law"),
-                     (Fraction(1, 2), "the parameters collapse"),
-                     (-1, "no identity element")):
-        if alpha == field.coerce(bad):
-            raise DegenerateParameter("3C skew pair needs alpha != %s (%s)"
-                                      % (bad, why))
+    if alpha == field.coerce(-1):
+        raise DegenerateParameter(
+            "3C skew pair needs alpha != -1 (no identity element)")
     A = make_3C(alpha, field)
     one = (A.gen("x") + A.gen("y") + A.gen("z")) / (alpha + field.one)
-    w = one - A.gen("x")
     beta = field.one - alpha
-    return SkewExample(
-        label="3C(%s,%s)" % (alpha, beta),
-        algebra=A,
-        m_axis=w,
-        j_axis=A.gen("y"),
-        third=A.gen("z"),
-        m_law=make_monster(alpha, beta),
-        j_law=make_jordan(alpha),
-        alpha=alpha,
-        beta=beta,
-    )
+    return SkewExample(label="3C(%s,%s)" % (alpha, beta), algebra=A,
+                       m_axis=one - A.gen("x"), j_axis=A.gen("y"),
+                       third=A.gen("z"), alpha=alpha, beta=beta)
 
 
 def make_3C_minus1_2(field=QQ):
@@ -135,19 +129,9 @@ def make_3C_minus1_2(field=QQ):
     _reject_characteristic(field, {2, 3}, "3C(-1,2)")
     A = make_3C(2, field, names=("u", "v", "w"))
     one = (A.gen("u") + A.gen("v") + A.gen("w")) / field.coerce(3)
-    alpha = field.coerce(-1)
-    beta = field.coerce(2)
-    return SkewExample(
-        label="3C(-1,2)",
-        algebra=A,
-        m_axis=A.gen("w"),
-        j_axis=one - A.gen("u"),
-        third=one - A.gen("v"),
-        m_law=make_monster(alpha, beta),
-        j_law=make_jordan(alpha),
-        alpha=alpha,
-        beta=beta,
-    )
+    return SkewExample(label="3C(-1,2)", algebra=A, m_axis=A.gen("w"),
+                       j_axis=one - A.gen("u"), third=one - A.gen("v"),
+                       alpha=field.coerce(-1), beta=field.coerce(2))
 
 
 # -- the double-axis algebra and its quotient -------------------------------
@@ -181,19 +165,10 @@ def make_Q2_skew(field=QQ):
     A = make_Q2_third(field)
     total = A.gen("s1") + A.gen("s2") + A.gen("d1") + A.gen("d2")
     one = field.coerce(Fraction(3, 5)) * total
-    alpha = field.coerce(Fraction(1, 3))
-    beta = field.coerce(Fraction(2, 3))
-    return SkewExample(
-        label="Q2(1/3,2/3)",
-        algebra=A,
-        m_axis=one - A.gen("d1"),
-        j_axis=A.gen("s1"),
-        third=A.gen("s2"),
-        m_law=make_monster(alpha, beta),
-        j_law=make_jordan(alpha),
-        alpha=alpha,
-        beta=beta,
-    )
+    return SkewExample(label="Q2(1/3,2/3)", algebra=A,
+                       m_axis=one - A.gen("d1"), j_axis=A.gen("s1"),
+                       third=A.gen("s2"), alpha=field.coerce(Fraction(1, 3)),
+                       beta=field.coerce(Fraction(2, 3)))
 
 
 def make_Q2x(field=None):
@@ -236,27 +211,15 @@ def make_Q2x_plus_one():
     """
     field = PrimeField(5)
     A = make_Q2x(field).adjoin_identity("one")
-    alpha = field.coerce(Fraction(1, 3))
-    beta = field.coerce(Fraction(2, 3))
-    return SkewExample(
-        label="Q2(1/3)^x + one",
-        algebra=A,
-        m_axis=A.gen("one") - A.gen("z"),
-        j_axis=A.gen("x"),
-        third=A.gen("y"),
-        m_law=make_monster(alpha, beta),
-        j_law=make_jordan(alpha),
-        alpha=alpha,
-        beta=beta,
-    )
+    return SkewExample(label="Q2(1/3)^x + one", algebra=A,
+                       m_axis=A.gen("one") - A.gen("z"), j_axis=A.gen("x"),
+                       third=A.gen("y"), alpha=field.coerce(Fraction(1, 3)),
+                       beta=field.coerce(Fraction(2, 3)))
 
 
 def skew_examples(char=0):
     """The classified skew pairs over a field of the given characteristic."""
-    if char == 0:
-        return [make_3C_skew(Fraction(1, 4)), make_3C_minus1_2(),
-                make_Q2_skew()]
-    field = PrimeField(char)
+    field = QQ if char == 0 else PrimeField(char)
     out = []
     for alpha in (Fraction(1, 4), -1):
         try:
@@ -428,19 +391,10 @@ def make_orthogonal_branch(field=QQ):
         ("a", "f"): {"b": two_thirds, "c": two_thirds,
                      "a": -third, "f": -third},
     })
-    alpha = field.coerce(third)
-    beta = field.coerce(two_thirds)
-    return SkewExample(
-        label="orthogonal branch",
-        algebra=A,
-        m_axis=A.gen("a"),
-        j_axis=A.gen("b"),
-        third=A.gen("c"),
-        m_law=make_monster(alpha, beta),
-        j_law=make_jordan(alpha),
-        alpha=alpha,
-        beta=beta,
-    )
+    return SkewExample(label="orthogonal branch", algebra=A,
+                       m_axis=A.gen("a"), j_axis=A.gen("b"),
+                       third=A.gen("c"), alpha=field.coerce(third),
+                       beta=field.coerce(two_thirds))
 
 
 def orthogonal_branch_to_Q2(field=QQ):

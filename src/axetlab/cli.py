@@ -22,9 +22,10 @@ from .catalog import (BadCharacteristic, make_2B, make_3C, make_3C_minus1_2,
                       make_3C_skew, make_orthogonal_branch, make_Q2_skew,
                       make_Q2_third, make_Q2x, make_Q2x_law,
                       make_Q2x_plus_one)
-from .fusion import DegenerateParameter, make_jordan, make_monster
+from .fusion import (DegenerateParameter, law_family, make_jordan,
+                     make_monster)
 from .scalars import (QQ, BadField, DivisionByZero, ExprError, MixedFields,
-                      UnboundSymbol, parse_scalar)
+                      UnboundSymbol, parse_natural, parse_scalar)
 
 USAGE_ERRORS = (ParseError, BadField, BadCharacteristic, DegenerateParameter,
                 ExprError, UnboundSymbol, MixedFields, DivisionByZero)
@@ -82,9 +83,10 @@ def cmd_verify(args):
 def cmd_axet(args):
     doc, axes = _load_axes(args)
     # realize under a common ambient law: jordan axes of a monster-law
-    # algebra have empty odd part there, so their involutions collapse
-    ambient = next((law for _, law in axes if len(law.eigenvalues) == 4),
-                   None)
+    # algebra have empty odd part there, so their involutions collapse;
+    # every law read from a file or an override has a family
+    ambient = next((law for _, law in axes
+                    if law_family(law)[0] == "monster"), None)
     reports = [verify_axis(doc.algebra, el, ambient or law)
                for el, law in axes]
     realized = realize_axet(reports, max_points=args.max_points)
@@ -120,11 +122,12 @@ def _catalog_document(name, alpha):
         A = make_3C(frac())
         law = make_jordan(frac())
         return A, [(A.gen(n), law) for n in A.basis_names]
-    if name == "3C-skew":
-        ex = make_3C_skew(frac())
-        return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
-    if name == "3C-1-2":
-        ex = make_3C_minus1_2()
+    skew_pairs = {"3C-skew": lambda: make_3C_skew(frac()),
+                  "3C-1-2": make_3C_minus1_2, "Q2-skew": make_Q2_skew,
+                  "Q2x5": make_Q2x_plus_one,
+                  "orthogonal": make_orthogonal_branch}
+    if name in skew_pairs:
+        ex = skew_pairs[name]()
         return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
     if name == "Q2":
         A = make_Q2_third()
@@ -132,19 +135,10 @@ def _catalog_document(name, alpha):
         m = make_monster(Fraction(2, 3), Fraction(1, 3))
         return A, [(A.gen("s1"), j), (A.gen("s2"), j),
                    (A.gen("d1"), m), (A.gen("d2"), m)]
-    if name == "Q2-skew":
-        ex = make_Q2_skew()
-        return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
     if name == "Q2x":
         A = make_Q2x()
         m = make_Q2x_law()
         return A, [(A.gen("x"), m), (A.gen("z"), m)]
-    if name == "Q2x5":
-        ex = make_Q2x_plus_one()
-        return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
-    if name == "orthogonal":
-        ex = make_orthogonal_branch()
-        return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
     raise ParseError("unknown catalog name %r" % name, 1)
 
 
@@ -164,7 +158,8 @@ def cmd_catalog(args):
 
 
 def positive_int(text):
-    n = int(text)
+    # a minus sign is read, so that "-5" is refused by its value
+    n = -parse_natural(text[1:]) if text[:1] == "-" else parse_natural(text)
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
     return n
@@ -197,7 +192,7 @@ def build_parser():
     p.set_defaults(fn=cmd_axet)
 
     p = sub.add_parser("paper-suite", help="run the full reproduction suite")
-    p.add_argument("--char", type=int, default=0, choices=(0, 5))
+    p.add_argument("--char", type=parse_natural, default=0, choices=(0, 5))
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(fn=cmd_paper_suite)
 

@@ -1,10 +1,15 @@
-"""Fusion laws and their C2 gradings.
+"""Fusion laws, their two families and their C2 gradings.
 
 A fusion law is a finite list of eigenvalues together with a symmetric
 star table; the table is stored by eigenvalue index, never by value, so
 eigenvalues may live in any of the exact fields (including symbols of a
-function field, which are not hashable on purpose).
+function field, which are not hashable on purpose).  This module alone
+knows the families J(eta) and M(alpha, beta): LAWS builds a member by
+name, law_family reads a law's name and parameters back.
 """
+
+import functools
+import inspect
 
 
 class DegenerateParameter(ValueError):
@@ -134,6 +139,40 @@ def make_monster(alpha, beta):
         (b, b): {one, zero, a},
     }
     return FusionLaw([1, 0, alpha, beta], table)
+
+
+# each family's parameters are the eigenvalues after 1 and 0, in order
+LAWS = {"jordan": make_jordan, "monster": make_monster}
+
+
+@functools.cache
+def law_parameters(name):
+    """The parameter names of the LAWS family name, such as ("eta",)."""
+    return tuple(inspect.signature(LAWS[name]).parameters)
+
+
+@functools.cache
+def _star_pairs(name):
+    """The nonempty star pairs of the LAWS family name, by index; they
+    are the same for every choice of the parameters."""
+    placeholders = range(2, 2 + len(law_parameters(name)))
+    return {k: v for k, v in LAWS[name](*placeholders).table.items() if v}
+
+
+def law_family(law):
+    """(name, parameters) when law is the member of a LAWS family with
+    its own eigenvalues after 1 and 0 as parameters, its star table
+    equal pair by pair with a missing pair read as empty, as
+    star_indices reads it; None for any other law."""
+    ev = law.eigenvalues
+    if ev[:2] != [1, 0]:
+        return None
+    pairs = {k: v for k, v in law.table.items() if v}
+    for name in LAWS:
+        if (len(ev) == len(law_parameters(name)) + 2
+                and pairs == _star_pairs(name)):
+            return name, tuple(ev[2:])
+    return None
 
 
 def find_c2_grading(law):

@@ -949,6 +949,14 @@ def _integer(text, pos):
                         % len(text), pos=pos) from None
 
 
+def parse_natural(text):
+    """The int a literal of ASCII digits writes; int() would also take
+    1_1, +7, surrounding space and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ExprError("must be an integer", pos=0)
+    return _integer(text, 0)
+
+
 class _Parser:
     def __init__(self, tokens, field, names):
         self.tokens = tokens

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (LinearMap, StructureAlgebra,
+from .algebra import (DimensionMismatch, LinearMap, StructureAlgebra,
                       check_linear_map_is_isomorphism)
 from .axes import verify_axis
 from .axets import classify_shape, realize_axet
@@ -24,7 +24,7 @@ from .catalog import (SkewConstants, make_3C_minus1_2, make_3C_skew,
                       make_Q2_skew, make_Q2x_plus_one,
                       orthogonal_branch_to_Q2,
                       orthogonal_branch_to_Q2x_plus_one, rehren_oracle)
-from .fusion import DegenerateParameter
+from .fusion import DegenerateParameter, law_family
 from .scalars import (QQ, FunctionField, PrimeField, RationalFunction,
                       skew_field, solve_linear)
 
@@ -681,6 +681,9 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
     is the three-point skew shape and the algebra is matched against the
     classified list by generator-respecting isomorphism.
     """
+    family = law_family(m_law)
+    if family is None or family[0] != "monster":
+        raise NoMatch("p's law is not a Monster law")
     report_p = verify_axis(A, p, m_law)
     if not report_p.passed:
         raise NoMatch("p is not an axis under the given law")
@@ -688,7 +691,7 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
         raise NoMatch("q is not an axis under its stated law")
     tau_p = report_p.basis.miyamoto
     field = A.field
-    alpha, beta = (lam for lam, _ in report_p.basis.spaces[2:])
+    alpha, beta = (field.coerce(v) for v in family[1])
 
     if tau_p(q) == q:
         # ad_p maps the pair algebra into itself, so p has a beta part
@@ -729,7 +732,7 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
             iso = LinearMap.from_pairs(A, target, [
                 (p, ex.m_axis), (q, ex.j_axis), (r, ex.third),
                 (sigma, sigma_target)])
-        except Exception:
+        except DimensionMismatch:
             continue
         if check_linear_map_is_isomorphism(iso):
             return ("skew", ex.label)

@@ -7,12 +7,14 @@ import pytest
 from axetlab import cli
 from axetlab.algfile import (ParseError, emit_algebra_file, format_element,
                              parse_algebra_file)
-from axetlab.catalog import (make_2B, make_3C_minus1_2, make_3C_skew,
-                             make_orthogonal_branch, make_Q2_skew,
-                             make_Q2_third, make_Q2x, make_Q2x_plus_one,
-                             skew_examples)
-from axetlab.fusion import make_jordan, make_monster
+from axetlab.catalog import (make_2B, make_3C, make_3C_minus1_2,
+                             make_3C_skew, make_orthogonal_branch,
+                             make_Q2_skew, make_Q2_third, make_Q2x,
+                             make_Q2x_plus_one, skew_examples)
+from axetlab.fusion import FusionLaw, make_jordan, make_monster
 from axetlab.scalars import QQ
+
+QUARTER = Fraction(1, 4)
 
 Q2_TEXT = """\
 field rational
@@ -117,6 +119,10 @@ def test_error_positions():
     ("axis jordan 1/(2 a", 17),
     ("axis monster 1/3   2/(3 a", 24),
     ("axis monster 1/3 2/3   a + (b", 30),
+    ("product a q = a", 11),
+    ("product q a = a", 9),
+    ("product  a a = a", 10),
+    ("  products a b = a", 3),
 ])
 def test_error_columns_are_one_based_in_the_line(line, column):
     # each column is that of the offending token in the raw line
@@ -222,6 +228,34 @@ def test_emit_of_the_generic_skew_algebra_is_pinned():
     sub = c.substitute({"l1f": skew_field().sym("beta")})
     assert emit_algebra_file(make_generic_skew(sub)) \
         == GENERIC_SKEW_L1F_BETA_TEXT
+
+
+def test_emit_refuses_a_law_outside_the_families():
+    # three eigenvalues, but eta*eta = {1} where J(1/4) has {1, 0}
+    A = make_3C(QUARTER)
+    law = FusionLaw([1, 0, QUARTER], {(0, 0): {0}, (0, 2): {2},
+                                      (1, 1): {1}, (1, 2): {2},
+                                      (2, 2): {0}})
+    with pytest.raises(ValueError, match="not a jordan or monster law"):
+        emit_algebra_file(A, [(A.gen("x"), law)])
+    # the J(1/4) table entered without its empty 1*0 pair is J(1/4)
+    law = FusionLaw([1, 0, QUARTER], {(0, 0): {0}, (0, 2): {2},
+                                      (1, 1): {1}, (1, 2): {2},
+                                      (2, 2): {0, 1}})
+    text = emit_algebra_file(A, [(A.gen("x"), law)])
+    assert text.endswith("\naxis jordan 1/4 x\n")
+    (_, law2), = parse_algebra_file(text).axes
+    n = len(law.eigenvalues)
+    assert law2.eigenvalues == law.eigenvalues
+    assert all(law2.star_indices(i, j) == law.star_indices(i, j)
+               for i in range(n) for j in range(n))
+
+
+def test_emit_writes_law_parameters_in_the_algebra_field():
+    # make_jordan(2) keeps the int 2, which the field reads as 2
+    A = make_3C(2)
+    text = emit_algebra_file(A, [(A.gen("x"), make_jordan(2))])
+    assert text.endswith("\naxis jordan 2 x\n")
 
 
 def round_trip(algebra, axes=()):

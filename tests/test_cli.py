@@ -179,6 +179,22 @@ def test_axet_max_points_below_1_is_a_usage_error(tmp_path, capsys, bound):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text", ["0_5", "+5", " 5", "1_0", "\uff15"])
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys, text):
+    # int() would take each of these
+    path = emit(tmp_path, "Q2x")
+    assert cli.main(["paper-suite", "--char", text]) == 2
+    assert cli.main(["axet", path, "--max-points", text]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_integer_options_still_take_plain_literals(tmp_path, capsys):
+    path = emit(tmp_path, "Q2x")
+    assert cli.main(["axet", path, "--max-points", "24"]) == 0
+    assert cli.main(["paper-suite", "--char", "5"]) == 0
+    assert "characteristic 5" in capsys.readouterr().out
+
+
 def test_axet_non_axis_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text("field rational\ndim 2\nbasis a b\nproduct a a = a\n"

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from axetlab.fusion import (DegenerateParameter, EVEN, Grading, ODD,
-                            find_c2_grading, make_jordan, make_monster)
+from axetlab.fusion import (DegenerateParameter, EVEN, FusionLaw, Grading,
+                            ODD, find_c2_grading, law_family, make_jordan,
+                            make_monster)
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -108,3 +109,31 @@ def test_symbolic_parameters():
     law = make_monster(field.sym("alpha"), field.sym("beta"))
     g = find_c2_grading(law)
     assert g.odd_values() == [field.sym("beta")]
+
+
+def test_law_family_reads_back_the_parameters():
+    assert law_family(make_jordan(THIRD)) == ("jordan", (THIRD,))
+    assert law_family(make_monster(TWO_THIRDS, THIRD)) \
+        == ("monster", (TWO_THIRDS, THIRD))
+
+
+def test_law_family_reads_a_missing_pair_as_empty():
+    # J(1/3) entered without its empty 1*0 entry is still J(1/3)
+    table = {(0, 0): {0}, (0, 2): {2}, (1, 1): {1}, (1, 2): {2},
+             (2, 2): {0, 1}}
+    assert law_family(FusionLaw([1, 0, THIRD], table)) \
+        == ("jordan", (THIRD,))
+
+
+@pytest.mark.parametrize("eigenvalues, table", [
+    # the J(1/3) table with eta*eta = {1} only
+    ([1, 0, THIRD], {(0, 0): {0}, (0, 2): {2}, (1, 1): {1}, (1, 2): {2},
+                     (2, 2): {0}}),
+    # the J(1/3) table on the eigenvalues in another order
+    ([0, 1, THIRD], {(1, 1): {1}, (1, 2): {2}, (0, 0): {0}, (0, 2): {2},
+                     (2, 2): {0, 1}}),
+    ([1, 0], {(0, 0): {0}, (1, 1): {1}}),
+    ([1, 0, THIRD, TWO_THIRDS, 2], {}),
+])
+def test_law_family_is_none_outside_the_families(eigenvalues, table):
+    assert law_family(FusionLaw(eigenvalues, table)) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axetlab import skewverify
-from axetlab.catalog import (SkewConstants, make_2B, make_3C_skew,
+from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
 from axetlab.fusion import make_jordan, make_monster
@@ -169,6 +169,23 @@ def test_dichotomy_rejects_non_axes():
     law = make_monster(THIRD, TWO_THIRDS)
     with pytest.raises(NoMatch):
         dichotomy_check(A, A.gen("a") + A.gen("b"), A.gen("b"), law)
+
+
+def test_dichotomy_needs_a_monster_law_for_p():
+    A = make_3C(Fraction(1, 4))
+    with pytest.raises(NoMatch, match="not a Monster law"):
+        dichotomy_check(A, A.gen("x"), A.gen("y"),
+                        make_jordan(Fraction(1, 4)))
+
+
+def test_dichotomy_lets_programming_errors_through(monkeypatch):
+    # only DimensionMismatch means "this candidate does not match"
+    def broken(source, target, pairs):
+        raise TypeError("broken from_pairs")
+    monkeypatch.setattr(skewverify.LinearMap, "from_pairs", broken)
+    ex = make_3C_skew(Fraction(1, 4))
+    with pytest.raises(TypeError, match="broken from_pairs"):
+        dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis, ex.m_law)
 
 
 def test_dichotomy_rejects_larger_orbits():
