@@ -248,7 +248,8 @@ class RealizedAxet(FiniteAxet):
 def realize_axet(reports, max_points=24):
     """Close the axes of verify_axis reports under their Miyamoto maps.
 
-    Every report must have passed (NotAnAxis otherwise).  New orbit
+    Every report must have passed (NotAnAxis otherwise); an axis given
+    twice is one point, with the first report's law.  New orbit
     points inherit the law of their preimage and the conjugated map
     tau_{g(x)} = g tau_x g^{-1}; growth past max_points raises
     NotClosedWithinBound.  The pass that adds no point records the
@@ -258,6 +259,8 @@ def realize_axet(reports, max_points=24):
     for report in reports:
         if not report.passed:
             raise NotAnAxis(report)
+        if report.basis.axis in points:  # an axis declared twice
+            continue
         points.append(report.basis.axis)
         laws.append(report.basis.law)
         maps.append(report.basis.miyamoto)

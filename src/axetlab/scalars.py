@@ -23,17 +23,21 @@ construction only strips the integer content and fixes the sign, because a
 gcd on every operation costs more than it saves.  Most operands are
 trivial and skip the general formula: a zero or one-term factor, a
 one-term power, a denominator 1 (never multiplied by) and equal
-denominators (numerators compared, as Z[x] has no zero divisors).  Each
-such path returns the (num, den) of the general formula, so no stored
-form depends on it.  Common factors are cancelled in two places only:
-``linalg.rref`` over a function field runs every entry of its result
-through ``cancel``, and ``solve_linear`` cancels before it reads degrees.
-``cancel`` uses ``MultiPoly.gcd`` (the monomial of least exponents when
-one side is a single term, else the heuristic GCDHEU) and leaves the pair
-as it is when the heuristic fails, so no answer depends on a gcd:
-equality is decided by cross multiplication, and
-``is_constant``/``constant_value`` compare leading coefficients, so they
-answer for the value, not the stored form.
+denominators (numerators compared, as Z[x] has no zero divisors).
+Construction also trusts what is already normal: a denominator 1 or a
+monic monomial (the content gcd is 1 and the sign positive), the
+numerator of a negated value, an int operand lifted as (c, 1), and the
+terms of a negation, a content division, a one-term product or power,
+which hold no zero.  Each such path returns the (num, den) of the
+general formula, so no stored form depends on it.  Common factors are
+cancelled in two places only: ``linalg.rref`` over a function field runs
+every entry of its result through ``cancel``, and ``solve_linear``
+cancels before it reads degrees.  ``cancel`` uses ``MultiPoly.gcd``
+(the monomial of least exponents when one side is a single term, else
+the heuristic GCDHEU) and leaves the pair as it is when the heuristic
+fails, so no answer depends on a gcd: equality is decided by cross
+multiplication, and ``is_constant``/``constant_value`` compare leading
+coefficients, so they answer for the value, not the stored form.
 
 ``MultiPoly.exquo`` is exact polynomial division: it divides by the
 leading term in graded order and raises ``InexactDivision`` on a nonzero
@@ -231,7 +235,9 @@ class MultiPoly:
     """Sparse multivariate polynomial over Z with a fixed symbol tuple.
 
     Terms map exponent tuples to nonzero ints.  Two polynomials only
-    combine when their symbol tuples agree exactly.
+    combine when their symbol tuples agree exactly.  ``_make`` skips the
+    copy and zero filter of ``__init__`` where no zero can occur, so both
+    store the same terms.
     """
 
     __slots__ = ("names", "terms")
@@ -240,6 +246,14 @@ class MultiPoly:
         self.names = tuple(names)
         self.terms = {e: c for e, c in terms.items() if c}
 
+    @staticmethod
+    def _make(names, terms):
+        """Keep a names tuple and a fresh terms dict with no zero."""
+        self = object.__new__(MultiPoly)
+        self.names = names
+        self.terms = terms
+        return self
+
     @classmethod
     def constant(cls, names, value):
         c = int(value)
@@ -247,14 +261,14 @@ class MultiPoly:
             raise ValueError("a polynomial over Z has no coefficient %s"
                              % (value,))
         zero = (0,) * len(names)
-        return cls(names, {zero: c} if c else {})
+        return MultiPoly._make(tuple(names), {zero: c} if c else {})
 
     @classmethod
     def variable(cls, names, name):
         if name not in names:
             raise UnboundSymbol("unknown symbol %r" % name)
         exps = tuple(1 if n == name else 0 for n in names)
-        return cls(names, {exps: 1})
+        return MultiPoly._make(tuple(names), {exps: 1})
 
     def _lift(self, other):
         if isinstance(other, MultiPoly):
@@ -302,15 +316,17 @@ class MultiPoly:
             return NotImplemented
         many, one = self.terms, o.terms
         if not many or not one:
-            return MultiPoly(self.names, {})
+            return MultiPoly._make(self.names, {})
         if len(many) == 1:
             many, one = one, many
         if len(one) == 1:  # distinct exponents stay distinct, none is zero
             (e2, c2), = one.items()
             if any(e2):
-                return MultiPoly(self.names, {tuple(map(add, e, e2)): c * c2
-                                              for e, c in many.items()})
-            return MultiPoly(self.names, {e: c * c2 for e, c in many.items()})
+                return MultiPoly._make(self.names,
+                                       {tuple(map(add, e, e2)): c * c2
+                                        for e, c in many.items()})
+            return MultiPoly._make(self.names,
+                                   {e: c * c2 for e, c in many.items()})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -333,7 +349,8 @@ class MultiPoly:
             return self
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return MultiPoly(self.names, {tuple(k * n for k in e): c ** n})
+            return MultiPoly._make(self.names,
+                                   {tuple(k * n for k in e): c ** n})
         rest = MultiPoly(self.names, self.terms)
         lead = min(rest.terms, key=_term_key)
         lc = rest.terms.pop(lead)
@@ -349,7 +366,8 @@ class MultiPoly:
         return MultiPoly(self.names, terms)
 
     def __neg__(self):
-        return MultiPoly(self.names, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.names,
+                               {e: -c for e, c in self.terms.items()})
 
     def exquo(self, other):
         """The exact quotient self / other.
@@ -445,8 +463,8 @@ class MultiPoly:
         """self divided by a positive int c that divides every coefficient."""
         if c <= 1:
             return self
-        return MultiPoly(self.names,
-                         {e: v // c for e, v in self.terms.items()})
+        return MultiPoly._make(self.names,
+                               {e: v // c for e, v in self.terms.items()})
 
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
@@ -585,15 +603,21 @@ def cancel(num, den):
 
 def _mul(p, q):
     """p * q, with no product when either is the constant polynomial 1."""
-    one = {(0,) * len(p.names): 1}
-    return q if p.terms == one else p if q.terms == one else p * q
+    zero = (0,) * len(p.names)
+    if len(p.terms) == 1 and p.terms.get(zero) == 1:
+        return q
+    if len(q.terms) == 1 and q.terms.get(zero) == 1:
+        return p
+    return p * q
 
 
 class RationalFunction:
     """Quotient of two MultiPoly, not reduced to lowest terms.
 
     Construction strips the common integer content and normalizes the sign
-    of the denominator's leading coefficient; equality cross-multiplies.
+    of the denominator's leading coefficient; a pair where that changes
+    nothing (a denominator 1 or a monic monomial, a negated value, a
+    constant) is stored as it comes.  Equality cross-multiplies.
     ``cancel`` divides out common factors where a caller asks for it.
     """
 
@@ -608,6 +632,9 @@ class RationalFunction:
             raise DivisionByZero("zero denominator")
         if num.is_zero():
             den = MultiPoly.constant(num.names, 1)
+        if len(den.terms) == 1 and 1 in den.terms.values():
+            self.num, self.den = num, den  # a monic monomial: gcd 1, sign +
+            return
         scale = gcd(num.content(), den.content())
         num, den = num._divide(scale), den._divide(scale)
         if den.leading_coefficient() < 0:
@@ -618,11 +645,16 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, names, value):
-        # a Fraction is already coprime with a positive denominator
-        value = Fraction(value)
+        # an int c is (c, 1) and a Fraction is already coprime with a
+        # positive denominator, so either pair is normal as it stands
+        if type(value) is not int:
+            value = Fraction(value)
+        names = tuple(names)
+        zero = (0,) * len(names)
+        c = value.numerator
         self = object.__new__(cls)
-        self.num = MultiPoly.constant(names, value.numerator)
-        self.den = MultiPoly.constant(names, value.denominator)
+        self.num = MultiPoly._make(names, {zero: c} if c else {})
+        self.den = MultiPoly._make(names, {zero: value.denominator})
         return self
 
     @classmethod
@@ -711,7 +743,9 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        out = object.__new__(RationalFunction)  # still gcd 1, sign +
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __eq__(self, other):
         o = self._lift(other)

@@ -146,6 +146,14 @@ def test_axet_polygon_shapes(tmp_path, capsys):
     assert capsys.readouterr().out == "X(2) with 2 points\n"
 
 
+def test_axet_axis_declared_twice_is_one_point(tmp_path, capsys):
+    path = emit(tmp_path, "3C", "--alpha", "1/3")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("axis jordan 1/3 x\n")
+    assert cli.main(["axet", path]) == 0
+    assert capsys.readouterr().out == "X(3) with 3 points\n"
+
+
 def test_axet_single_axis_is_degenerate(tmp_path, capsys):
     path = tmp_path / "one.alg"
     path.write_text("field rational\ndim 1\nbasis e\nproduct e e = e\n"

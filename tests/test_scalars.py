@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: fields, polynomials, the expression grammar."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -541,9 +542,10 @@ def test_truthiness_is_the_value_zero_test(q, F, k, n, d, h):
 # -- fast paths against the general formulas ----------------------------------
 #
 # The kernels skip the general formula for zero, constant and one-term
-# polynomials and for the denominator 1.  The references below are the
-# general formulas, with no shortcut; each fast path must store the very
-# same (num, den).
+# polynomials, for the denominator 1 and a monic monomial denominator, for
+# negation and for int operands.  The references below are the general
+# formulas, with no shortcut; each fast path must store the very same
+# (num, den).
 
 def general_mul(p, q):
     terms = {}
@@ -561,19 +563,48 @@ def general_pow(p, n):
     return out
 
 
+def general_neg(p):
+    return MultiPoly(p.names, {e: -c for e, c in p.terms.items()})
+
+
+def graded_lead(p):
+    return sorted(p.terms, key=lambda e: (-sum(e), [-k for k in e]))[0]
+
+
+def general_rf(num, den):
+    """num/den with the integer content divided out and the denominator's
+    leading coefficient made positive, whatever the operands."""
+    if num.is_zero():
+        den = MultiPoly.constant(num.names, 1)
+    scale = gcd(*num.terms.values(), *den.terms.values())
+    num = MultiPoly(num.names, {e: c // scale for e, c in num.terms.items()})
+    den = MultiPoly(den.names, {e: c // scale for e, c in den.terms.items()})
+    if den.terms[graded_lead(den)] < 0:
+        num, den = general_neg(num), general_neg(den)
+    f = object.__new__(RationalFunction)
+    f.num, f.den = num, den
+    return f
+
+
 def general_add(f, g):
-    return RationalFunction(general_mul(f.num, g.den)
-                            + general_mul(g.num, f.den),
-                            general_mul(f.den, g.den))
+    return general_rf(general_mul(f.num, g.den) + general_mul(g.num, f.den),
+                      general_mul(f.den, g.den))
 
 
 def general_constant(q):
-    return RationalFunction(MultiPoly.constant(NAMES, q.numerator),
-                            MultiPoly.constant(NAMES, q.denominator))
+    q = Fraction(q)
+    return general_rf(MultiPoly.constant(NAMES, q.numerator),
+                      MultiPoly.constant(NAMES, q.denominator))
 
 
 def stored(f):
     return f.num.terms, f.den.terms
+
+
+def assert_well_formed(f):
+    for p in (f.num, f.den):
+        assert type(p.names) is tuple
+        assert all(p.terms.values())
 
 
 monomials = st.builds(lambda e, c: MultiPoly(NAMES, {e: c}), exponents,
@@ -585,43 +616,67 @@ nonzero_polys = shaped_polys.filter(lambda p: not p.is_zero())
 
 @st.composite
 def shaped_rfs(draw):
-    """Zero, constant, one-term, unit-denominator and unreduced values."""
+    """Zero, constant, one-term, unit-denominator, monic-monomial
+    denominator and unreduced values, each checked against general_rf."""
     num = draw(shaped_polys)
-    shape = draw(st.sampled_from(("unit", "quotient", "unreduced")))
+    shape = draw(st.sampled_from(("unit", "monic", "quotient", "unreduced")))
     if shape == "unit":
-        return RationalFunction(num)
-    den = draw(nonzero_polys)
+        f = RationalFunction(num)
+        assert stored(f) == stored(general_rf(num, MultiPoly.constant(NAMES,
+                                                                      1)))
+        return f
+    if shape == "monic":
+        den = MultiPoly(NAMES, {draw(exponents): 1})
+    else:
+        den = draw(nonzero_polys)
     if shape == "unreduced":
         h = draw(nonzero_polys)
         num, den = general_mul(num, h), general_mul(den, h)
-    return RationalFunction(num, den)
+    f = RationalFunction(num, den)
+    assert stored(f) == stored(general_rf(num, den))
+    return f
 
 
-@given(shaped_rfs(), shaped_rfs(), ratios, st.integers(0, 4))
+@given(shaped_rfs(), shaped_rfs(), ratios, st.integers(0, 4),
+       st.integers(-3, 3))
 @settings(max_examples=200, deadline=None)
-def test_fast_paths_store_what_the_general_formulas_store(f, g, q, n):
-    assert stored(f + g) == stored(general_add(f, g))
-    assert stored(f - g) == stored(
-        general_add(f, RationalFunction(-g.num, g.den)))
-    assert stored(f * g) == stored(RationalFunction(
-        general_mul(f.num, g.num), general_mul(f.den, g.den)))
+def test_fast_paths_store_what_the_general_formulas_store(f, g, q, n, k):
+    neg_g = general_rf(general_neg(g.num), g.den)
+    results = [
+        (f + g, general_add(f, g)),
+        (f - g, general_add(f, neg_g)),
+        (-g, neg_g),
+        (f * g, general_rf(general_mul(f.num, g.num),
+                           general_mul(f.den, g.den))),
+        (f ** n, general_rf(general_pow(f.num, n), general_pow(f.den, n))),
+        (RationalFunction.constant(NAMES, q), general_constant(q)),
+        (FunctionField(NAMES).coerce(k), general_constant(k)),
+        (f * q, general_rf(general_mul(f.num, general_constant(q).num),
+                           general_mul(f.den, general_constant(q).den))),
+        (f + q, general_add(f, general_constant(q))),
+        (f + k, general_add(f, general_constant(k))),
+        (k - f, general_add(general_constant(k),
+                            general_rf(general_neg(f.num), f.den))),
+        (f * k, general_rf(general_mul(f.num, MultiPoly.constant(NAMES, k)),
+                           f.den)),
+    ]
     if g:
-        assert stored(f / g) == stored(RationalFunction(
-            general_mul(f.num, g.den), general_mul(f.den, g.num)))
-    assert stored(f ** n) == stored(RationalFunction(
-        general_pow(f.num, n), general_pow(f.den, n)))
+        results.append((f / g, general_rf(general_mul(f.num, g.den),
+                                          general_mul(f.den, g.num))))
+    if f:
+        results.append((k / f, general_rf(
+            general_mul(MultiPoly.constant(NAMES, k), f.den), f.num)))
+    for got, want in results:
+        assert stored(got) == stored(want)
+        assert_well_formed(got)
     assert (f == g) == (general_mul(f.num, g.den).terms
                         == general_mul(g.num, f.den).terms)
-    c = RationalFunction.constant(NAMES, q)
-    assert stored(c) == stored(general_constant(q))
-    assert stored(f * q) == stored(f * general_constant(q))
-    assert stored(f + q) == stored(general_add(f, general_constant(q)))
     for p, r in ((f.num, g.num), (f.den, g.den), (f.num, g.den)):
         assert (p * r).terms == general_mul(p, r).terms
+        assert (-p).terms == general_neg(p).terms
         assert (p ** n).terms == general_pow(p, n).terms
-        graded = sorted(p.terms, key=lambda e: (-sum(e), [-k for k in e]))
-        assert p.leading_coefficient() == (p.terms[graded[0]] if graded
-                                           else 0)
+        assert p.leading_coefficient() == (p.terms[graded_lead(p)]
+                                           if p.terms else 0)
 
 
 @given(monomials, polys)
@@ -648,3 +703,19 @@ def test_orthogonal_replay_makes_few_polynomial_products(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
     replay_orthogonal_branch(0)
     assert len(calls) <= 334
+
+
+def test_orthogonal_replay_takes_few_contents(monkeypatch):
+    # 1,354 before construction trusted a unit or monic monomial
+    # denominator, a negation and an int operand, 374 with it
+    from axetlab.skewverify import replay_orthogonal_branch
+    calls = []
+    content = MultiPoly.content
+
+    def counted(self):
+        calls.append(1)
+        return content(self)
+
+    monkeypatch.setattr(MultiPoly, "content", counted)
+    replay_orthogonal_branch(0)
+    assert len(calls) <= 374
