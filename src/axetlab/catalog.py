@@ -328,14 +328,6 @@ class SkewConstants:
                    - b * (a - b) * (a - 2 * b) * (1 - 2 * b))
         return -bracket / (2 * b * (a - b) ** 2)
 
-    @property
-    def R(self):
-        return -self.beta
-
-    @property
-    def S(self):
-        return self.P / self.beta
-
 
 def make_generic_skew(constants, field=None):
     """The four-dimensional algebra on a, b, c, sigma with generic products.

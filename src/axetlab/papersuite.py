@@ -628,7 +628,7 @@ def run_suite(char=0):
             fn = lambda: check_seress(char)  # noqa: E731
         try:
             result = fn()
-            items.append(ItemResult(result.name, "pass", result.detail))
+            items.append(ItemResult(name, "pass", result.detail))
         except Exception as e:  # honest red: record, keep going
             items.append(ItemResult(name, "fail", "%s: %s"
                                     % (type(e).__name__, e)))

@@ -662,8 +662,6 @@ class RationalFunction:
         return cls(MultiPoly.variable(names, name))
 
     def _lift(self, other):
-        if isinstance(other, MultiPoly):
-            other = RationalFunction(other)
         if isinstance(other, RationalFunction):
             if other.num.names != self.num.names:
                 raise MixedFields("function-field symbol tuples differ")

@@ -25,8 +25,7 @@ from .catalog import (SkewConstants, make_3C_minus1_2, make_3C_skew,
                       orthogonal_branch_to_Q2,
                       orthogonal_branch_to_Q2x_plus_one, rehren_oracle)
 from .fusion import DegenerateParameter, law_family
-from .scalars import (QQ, FunctionField, PrimeField, RationalFunction,
-                      skew_field, solve_linear)
+from .scalars import QQ, FunctionField, PrimeField, skew_field, solve_linear
 
 half = Fraction(1, 2)
 
@@ -370,9 +369,8 @@ def check_shift_expansion(context=None):
     """
     c, _ = context or generic_context()
     field = skew_field()
-    one = RationalFunction.constant(field.names, 1)
-    zero = RationalFunction.constant(field.names, 0)
-    coeff = c.Q.substitute({"l2f": one}) - c.Q.substitute({"l2f": zero})
+    coeff = (c.Q.substitute({"l2f": field.one})
+             - c.Q.substitute({"l2f": field.zero}))
     _require_zero("Q is affine in l2f with slope alpha/(2(alpha-beta))",
                   coeff - c.alpha / (2 * (c.alpha - c.beta)))
     difference_at = _shift_difference(c)
@@ -454,14 +452,13 @@ def replay_orthogonal_branch(char=0):
 
     # u obstruction pins l1
     l1_value = solve_linear(proof2_expression(c), "l1")
-    expected_l1 = (RationalFunction.symbol(field.names, "beta") + 1) \
-        * Fraction(1, 4)
+    expected_l1 = (field.sym("beta") + 1) * Fraction(1, 4)
     _require("l1 = (beta + 1)/4", l1_value == expected_l1)
     c = c.substitute({"l1": l1_value})
     report.constraints.append("l1 = (beta + 1)/4 from the u obstruction")
 
     # P = 0 pins beta: P (alpha - beta) is linear, and alpha != beta
-    beta_sym = RationalFunction.symbol(field.names, "beta")
+    beta_sym = field.sym("beta")
     linear_form = beta_sym * Fraction(1, 3) - Fraction(2, 9)
     _require("P (alpha - beta) = beta/3 - 2/9",
              c.P * (Fraction(1, 3) - beta_sym) == linear_form)
@@ -478,37 +475,26 @@ def replay_orthogonal_branch(char=0):
     report.constraints.append(
         "(alpha, beta, l1, l1f) = (1/3, 2/3, 5/12, 2/3)")
 
-    # the third Jordan axis of the even subalgebra: sigma = -a/2 - f/6
+    # the third Jordan axis of the even subalgebra: sigma = -a/2 - f/6.
+    # f^2 = 9a^2 + 36 a sigma + 36 sigma^2 and only sigma^2 involves
+    # zeta, theta, kappa, so f^2 = f fixes sigma^2 outright
     A = make_generic_skew(c)
     a, b, cc, s = A.basis()
     f = -3 * a - 6 * s
-    residual = f * f - f
-    unknowns = ("zeta", "theta", "kappa")
-    zero_sub = {n: RationalFunction.constant(field.names, 0)
-                for n in unknowns}
-    rows = []
-    rhs = []
-    for coord in residual.coords:
-        base = coord.substitute(zero_sub)
-        row = []
-        for n in unknowns:
-            probe = dict(zero_sub)
-            probe[n] = RationalFunction.constant(field.names, 1)
-            row.append(_constant(coord.substitute(probe) - base))
-        rows.append(row)
-        rhs.append(-_constant(base))
-    solution = linalg.solve(rows, rhs, QQ)
-    _require("f^2 = f is solvable in zeta, theta, kappa", solution is not None)
+    square = (f - 9 * (a * a) - 36 * (a * s)) / 36
+    _require("f^2 = f is solvable in zeta, theta, kappa",
+             square.coeff("b") == square.coeff("c"))
+    solution = {"zeta": _constant(square.coeff("a")),
+                "theta": _constant(square.coeff("b")),
+                "kappa": _constant(square.coeff("sigma"))}
     _require("(zeta, theta, kappa) = (5/18, 1/9, 1/6)",
-             tuple(solution) == (Fraction(5, 18), Fraction(1, 9),
-                                 Fraction(1, 6)))
-    c = c.substitute({n: RationalFunction.constant(field.names, v)
-                      for n, v in zip(unknowns, solution)})
+             tuple(solution.values()) == (Fraction(5, 18), Fraction(1, 9),
+                                          Fraction(1, 6)))
     report.constraints.append("sigma^2 from f^2 = f: (5/18, 1/9, 1/6)")
 
     # rebuild on the basis (b, c, a, f) over the requested field
     target_field = QQ if char == 0 else PrimeField(char)
-    concrete = make_generic_skew(c).specialize({}, target_field)
+    concrete = A.specialize(solution, target_field)
     a, b, cc, s = concrete.basis()
     f = -3 * a - 6 * s
     rebuilt = concrete.span_subalgebra([b, cc, a, f], ("b", "c", "a", "f"))
@@ -605,7 +591,7 @@ def _case_pair(lam, label, mu_text, square_text):
     p_value, beta_value = -2 * lam, 1 - lam
     _require("mu = 0 forces p = %s" % p_value,
              _constant(solve_linear(mu, "p")) == p_value)
-    sub = {"p": RationalFunction.constant(field.names, p_value)}
+    sub = {"p": field.coerce(p_value)}
     A0 = A.map_coefficients(lambda x: x.substitute(sub), field)
     a, b, cc = A0.basis()
     _require("a(b-c) = beta(b-c)", a * (b - cc) == beta * (b - cc))

@@ -1,6 +1,7 @@
 """The axetlab command line: exit codes, output, report files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,17 @@ def test_catalog_to_stdout(capsys):
     assert "product s1 d1 = 1/3*s1 + 1/6*d1 - 1/6*d2" in out
     assert "axis jordan 1/3 s1" in out
     assert "axis monster 2/3 1/3 d1" in out
+
+
+GOLDEN_CATALOG = Path(__file__).resolve().parent / "golden" / "catalog"
+
+
+@pytest.mark.parametrize("name", cli.CATALOG_NAMES)
+def test_catalog_emit_is_pinned(capsys, name):
+    extra = ["--alpha", "1/4"] if name in ("3C", "3C-skew") else []
+    assert cli.main(["catalog", name, *extra]) == 0
+    pinned = (GOLDEN_CATALOG / (name + ".alg")).read_text()
+    assert capsys.readouterr().out == pinned
 
 
 def test_catalog_emit_token_tolerated(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion as its docstring says to run it."""
+"""Each demo script runs to completion as its docstring says to run it,
+and prints exactly its pinned output in tests/golden/demos."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 def test_the_five_demos_are_found():
@@ -24,4 +26,4 @@ def test_demo_exits_0(demo):
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout
+    assert run.stdout == (GOLDEN / (demo.stem + ".txt")).read_text()

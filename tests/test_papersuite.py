@@ -136,6 +136,15 @@ def test_failing_check_is_recorded_not_raised(monkeypatch):
     assert report.to_text().splitlines()[-1] == "0 passed, 1 failed, 1 skipped"
 
 
+def test_a_passed_item_is_named_by_its_suite_row(monkeypatch):
+    monkeypatch.setattr(ps, "SUITE", (
+        ("row-name", (0,), lambda: skewverify.CheckResult("other", True, "d")),
+    ))
+    report = ps.run_suite(0)
+    assert [(i.name, i.status, i.detail) for i in report.items] == [
+        ("row-name", "pass", "d")]
+
+
 def test_mutated_table_turns_an_item_red(monkeypatch):
     def check_mutated():
         bad = ps.table_mismatches(ps.perturbed(make_Q2_third(), 0, 2, 0),

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from axetlab import skewverify
+from axetlab import papersuite, skewverify
 from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
 from axetlab.fusion import make_jordan, make_monster
 from axetlab.scalars import QQ, PrimeField
-from axetlab.skewverify import (IdentityFails, NoMatch, beta_component,
+from axetlab.skewverify import (ContradictionNotFound, IdentityFails,
+                                NoMatch, beta_component,
                                 check_bracket_table, check_constant_chains,
                                 check_eigenvectors_generic,
                                 check_flip_symmetry,
@@ -107,6 +108,48 @@ def test_orthogonal_replay_char0():
 def test_orthogonal_replay_char5():
     report = replay_orthogonal_branch(5)
     assert report.outcome == "Q2(1/3)^x + one"
+
+
+def _replay_with_shifted_generic(monkeypatch, char, i, j, k):
+    # every generic algebra the replay builds gets one constant shifted
+    def shifted(constants):
+        return papersuite.perturbed(make_generic_skew(constants), i, j, k)
+
+    monkeypatch.setattr(skewverify, "make_generic_skew", shifted)
+    with pytest.raises(ContradictionNotFound) as info:
+        replay_orthogonal_branch(char)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_unequal_b_and_c_in_a_sigma_leave_f_squared_unsolvable(
+        monkeypatch, char):
+    message = _replay_with_shifted_generic(monkeypatch, char, 0, 3, 1)
+    assert message == "f^2 = f is solvable in zeta, theta, kappa"
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_shifted_sigma_squared_fails_the_rebuilt_table(monkeypatch, char):
+    # f^2 = f reads sigma^2 from a^2 and a sigma alone, so a wrong
+    # sigma^2 row passes the solvability check and fails the rebuilt table
+    message = _replay_with_shifted_generic(monkeypatch, char, 3, 3, 2)
+    assert message == "rebuilt table matches the orthogonal branch table"
+
+
+def test_orthogonal_replay_builds_two_generic_algebras(monkeypatch):
+    calls = []
+
+    def counted(constants):
+        calls.append(constants)
+        return make_generic_skew(constants)
+
+    def no_solve(*args):
+        raise AssertionError("the replay solved a linear system")
+
+    monkeypatch.setattr(skewverify, "make_generic_skew", counted)
+    monkeypatch.setattr(skewverify.linalg, "solve", no_solve)
+    replay_orthogonal_branch(0)
+    assert len(calls) == 2
 
 
 def test_nonorthogonal_replay_outcomes():
