@@ -7,10 +7,14 @@ that live the operations the rest of the package is built from: adjoint
 action, eigenspaces, subalgebra closure, identity search, ideal
 quotients, adjoining an identity, coefficient specialization, and the
 isomorphism check used to certify classification outcomes.
+
+The table is read-only (tuples), so the integer copy that
+``multiply_coords`` runs on over Q and F_p, made once, always agrees
+with it; a changed table is a new algebra (``papersuite.perturbed``).
 """
 
 from . import linalg
-from .scalars import MixedFields
+from .scalars import FunctionField, MixedFields
 
 
 class DimensionMismatch(ValueError):
@@ -24,7 +28,7 @@ class NotProperIdeal(ValueError):
 class StructureAlgebra:
     """Commutative algebra with an explicit multiplication table.
 
-    products[i][j] is the coordinate vector of the product of basis
+    products[i][j] is the coordinate tuple of the product of basis
     elements i and j; the table is stored fully symmetrized.
     """
 
@@ -44,12 +48,20 @@ class StructureAlgebra:
                 raise ValueError("conflicting entries for pair (%d, %d)" % (i, j))
             table[i][j] = coords
             table[j][i] = coords
-        zero = [field.zero] * self.dim
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if table[i][j] is None:
-                    table[i][j] = list(zero)
-        self.products = table
+        zero = (field.zero,) * self.dim
+        self.products = tuple(tuple(zero if c is None else tuple(c)
+                                    for c in row) for row in table)
+        self._int_table = None
+        if not isinstance(field, FunctionField):
+            # each product as its nonzero (k, numerator) pairs, all over
+            # one common denominator
+            n = self.dim
+            nums, den = field.encode([c for row in self.products
+                                      for coords in row for c in coords])
+            self._int_table = den, [[
+                [(k, s) for k, s in enumerate(nums[x:x + n]) if s]
+                for x in range(i * n * n, (i + 1) * n * n, n)]
+                for i in range(n)]
 
     @classmethod
     def from_table(cls, field, basis_names, table):
@@ -100,7 +112,23 @@ class StructureAlgebra:
     def multiply_coords(self, u, v):
         """Coordinates of u*v; zero coordinates and zero structure
         constants are skipped, never multiplied."""
-        out = [self.field.zero] * self.dim
+        field = self.field
+        if self._int_table is not None:
+            den, table = self._int_table
+            u, ud = field.encode(u)
+            v, vd = field.encode(v)
+            out = [0] * self.dim
+            support = [(j, b) for j, b in enumerate(v) if b]
+            for i, a in enumerate(u):
+                if not a:
+                    continue
+                row = table[i]
+                for j, b in support:
+                    c = a * b
+                    for k, s in row[j]:
+                        out[k] += c * s
+            return field.decode(out, den * ud * vd)
+        out = [field.zero] * self.dim
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
@@ -122,8 +150,8 @@ class StructureAlgebra:
 
     def eigenspace(self, m, lam):
         """Basis of ker(m - lam) as elements, deterministic order."""
-        shifted = [[m.matrix[i][j] - (lam if i == j else self.field.zero)
-                    for j in range(self.dim)] for i in range(self.dim)]
+        shifted = [[x - lam if i == j else x for j, x in enumerate(r)]
+                   for i, r in enumerate(m.matrix)]
         return [Element(self, v) for v in linalg.kernel_basis(shifted, self.field)]
 
     # -- structural operations -------------------------------------------

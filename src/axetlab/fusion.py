@@ -104,7 +104,7 @@ class Grading:
 def make_jordan(eta):
     """The Jordan law J(eta) on {1, 0, eta}; eta must avoid 0 and 1."""
     if eta == 0 or eta == 1:
-        raise DegenerateParameter("eta must avoid 0 and 1, got %r" % (eta,))
+        raise DegenerateParameter("eta must avoid 0 and 1, got %s" % (eta,))
     one, zero, e = 0, 1, 2
     table = {
         (one, one): {one},
@@ -120,9 +120,9 @@ def make_jordan(eta):
 def make_monster(alpha, beta):
     """The Monster law M(alpha, beta); 1, 0, alpha, beta pairwise distinct."""
     if alpha == 0 or alpha == 1:
-        raise DegenerateParameter("alpha must avoid 0 and 1, got %r" % (alpha,))
+        raise DegenerateParameter("alpha must avoid 0 and 1, got %s" % (alpha,))
     if beta == 0 or beta == 1:
-        raise DegenerateParameter("beta must avoid 0 and 1, got %r" % (beta,))
+        raise DegenerateParameter("beta must avoid 0 and 1, got %s" % (beta,))
     if alpha == beta:
         raise DegenerateParameter("alpha and beta must differ")
     one, zero, a, b = 0, 1, 2, 3

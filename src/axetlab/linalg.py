@@ -7,65 +7,81 @@ over a basis (or over independent vectors spanning a subspace) is done
 once, by ``invert``, whose result is applied with ``mat_vec``; ``solve``
 is for one system.
 
-Over Q and F_p it is plain Gauss-Jordan elimination with field division.
-It tests for zero by truthiness and skips zero entries: a row update
-leaves an entry alone where the pivot row is zero, and ``mat_vec`` and
-``mat_mul`` multiply only the nonzero entries of the vector or column.
-Over a function field, dividing rational functions at every step makes
-their unreduced numerators and denominators swell, so ``rref`` instead
-clears each row's denominators, constant ones included, and runs
-fraction-free Gauss-Jordan elimination on the matrix over Z[x] (Bareiss,
+Over Q and F_p the kernels run on Python ints, converting once in and
+once out through the field's integer encoding (``encode`` and ``decode``
+of ``QQ`` and ``PrimeField``).  ``mat_vec`` and ``mat_mul`` sum int
+products and build each entry once.  ``rref`` reduces the numerators of
+the matrix over a common denominator, which have the same RREF; over F_p
+it scales each pivot row to 1 and reduces every update mod p.  Over Q,
+and over a function field after clearing each row's denominators, it
+runs fraction-free Gauss-Jordan elimination over Z or Z[x] (Bareiss,
 Math. Comp. 22, 1968, in the Gauss-Jordan form of Nakos, Turner and
-Williams, SIGSAM Bull. 31, 1997): each update is divided exactly by the
-previous pivot (``MultiPoly.exquo``), so every entry stays a minor of the
-cleared matrix, an integer polynomial, and one division by the last pivot
-at the end gives the RREF.
-
-That division is where common factors are cancelled: each entry a/prev of
-the result is reduced by the heuristic gcd of a and prev
-(``scalars.cancel``), so ``solve``, ``invert``, ``kernel_basis`` and
-everything built on them work on small fractions.  Where the heuristic
-fails the entry stays unreduced; its value is the same either way, since
-equality cross-multiplies.
+Williams, SIGSAM Bull. 31, 1997): each update p*a - f*b is divided
+exactly by the previous pivot (``MultiPoly.exquo`` over Z[x]), so every
+entry stays a minor of the cleared matrix, and one division by the last
+pivot at the end gives the RREF.  The RREF is unique, so this is the
+result of elimination with field division, with none of the swelling of
+unreduced rational functions.  That last division is where common
+factors are cancelled over a function field: each entry a/prev is
+reduced by the heuristic gcd of a and prev (``scalars.cancel``), so
+``solve``, ``invert``, ``kernel_basis`` and everything built on them
+work on small fractions.  Where the heuristic fails the entry stays
+unreduced; its value is the same either way, since equality
+cross-multiplies.
 """
+
+from operator import mul
 
 from .scalars import FunctionField, MultiPoly, RationalFunction, cancel
 
 
-def _copy(rows):
-    return [list(r) for r in rows]
+def _split(flat, n, k):
+    """The flat list as n rows of length k."""
+    return [flat[i * k:i * k + k] for i in range(n)]
 
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     if isinstance(field, FunctionField):
         return _rref_fraction_free(rows, field)
-    m = _copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    # the matrix and its integer numerators have the same RREF
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    m = _split(field.encode([x for r in rows for x in r])[0], nrows, ncols)
+    p = field.char
     pivots = []
+    prev = 1  # over Z the previous pivot; over F_p pivot rows are scaled to 1
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
+        for pr in range(r, nrows):
+            if m[pr][c]:
                 break
-        if pr is None:
+        else:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [inv * x if x else x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        piv = prow[c]
+        if p:
+            if piv != 1:
+                inv = pow(piv, -1, p)
+                prow = m[r] = [b * inv % p for b in prow]
+            for i, row in enumerate(m):
+                f = row[c]
+                if f and i != r:
+                    m[i] = [(a - f * b) % p if b else a
+                            for a, b in zip(row, prow)]
+        else:
+            for i, row in enumerate(m):
+                if i != r:
+                    f = row[c]
+                    m[i] = [(piv * a - f * b) // prev
+                            for a, b in zip(row, prow)]
+            prev = piv
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
-    return m, pivots
+    return _split(field.decode([a for row in m for a in row], prev),
+                  nrows, ncols), pivots
 
 
 def _clear_denominators(row, field):
@@ -196,14 +212,27 @@ def invert(rows, field):
 
 
 def mat_vec(rows, vec, field):
-    return [sum((a * b for a, b in zip(r, vec) if b), field.zero)
-            for r in rows]
+    if isinstance(field, FunctionField):
+        return [sum((a * b for a, b in zip(r, vec) if b), field.zero)
+                for r in rows]
+    v, vd = field.encode(vec)
+    cols = [j for j, b in enumerate(v) if b]
+    a, ad = field.encode([r[j] for r in rows for j in cols])
+    v = [v[j] for j in cols]
+    return field.decode([sum(map(mul, r, v))
+                         for r in _split(a, len(rows), len(cols))], ad * vd)
 
 
 def mat_mul(a, b, field):
     bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(r, c) if y), field.zero) for c in bt]
-            for r in a]
+    if isinstance(field, FunctionField):
+        return [[sum((x * y for x, y in zip(r, c) if y), field.zero)
+                 for c in bt] for r in a]
+    x, xd = field.encode([e for r in a for e in r])
+    y, yd = field.encode([e for c in bt for e in c])
+    cols = _split(y, len(bt), len(b))
+    return [field.decode([sum(map(mul, r, c)) for c in cols], xd * yd)
+            for r in _split(x, len(a), len(b))]
 
 
 def identity_matrix(n, field):

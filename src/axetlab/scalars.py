@@ -16,7 +16,11 @@ whatever its stored form, where ``x == field.zero`` would cross-multiply.
 
 A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
 carries zero, one, the characteristic, coercion from integers and
-rationals, and symbol lookup for the expression parser.
+rationals, and symbol lookup for the expression parser.  ``QQ`` and
+``PrimeField`` also own the integer encoding of the Q and F_p kernels in
+``linalg`` and ``algebra``: ``encode`` coerces a vector to (ints, den),
+and ``decode`` builds ints over den back into one ``Fraction`` or one
+residue (``PrimeFieldElement._make``, with no second reduction) each.
 
 Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
@@ -49,7 +53,7 @@ when it divides both inputs.
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 
 SKEW_SYMBOLS = ("alpha", "beta", "l1", "l1f", "l2f", "zeta", "theta", "kappa")
@@ -135,6 +139,14 @@ class PrimeFieldElement:
     def __init__(self, value, p):
         self.value = value % p
         self.p = p
+
+    @staticmethod
+    def _make(value, p):
+        """The residue value, already reduced modulo p."""
+        self = object.__new__(PrimeFieldElement)
+        self.value = value
+        self.p = p
+        return self
 
     def _lift(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -471,12 +483,16 @@ class MultiPoly:
         for n, occurs in zip(self.names, map(any, zip(*self.terms))):
             if occurs and n not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % n)
+        powers = {}
         total = field.zero
         for e, c in self.terms.items():
-            v = field.coerce(c)
+            v = c
             for n, k in zip(self.names, e):
                 if k:
-                    v = v * assignment[n] ** k
+                    power = powers.get((n, k))
+                    if power is None:
+                        power = powers[n, k] = assignment[n] ** k
+                    v = v * power
             total = total + v
         return total
 
@@ -801,6 +817,20 @@ class RationalField:
             return Fraction(x)
         raise MixedFields("cannot coerce %r into Q" % (x,))
 
+    def encode(self, vec):
+        """(nums, den) with vec = nums / den: int numerators over den, the
+        lcm of the denominators."""
+        ratios = [x.as_integer_ratio() if type(x) is Fraction
+                  else self.coerce(x).as_integer_ratio() for x in vec]
+        den = lcm(*[d for _, d in ratios])
+        return [n * (den // d) for n, d in ratios], den
+
+    def decode(self, nums, den):
+        """The vector nums / den of ints, den nonzero."""
+        zero, one = self.zero, self.one
+        return [(one if n == den else Fraction(n, den)) if n else zero
+                for n in nums]
+
     def symbols(self):
         return {}
 
@@ -835,6 +865,20 @@ class PrimeField:
         if lifted is None:
             raise MixedFields("cannot coerce %r into F_%d" % (x, self.p))
         return lifted
+
+    def encode(self, vec):
+        """(residues, 1): the values of vec in range(p)."""
+        p = self.p
+        return [x.value if type(x) is PrimeFieldElement and x.p == p
+                else self.coerce(x).value for x in vec], 1
+
+    def decode(self, nums, den):
+        """The vector nums / den of ints, den prime to p."""
+        p, zero, one = self.p, self.zero, self.one
+        make = PrimeFieldElement._make
+        inv = pow(den, -1, p)
+        return [(one if r == 1 else make(r, p)) if r else zero
+                for r in [n * inv % p for n in nums]]
 
     def symbols(self):
         return {}

@@ -15,6 +15,7 @@ from axetlab.catalog import (make_2B, make_3C, make_orthogonal_branch,
                              make_Q2_third, make_Q2x, orthogonal_branch_to_Q2,
                              orthogonal_branch_to_Q2x_plus_one, skew_examples)
 from axetlab.fusion import make_jordan, make_monster
+from axetlab.papersuite import perturbed
 from axetlab.scalars import (QQ, FunctionField, MixedFields, MultiPoly,
                              PrimeField, RationalFunction)
 
@@ -219,11 +220,20 @@ def test_span_subalgebra_rejects_dependent_vectors():
 
 def test_same_table_detects_any_difference():
     A = make_Q2_third()
-    B = make_Q2_third()
-    assert A.same_table(B)
-    B.products[0][2][0] = B.products[0][2][0] + 1
-    B.products[2][0] = B.products[0][2]
+    assert A.same_table(make_Q2_third())
+    B = perturbed(A, 0, 2, 0)
+    assert B.products[0][2] == B.products[2][0] != A.products[0][2]
     assert not A.same_table(B)
+
+
+def test_products_cannot_be_edited_in_place():
+    A = make_Q2_third()
+    with pytest.raises(TypeError):
+        A.products[0][2][0] = A.products[0][2][0] + 1
+    with pytest.raises(TypeError):
+        A.products[0][2] = A.products[2][0]
+    with pytest.raises(TypeError):
+        A.products[0] = A.products[1]
 
 
 # -- linear maps --------------------------------------------------------------
@@ -438,7 +448,8 @@ def multiply_by_triple_loop(A, u, v):
 
 
 QX = FunctionField(("x",))
-product_fields = st.sampled_from([QQ, PrimeField(7), QX])
+product_fields = st.sampled_from([QQ, PrimeField(5), PrimeField(7),
+                                  PrimeField(1000000007), QX])
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -465,13 +476,17 @@ def algebras_and_vectors(draw):
     products = {(i, j): [draw(scalar) for _ in range(n)]
                 for i in range(n) for j in range(i, n)}
     A = StructureAlgebra(field, ["b%d" % i for i in range(n)], products)
-    u = [draw(scalar) for _ in range(n)]
-    v = [draw(scalar) for _ in range(n)]
+    # coordinates may also be ints and Fractions, which are coerced
+    coordinate = st.one_of(scalar, st.integers(-2, 2), small)
+    u = [draw(coordinate) for _ in range(n)]
+    v = [draw(coordinate) for _ in range(n)]
     return A, u, v
 
 
 @given(algebras_and_vectors())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_multiply_coords_matches_the_triple_loop(case):
     A, u, v = case
-    assert A.multiply_coords(u, v) == multiply_by_triple_loop(A, u, v)
+    got = A.multiply_coords(u, v)
+    assert got == multiply_by_triple_loop(A, u, v)
+    assert all(type(x) is type(A.field.one) for x in got)

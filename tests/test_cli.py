@@ -114,6 +114,16 @@ def test_verify_law_override(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--law", "1/3", "0"], "beta must avoid 0 and 1, got 0"),
+    (["--jordan", "1"], "eta must avoid 0 and 1, got 1"),
+])
+def test_degenerate_law_option_exits_2(tmp_path, capsys, option, message):
+    path = emit(tmp_path, "Q2")
+    assert cli.main(["verify", path, *option]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_verify_jordan_override(tmp_path, capsys):
     # the monster axis d1 has a genuine 2/3 part, so J(1/3) cannot hold
     path = emit(tmp_path, "Q2")

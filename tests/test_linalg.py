@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axetlab import linalg
+from axetlab.algebra import StructureAlgebra
 from axetlab.axes import miyamoto
 from axetlab.catalog import make_3C_skew
-from axetlab.scalars import QQ, FunctionField, PrimeField
+from axetlab.scalars import QQ, FunctionField, MixedFields, PrimeField
 
 F5 = PrimeField(5)
 
@@ -255,3 +257,173 @@ def test_function_field_rref_pivots_and_free_columns():
     assert red == field_division_rref(rows, FXY)[0]
     assert red[0][1] == red[1][2] == FXY.one
     assert red[2] == [FXY.zero] * 4
+
+
+# -- Q and F_p: integer kernels -----------------------------------------------
+
+INT_FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(1000000007))
+raw_entries = st.one_of(st.just(0), st.integers(-4, 4),
+                        st.fractions(min_value=-4, max_value=4,
+                                     max_denominator=4))
+
+
+@st.composite
+def int_field_matrices(draw, tall=False):
+    """(field, matrix) over Q or F_p: entries mix field elements, ints and
+    Fractions, and some rows and columns are zero.  A tall matrix has no
+    more columns than rows."""
+    field = draw(st.sampled_from(INT_FIELDS))
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, nrows if tall else 5))
+    entry = raw_entries.flatmap(
+        lambda x: st.sampled_from([x, field.coerce(x)]))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=1)):
+        m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[j] = field.zero
+    return field, m
+
+
+def coerced(rows, field):
+    return [[field.coerce(x) for x in r] for r in rows]
+
+
+def assert_field_elements(rows, field):
+    assert all(type(x) is type(field.one) for r in rows for x in r)
+    if field != QQ:
+        assert all(x.p == field.p for r in rows for x in r)
+
+
+def reference_kernel(rows, field):
+    red, pivots = field_division_rref(coerced(rows, field), field)
+    basis = []
+    for f in range(len(rows[0])):
+        if f not in pivots:
+            v = [field.zero] * len(rows[0])
+            v[f] = field.one
+            for r, c in enumerate(pivots):
+                v[c] = -red[r][f]
+            basis.append(v)
+    return basis
+
+
+def reference_solve(rows, rhs, field):
+    n = len(rows[0])
+    red, pivots = field_division_rref(
+        coerced([list(r) + [b] for r, b in zip(rows, rhs)], field), field)
+    if n in pivots:
+        return None
+    x = [field.zero] * n
+    for r, c in enumerate(pivots):
+        x[c] = red[r][n]
+    return x
+
+
+def reference_invert(rows, field):
+    n, k = len(rows), len(rows[0])
+    red, pivots = field_division_rref(
+        coerced([list(r) + [int(i == j) for j in range(n)]
+                 for i, r in enumerate(rows)], field), field)
+    return [r[k:] for r in red] if pivots[:k] == list(range(k)) else None
+
+
+def reference_mat_mul(a, b, field):
+    return [[sum((field.coerce(x) * field.coerce(y) for x, y in zip(r, c)),
+                 field.zero) for c in zip(*b)] for r in a]
+
+
+@given(int_field_matrices())
+@example((QQ, [[0, 0], [0, 0]]))
+@example((PrimeField(5), [[Fraction(1, 2), 3, 0], [2, 1, 4]]))
+@settings(max_examples=120, deadline=None)
+def test_rref_over_q_and_fp_matches_field_division(case):
+    field, rows = case
+    red, pivots = linalg.rref(rows, field)
+    assert (red, pivots) == field_division_rref(coerced(rows, field), field)
+    assert_field_elements(red, field)
+    assert linalg.rank(rows, field) == len(pivots)
+    assert linalg.echelon_span(rows, field) == red[:len(pivots)]
+
+
+@given(int_field_matrices())
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_over_q_and_fp_matches_the_reference(case):
+    field, rows = case
+    basis = linalg.kernel_basis(rows, field)
+    assert basis == reference_kernel(rows, field)
+    assert_field_elements(basis, field)
+
+
+@given(int_field_matrices().flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(raw_entries, min_size=len(case[1]),
+                            max_size=len(case[1])))))
+@settings(max_examples=80, deadline=None)
+def test_solve_over_q_and_fp_matches_the_reference(case):
+    (field, rows), rhs = case
+    x = linalg.solve(rows, rhs, field)
+    assert x == reference_solve(rows, rhs, field)
+    if x is not None:
+        assert_field_elements([x], field)
+
+
+@given(int_field_matrices(tall=True))
+@settings(max_examples=80, deadline=None)
+def test_invert_over_q_and_fp_matches_the_reference(case):
+    field, rows = case
+    inv = linalg.invert(rows, field)
+    assert inv == reference_invert(rows, field)
+    if inv is not None:
+        assert_field_elements(inv, field)
+
+
+@given(int_field_matrices().flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(raw_entries, min_size=len(case[1][0]),
+                            max_size=len(case[1][0])))))
+@settings(max_examples=80, deadline=None)
+def test_mat_vec_over_q_and_fp_matches_the_reference(case):
+    (field, rows), vec = case
+    got = linalg.mat_vec(rows, vec, field)
+    assert got == [r[0] for r in reference_mat_mul(rows, [[x] for x in vec],
+                                                  field)]
+    assert_field_elements([got], field)
+
+
+@given(int_field_matrices().flatmap(lambda case: st.tuples(
+    st.just(case), st.integers(0, 3).flatmap(lambda m: st.lists(
+        st.lists(raw_entries, min_size=m, max_size=m),
+        min_size=len(case[1][0]), max_size=len(case[1][0]))))))
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_over_q_and_fp_matches_the_reference(case):
+    (field, a), b = case
+    got = linalg.mat_mul(a, b, field)
+    assert got == reference_mat_mul(a, b, field)
+    assert_field_elements(got, field)
+
+
+F7 = PrimeField(7)
+ONE7, FOREIGN = F7.one, F5.coerce(2)  # an F_5 entry among F_7 ones
+MIXED = [[ONE7, FOREIGN], [ONE7, ONE7]]
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: linalg.rref(MIXED, F7),
+    lambda: linalg.rank(MIXED, F7),
+    lambda: linalg.kernel_basis(MIXED, F7),
+    lambda: linalg.echelon_span(MIXED, F7),
+    lambda: linalg.invert(MIXED, F7),
+    lambda: linalg.solve(MIXED, [ONE7, ONE7], F7),
+    lambda: linalg.solve([[ONE7, ONE7]], [FOREIGN], F7),
+    lambda: linalg.mat_vec(MIXED, [ONE7, ONE7], F7),
+    lambda: linalg.mat_vec([[ONE7, ONE7]], [ONE7, FOREIGN], F7),
+    lambda: linalg.mat_mul(MIXED, [[ONE7], [ONE7]], F7),
+    lambda: linalg.mat_mul([[ONE7, ONE7]], MIXED, F7),
+    lambda: StructureAlgebra(F7, ["e"], {(0, 0): [ONE7]}).multiply_coords(
+        [FOREIGN], [ONE7]),
+], ids=["rref", "rank", "kernel_basis", "echelon_span", "invert", "solve",
+        "solve_rhs", "mat_vec", "mat_vec_vector", "mat_mul", "mat_mul_right",
+        "multiply_coords"])
+def test_a_foreign_prime_field_entry_raises_mixed_fields(kernel):
+    with pytest.raises(MixedFields):
+        kernel()

@@ -76,7 +76,7 @@ def test_proof2_expression_is_the_displayed_combination():
 
 def test_perturbed_table_fails_eigenvector_check():
     c, A = generic_context()
-    A.products[0][3][0] = A.products[0][3][0] + 1
+    A = papersuite.perturbed(A, 0, 3, 0)
     with pytest.raises(IdentityFails) as info:
         check_eigenvectors_generic((c, A))
     assert "eigenvector" in info.value.name
@@ -84,7 +84,7 @@ def test_perturbed_table_fails_eigenvector_check():
 
 def test_perturbed_table_fails_bracket_table():
     c, A = generic_context()
-    A.products[1][3][1] = A.products[1][3][1] + 1
+    A = papersuite.perturbed(A, 1, 3, 1)
     with pytest.raises(IdentityFails) as info:
         check_bracket_table((c, A))
     assert "beta component" in info.value.name
