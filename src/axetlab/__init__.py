@@ -28,11 +28,12 @@ from .fusion import (DegenerateParameter, FusionLaw, Grading,
                      find_c2_grading, law_family, make_jordan, make_monster)
 from .papersuite import (ItemResult, SuiteReport, perturbed, run_suite,
                          table_mismatches)
-from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,
-                      MixedFields, MultiPoly, NonlinearExpression,
-                      PrimeField, QQ, RationalField, RationalFunction,
-                      SKEW_SYMBOLS, UnboundSymbol, parse_expression,
-                      parse_scalar, skew_field, solve_linear)
+from .scalars import (BadField, DegreeOverflow, DivisionByZero, ExprError,
+                      FunctionField, MixedFields, MultiPoly,
+                      NonlinearExpression, PrimeField, QQ, RationalField,
+                      RationalFunction, SKEW_SYMBOLS, UnboundSymbol,
+                      parse_expression, parse_scalar, skew_field,
+                      solve_linear)
 from .skewverify import (BranchReport, CheckResult, ContradictionNotFound,
                          IdentityFails, NoMatch, beta_component,
                          check_bracket_table, check_constant_chains,

@@ -22,13 +22,13 @@ from fractions import Fraction
 
 from .algebra import StructureAlgebra
 from .fusion import LAWS, DegenerateParameter, law_family, law_parameters
-from .scalars import (BadField, DivisionByZero, ExprError, FunctionField,
-                      MixedFields, PrimeField, PrimeFieldElement,
-                      RationalField, RationalFunction, UnboundSymbol,
-                      parse_expression, parse_natural, QQ)
+from .scalars import (BadField, DegreeOverflow, DivisionByZero, ExprError,
+                      FunctionField, MixedFields, PrimeField,
+                      PrimeFieldElement, RationalField, RationalFunction,
+                      UnboundSymbol, parse_expression, parse_natural, QQ)
 
 _EXPR_ERRORS = (ExprError, UnboundSymbol, MixedFields, DivisionByZero,
-                TypeError, ZeroDivisionError)
+                DegreeOverflow, TypeError, ZeroDivisionError)
 
 # StructureAlgebra stores dim^2 product rows of length dim, so dim is
 # refused above this; the catalog's largest algebra has dimension 4

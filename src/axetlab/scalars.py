@@ -26,8 +26,10 @@ Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
 gcd on every operation costs more than it saves.  Most operands are
 trivial and skip the general formula: a zero or one-term factor, a
-one-term power, a denominator 1 (never multiplied by) and equal
-denominators (numerators compared, as Z[x] has no zero divisors).
+one-term power, a zero summand (zero is stored over 1), two summands
+over the denominator 1 (numerators added), a denominator 1 (never
+multiplied by) and equal denominators in ``==`` (numerators compared,
+as Z[x] has no zero divisors).
 Construction also trusts what is already normal: a denominator 1 or a
 monic monomial (the content gcd is 1 and the sign positive), the
 numerator of a negated value, an int operand lifted as (c, 1), and the
@@ -43,6 +45,13 @@ fails, so no answer depends on a gcd: equality is decided by cross
 multiplication, and ``is_constant``/``constant_value`` compare leading
 coefficients, so they answer for the value, not the stored form.
 
+A ``MultiPoly`` keys each term by one packed int (see "packed
+monomials" below): the total degree in the top 32-bit field, then one
+field per symbol.  A monomial product is one int addition, graded order
+is int order, and a divisibility test is one subtraction under guard
+bits.  Total degree stays below 2^31; a product or power that would
+reach it raises ``DegreeOverflow``, never wrapping.
+
 ``MultiPoly.exquo`` is exact polynomial division: it divides by the
 leading term in graded order and raises ``InexactDivision`` on a nonzero
 remainder or a quotient coefficient that is not an integer, never
@@ -52,9 +61,12 @@ when it divides both inputs.
 """
 
 from fractions import Fraction
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import comb, gcd, isqrt, lcm
-from operator import add, sub
+from operator import or_
+from struct import Struct
 
 SKEW_SYMBOLS = ("alpha", "beta", "l1", "l1f", "l2f", "zeta", "theta", "kappa")
 
@@ -89,6 +101,11 @@ class NonlinearExpression(ValueError):
 
 class InexactDivision(ArithmeticError):
     """Raised when MultiPoly.exquo meets a divisor that does not divide."""
+
+
+class DegreeOverflow(ArithmeticError):
+    """Raised when a polynomial would have a total degree of 2^31 or more,
+    which its packed monomial keys cannot hold."""
 
 
 class ExprError(ValueError):
@@ -238,33 +255,110 @@ class PrimeFieldElement:
         return str(self.value)
 
 
-def _term_key(exps):
-    # graded order: total degree first, then exponent tuple, both descending
-    return (-sum(exps), tuple(-e for e in exps))
+# ---------------------------------------------------------------------------
+# packed monomials
+#
+# A term of a MultiPoly in n symbols is keyed by one int: its total degree
+# in the top _W-bit field, then one _W-bit field per symbol, the first
+# symbol highest (Monagan and Pearce, CASC 2007; Bachmann and Schoenemann,
+# ISSAC 1998).  The total degree stays below 2^31, so every field does,
+# and the top bit of each field is a guard that no sum or difference of
+# keys in use carries into.  Then
+#
+# * the key of a product of two monomials is the sum of their keys;
+# * graded order (total degree, then the exponents from the first symbol
+#   on) is int order, so the leading term has the largest key;
+# * the monomial of key a divides the one of key b exactly when every
+#   guard bit survives the field-wise difference: ((b | G) - a) & G == G.
+#
+# A product or power whose total degree would reach 2^31 raises
+# DegreeOverflow; it never wraps.  Only the helpers below build or read
+# single fields; MultiPoly adds, multiplies and compares whole keys.
+
+_W = 32  # bits per field; _unpack reads the fields as 4-byte words
+_DEGREE_CAP = 1 << (_W - 1)
+
+
+def _pack(exps):
+    """The key of a tuple of nonnegative exponents; _check_degree tells
+    whether their sum is below the cap."""
+    key = sum(exps)
+    for k in exps:
+        key = key << _W | k
+    return key
+
+
+@cache
+def _fields(n):
+    """The Struct that reads the n symbol fields from a key's bytes."""
+    return Struct(">4x%dI" % n)
+
+
+def _unpack(key, n):
+    """The exponent tuple of a key in n symbols."""
+    return _fields(n).unpack(key.to_bytes(4 * n + 4, "big"))
+
+
+def _unit(n, i):
+    """The key of the i-th of n symbols; x_i^k has the key k * _unit(n, i)."""
+    return 1 << _W * n | 1 << _W * (n - 1 - i)
+
+
+def _check_degree(top, n):
+    """Raise DegreeOverflow unless the key top in n symbols has a total
+    degree below the cap; a sum or multiple of leading keys has the
+    largest degree its product or power can reach."""
+    if top >= _DEGREE_CAP << _W * n:
+        raise DegreeOverflow("a total degree is over %d" % (_DEGREE_CAP - 1))
+
+
+def _guards(n):
+    """The guard bit of every field of a key in n symbols."""
+    return sum(_DEGREE_CAP << _W * i for i in range(n + 1))
 
 
 class MultiPoly:
     """Sparse multivariate polynomial over Z with a fixed symbol tuple.
 
-    Terms map exponent tuples to nonzero ints.  Two polynomials only
-    combine when their symbol tuples agree exactly.  ``_make`` skips the
-    copy and zero filter of ``__init__`` where no zero can occur, so both
-    store the same terms.
+    ``terms`` maps the packed key of each monomial (see above) to its
+    nonzero int coefficient, and ``exponents()`` gives the same terms
+    keyed by exponent tuples.  The public constructor takes exponent
+    tuples, each of one nonnegative int per symbol, and packs them;
+    internal code builds terms on packed keys through ``_make`` (a fresh
+    dict with no zero) and ``_nonzero`` (which drops zeros), so all three
+    store the same terms.  Two polynomials only combine when their
+    symbol tuples agree exactly.
     """
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names, terms):
         self.names = tuple(names)
-        self.terms = {e: c for e, c in terms.items() if c}
+        n = len(self.names)
+        packed = {}
+        for e, c in terms.items():
+            if (type(e) is not tuple or len(e) != n
+                    or not all(type(k) is int and k >= 0 for k in e)):
+                raise ValueError("exponents %r are not %d nonnegative ints"
+                                 % (e, n))
+            key = _pack(e)
+            _check_degree(key, n)
+            if c:
+                packed[key] = c
+        self.terms = packed
 
     @staticmethod
     def _make(names, terms):
-        """Keep a names tuple and a fresh terms dict with no zero."""
+        """Keep a names tuple and a fresh dict of packed keys with no zero."""
         self = object.__new__(MultiPoly)
         self.names = names
         self.terms = terms
         return self
+
+    @staticmethod
+    def _nonzero(names, terms):
+        """_make on the nonzero terms of a dict of packed keys."""
+        return MultiPoly._make(names, {e: c for e, c in terms.items() if c})
 
     @classmethod
     def constant(cls, names, value):
@@ -272,15 +366,20 @@ class MultiPoly:
         if c != value:
             raise ValueError("a polynomial over Z has no coefficient %s"
                              % (value,))
-        zero = (0,) * len(names)
-        return MultiPoly._make(tuple(names), {zero: c} if c else {})
+        return MultiPoly._make(tuple(names), {0: c} if c else {})
 
     @classmethod
     def variable(cls, names, name):
+        names = tuple(names)
         if name not in names:
             raise UnboundSymbol("unknown symbol %r" % name)
-        exps = tuple(1 if n == name else 0 for n in names)
-        return MultiPoly._make(tuple(names), {exps: 1})
+        return MultiPoly._make(names,
+                               {_unit(len(names), names.index(name)): 1})
+
+    def exponents(self):
+        """The terms keyed by exponent tuples."""
+        n = len(self.names)
+        return {_unpack(e, n): c for e, c in self.terms.items()}
 
     def _lift(self, other):
         if isinstance(other, MultiPoly):
@@ -296,7 +395,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -306,7 +405,7 @@ class MultiPoly:
         for e, c in o.terms.items():
             old = terms.get(e)
             terms[e] = c if old is None else old + c
-        return MultiPoly(self.names, terms)
+        return MultiPoly._nonzero(self.names, terms)
 
     __radd__ = __add__
 
@@ -331,21 +430,23 @@ class MultiPoly:
             return MultiPoly._make(self.names, {})
         if len(many) == 1:
             many, one = one, many
-        if len(one) == 1:  # distinct exponents stay distinct, none is zero
+        if len(one) == 1:  # distinct keys stay distinct, none is zero
             (e2, c2), = one.items()
-            if any(e2):
+            if e2:
+                _check_degree(max(many) + e2, len(self.names))
                 return MultiPoly._make(self.names,
-                                       {tuple(map(add, e, e2)): c * c2
+                                       {e + e2: c * c2
                                         for e, c in many.items()})
             return MultiPoly._make(self.names,
                                    {e: c * c2 for e, c in many.items()})
+        _check_degree(max(many) + max(one), len(self.names))
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 c = terms.get(e)
                 terms[e] = c1 * c2 if c is None else c + c1 * c2
-        return MultiPoly(self.names, terms)
+        return MultiPoly._nonzero(self.names, terms)
 
     __rmul__ = __mul__
 
@@ -359,23 +460,24 @@ class MultiPoly:
             return MultiPoly.constant(self.names, 0 ** n)
         if n == 1:
             return self
+        lead = max(self.terms)
+        _check_degree(lead * n, len(self.names))
         if len(self.terms) == 1:
-            (e, c), = self.terms.items()
             return MultiPoly._make(self.names,
-                                   {tuple(k * n for k in e): c ** n})
-        rest = MultiPoly(self.names, self.terms)
-        lead = min(rest.terms, key=_term_key)
-        lc = rest.terms.pop(lead)
+                                   {lead * n: self.terms[lead] ** n})
+        rest = dict(self.terms)
+        lc = rest.pop(lead)
+        rest = MultiPoly._make(self.names, rest)
         terms, rj = {}, MultiPoly.constant(self.names, 1)
         for j in range(n + 1):
             scale = comb(n, j) * lc ** (n - j)
-            shift = tuple(k * (n - j) for k in lead)
+            shift = lead * (n - j)
             for e, c in rj.terms.items():
-                e = tuple(map(add, e, shift))
+                e += shift
                 terms[e] = terms.get(e, 0) + scale * c
             if j < n:
                 rj = rj * rest
-        return MultiPoly(self.names, terms)
+        return MultiPoly._nonzero(self.names, terms)
 
     def __neg__(self):
         return MultiPoly._make(self.names,
@@ -394,36 +496,37 @@ class MultiPoly:
             raise MixedFields("cannot divide a polynomial by %r" % (other,))
         if o.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        lead = min(o.terms, key=_term_key)
+        lead = max(o.terms)
         lc = o.terms[lead]
         rest = [(e, c) for e, c in o.terms.items() if e != lead]
+        guards = _guards(len(self.names))
         rem = dict(self.terms)
-        heap = [(_term_key(e), e) for e in rem]
+        heap = [-e for e in rem]
         heapify(heap)
         quot = {}
         while heap:
-            e = heappop(heap)[1]
+            e = -heappop(heap)
             c = rem.pop(e)
             if not c:
                 continue
-            shift = tuple(map(sub, e, lead))
-            if any(k < 0 for k in shift):
+            if ((e | guards) - lead) & guards != guards:
                 raise InexactDivision(
                     "a %d-term divisor does not divide a %d-term polynomial"
                     % (len(o.terms), len(self.terms)))
+            shift = e - lead
             q, r = divmod(c, lc)
             if r:
                 raise InexactDivision("a quotient coefficient is not integral")
             quot[shift] = q
             # every new remainder term sorts below e, so none is popped twice
             for e2, c2 in rest:
-                t = tuple(map(add, shift, e2))
+                t = shift + e2
                 if t in rem:
                     rem[t] -= q * c2
                 else:
                     rem[t] = -q * c2
-                    heappush(heap, (_term_key(t), t))
-        return MultiPoly(self.names, quot)
+                    heappush(heap, -t)
+        return MultiPoly._make(self.names, quot)
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -432,18 +535,22 @@ class MultiPoly:
         return self.terms == o.terms
 
     def degree_in(self, name):
-        i = self.names.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        i, n = self.names.index(name), len(self.names)
+        return max((_unpack(e, n)[i] for e in self.terms), default=0)
+
+    def total_degree(self):
+        """The largest total degree of a term; 0 for the zero polynomial."""
+        if not self.terms:
+            return 0
+        return sum(_unpack(max(self.terms), len(self.names)))
 
     def coefficient_of(self, name, k):
         """The coefficient polynomial of name**k (the symbol is divided out)."""
-        i = self.names.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                reduced = e[:i] + (0,) + e[i + 1:]
-                terms[reduced] = terms.get(reduced, 0) + c
-        return MultiPoly(self.names, terms)
+        i, n = self.names.index(name), len(self.names)
+        drop = k * _unit(n, i)
+        return MultiPoly._make(self.names,
+                               {e - drop: c for e, c in self.terms.items()
+                                if _unpack(e, n)[i] == k})
 
     def content(self):
         """The gcd of the coefficients: positive, 0 for the zero polynomial."""
@@ -452,7 +559,7 @@ class MultiPoly:
     def leading_coefficient(self):
         if len(self.terms) == 1:
             return next(iter(self.terms.values()))
-        return self.terms[min(self.terms, key=_term_key)] if self.terms else 0
+        return self.terms[max(self.terms)] if self.terms else 0
 
     def gcd(self, other):
         """A greatest common divisor by the heuristic GCDHEU, or None.
@@ -463,8 +570,10 @@ class MultiPoly:
         """
         o = self._lift(other)
         if self.terms and o.terms and 1 in (len(self.terms), len(o.terms)):
-            return MultiPoly(self.names,
-                             {tuple(map(min, *self.terms, *o.terms)): 1})
+            n = len(self.names)
+            least = map(min, *[_unpack(e, n)
+                               for e in chain(self.terms, o.terms)])
+            return MultiPoly._make(self.names, {_pack(tuple(least)): 1})
         return _heugcd(self.primitive(), o.primitive())
 
     def primitive(self):
@@ -478,16 +587,27 @@ class MultiPoly:
         return MultiPoly._make(self.names,
                                {e: v // c for e, v in self.terms.items()})
 
+    def _occurring(self):
+        """For each symbol, whether it occurs in some term."""
+        return [bool(k) for k in _unpack(reduce(or_, self.terms, 0),
+                                         len(self.names))]
+
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
-        for n, occurs in zip(self.names, map(any, zip(*self.terms))):
-            if occurs and n not in assignment:
+        occurring = [(i, n) for i, (n, occurs)
+                     in enumerate(zip(self.names, self._occurring()))
+                     if occurs]
+        for _, n in occurring:
+            if n not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % n)
         powers = {}
         total = field.zero
+        size = len(self.names)
         for e, c in self.terms.items():
             v = c
-            for n, k in zip(self.names, e):
+            exps = _unpack(e, size)
+            for i, n in occurring:
+                k = exps[i]
                 if k:
                     power = powers.get((n, k))
                     if power is None:
@@ -499,9 +619,10 @@ class MultiPoly:
     def substitute(self, sub):
         """Replace symbols by rational functions (same symbol tuple)."""
         out = RationalFunction.constant(self.names, 0)
+        size = len(self.names)
         for e, c in self.terms.items():
             v = RationalFunction.constant(self.names, c)
-            for n, k in zip(self.names, e):
+            for n, k in zip(self.names, _unpack(e, size)):
                 if k:
                     f = sub.get(n)
                     if f is None:
@@ -514,10 +635,11 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_term_key):
+        size = len(self.names)
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = []
-            for n, k in zip(self.names, e):
+            for n, k in zip(self.names, _unpack(e, size)):
                 if k == 1:
                     factors.append(n)
                 elif k > 1:
@@ -551,16 +673,16 @@ def _heugcd(f, g):
     counts only when exquo divides both inputs by it; after _GCD_TRIES
     values of xi the heuristic gives up.
     """
-    names = f.names
+    names, n = f.names, len(f.names)
     if f.is_zero() or g.is_zero():
         return None
-    occurring = [e for p in (f, g) for e in p.terms]
-    i = next((k for k in range(len(names)) if any(e[k] for e in occurring)),
-             None)
+    occurring = map(or_, f._occurring(), g._occurring())
+    i = next((k for k, occurs in enumerate(occurring) if occurs), None)
     c = gcd(f.content(), g.content())
     if i is None:
         return MultiPoly.constant(names, c)
     f, g = f._divide(c), g._divide(c)
+    unit = _unit(n, i)
     fn = max(map(abs, f.terms.values()))
     gn = max(map(abs, g.terms.values()))
     b = 2 * min(fn, gn) + 29
@@ -572,24 +694,25 @@ def _heugcd(f, g):
         for p in (f, g):
             image = {}
             for e, v in p.terms.items():
-                e0 = e[:i] + (0,) + e[i + 1:]
-                image[e0] = image.get(e0, 0) + v * xi ** e[i]
-            images.append(MultiPoly(names, image))
+                k = _unpack(e, n)[i]
+                e0 = e - k * unit
+                image[e0] = image.get(e0, 0) + v * xi ** k
+            images.append(MultiPoly._nonzero(names, image))
         if not (images[0].is_zero() or images[1].is_zero()):
             found = _heugcd(*images)
             if found is None:
                 return None
             terms = {}
-            for e, v in found.terms.items():
+            for e, v in found.terms.items():  # no term of found has x_i
                 k = 0
                 while v:
                     d = v % xi
                     if d > xi // 2:
                         d -= xi
                     if d:
-                        terms[e[:i] + (k,) + e[i + 1:]] = d
+                        terms[e + k * unit] = d
                     v, k = (v - d) // xi, k + 1
-            h = MultiPoly(names, terms).primitive()
+            h = MultiPoly._make(names, terms).primitive()
             if h.is_constant():  # 1 divides anything
                 return MultiPoly.constant(names, c)
             if h.leading_coefficient() < 0:
@@ -617,12 +740,14 @@ def cancel(num, den):
     return num.exquo(h), den.exquo(h)
 
 
+_ONE = {0: 1}  # the terms of the constant polynomial 1
+
+
 def _mul(p, q):
     """p * q, with no product when either is the constant polynomial 1."""
-    zero = (0,) * len(p.names)
-    if len(p.terms) == 1 and p.terms.get(zero) == 1:
+    if p.terms == _ONE:
         return q
-    if len(q.terms) == 1 and q.terms.get(zero) == 1:
+    if q.terms == _ONE:
         return p
     return p * q
 
@@ -666,11 +791,10 @@ class RationalFunction:
         if type(value) is not int:
             value = Fraction(value)
         names = tuple(names)
-        zero = (0,) * len(names)
         c = value.numerator
         self = object.__new__(cls)
-        self.num = MultiPoly._make(names, {zero: c} if c else {})
-        self.den = MultiPoly._make(names, {zero: value.denominator})
+        self.num = MultiPoly._make(names, {0: c} if c else {})
+        self.den = MultiPoly._make(names, {0: value.denominator})
         return self
 
     @classmethod
@@ -703,9 +827,17 @@ class RationalFunction:
                         self.den.leading_coefficient())
 
     def __add__(self, other):
+        # zero is stored with the denominator 1, so both shortcuts store
+        # what the general formula stores
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
+        if self.den.terms == _ONE and o.den.terms == _ONE:
+            return RationalFunction(self.num + o.num, self.den)
         return RationalFunction(_mul(self.num, o.den) + _mul(o.num, self.den),
                                 _mul(self.den, o.den))
 
@@ -971,7 +1103,7 @@ def _power_size(v):
         return _bits(v)
     if isinstance(v, RationalFunction):
         polys = (v.num, v.den)
-        return (sum(max(map(sum, p.terms), default=0) for p in polys)
+        return (sum(p.total_degree() for p in polys)
                 + max(_bits(c) for p in polys for c in p.terms.values()))
     return 0
 
@@ -979,8 +1111,7 @@ def _power_size(v):
 def _power_terms(v, n):
     """The most terms the numerator or denominator of v ** n can have: a
     polynomial of total degree d in k symbols has at most C(d + k, k)."""
-    shapes = ((max(map(sum, p.terms), default=0), sum(map(any, zip(*p.terms))))
-              for p in (v.num, v.den))
+    shapes = ((p.total_degree(), sum(p._occurring())) for p in (v.num, v.den))
     return max(comb(n * d + k, k) for d, k in shapes)
 
 

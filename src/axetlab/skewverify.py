@@ -25,16 +25,49 @@ from .catalog import (SkewConstants, make_3C_minus1_2, make_3C_skew,
                       orthogonal_branch_to_Q2,
                       orthogonal_branch_to_Q2x_plus_one, rehren_oracle)
 from .fusion import DegenerateParameter, law_family
-from .scalars import QQ, FunctionField, PrimeField, skew_field, solve_linear
+from .scalars import (QQ, FunctionField, PrimeField, RationalFunction,
+                      skew_field, solve_linear)
 
 half = Fraction(1, 2)
 
 
+MAX_RESIDUAL_TEXT = 200
+
+
+def _residual_text(residual):
+    """repr(residual) when it has at most MAX_RESIDUAL_TEXT characters,
+    else a summary of bounded size: its type and length, how many
+    coordinates of an element are nonzero, and the term counts and total
+    degrees of the numerators and denominators of its nonzero
+    rational-function values."""
+    text = repr(residual)
+    if len(text) <= MAX_RESIDUAL_TEXT:
+        return text
+    coords = getattr(residual, "coords", None)
+    values = [residual] if coords is None else coords
+    parts = ["%s of %d characters" % (type(residual).__name__, len(text))]
+    if coords is not None:
+        parts.append("%d of %d coordinates nonzero"
+                     % (sum(map(bool, coords)), len(coords)))
+    quotients = [v for v in values if isinstance(v, RationalFunction) and v]
+    for side in ("num", "den"):
+        polys = [getattr(v, side) for v in quotients]
+        if polys:
+            parts.append("%s %d terms of total degree %d"
+                         % (side, sum(len(p.terms) for p in polys),
+                            max(p.total_degree() for p in polys)))
+    return "(%s)" % ", ".join(parts)
+
+
 class IdentityFails(ValueError):
-    """A claimed identity of scalars or elements has a nonzero residual."""
+    """A claimed identity of scalars or elements has a nonzero residual.
+
+    The message holds the residual's text, or a summary of bounded size
+    when the text is long; ``residual`` keeps the full value."""
 
     def __init__(self, name, residual):
-        super().__init__("%s: nonzero residual %r" % (name, residual))
+        super().__init__("%s: nonzero residual %s"
+                         % (name, _residual_text(residual)))
         self.name = name
         self.residual = residual
 

@@ -132,6 +132,18 @@ def test_error_columns_are_one_based_in_the_line(line, column):
     assert (info.value.line, info.value.column) == (5, column)
 
 
+def test_degree_overflow_is_a_parse_error(monkeypatch):
+    # a cap of 16 stands in for 2^31, which no file of test size reaches
+    from axetlab import scalars
+    monkeypatch.setattr(scalars, "_DEGREE_CAP", 16)
+    text = ("field function t\ndim 1\nbasis e\n"
+            "product e e = t^9 * t^9*e\n")
+    with pytest.raises(ParseError) as info:
+        parse_algebra_file(text)
+    assert (info.value.line, info.value.column) == (4, 15)
+    assert "total degree is over 15" in str(info.value)
+
+
 def test_stage_order_enforced():
     with pytest.raises(ParseError):
         parse_algebra_file("dim 1\nfield rational\nbasis e\n")

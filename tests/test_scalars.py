@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from axetlab.scalars import (MAX_NESTING, MAX_POWER_SIZE, BadField,
-                             DenominatorVanishes, DivisionByZero, ExprError,
-                             FunctionField, InexactDivision, MixedFields,
-                             MultiPoly, NonlinearExpression, PrimeField, QQ,
+from axetlab.scalars import (MAX_NESTING, MAX_POWER_SIZE, SKEW_SYMBOLS,
+                             BadField, DegreeOverflow, DenominatorVanishes,
+                             DivisionByZero, ExprError, FunctionField,
+                             InexactDivision, MixedFields, MultiPoly,
+                             NonlinearExpression, PrimeField, QQ,
                              RationalFunction, UnboundSymbol, cancel,
                              parse_expression, parse_scalar, skew_field,
                              solve_linear, tokenize)
@@ -250,7 +251,7 @@ def test_exquo_raises_on_a_remainder():
 
 
 def test_multipoly_constants_are_integers():
-    assert MultiPoly.constant(NAMES, Fraction(4, 2)).terms == {(0, 0): 2}
+    assert MultiPoly.constant(NAMES, Fraction(4, 2)).exponents() == {(0, 0): 2}
     with pytest.raises(ValueError):
         MultiPoly.constant(NAMES, Fraction(1, 2))
     half = RationalFunction.constant(NAMES, Fraction(1, 2))
@@ -558,8 +559,8 @@ def test_truthiness_is_the_value_zero_test(q, F, k, n, d, h):
 
 def general_mul(p, q):
     terms = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.exponents().items():
+        for e2, c2 in q.exponents().items():
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return MultiPoly(p.names, terms)
@@ -573,11 +574,11 @@ def general_pow(p, n):
 
 
 def general_neg(p):
-    return MultiPoly(p.names, {e: -c for e, c in p.terms.items()})
+    return MultiPoly(p.names, {e: -c for e, c in p.exponents().items()})
 
 
 def graded_lead(p):
-    return sorted(p.terms, key=lambda e: (-sum(e), [-k for k in e]))[0]
+    return sorted(p.exponents(), key=lambda e: (-sum(e), [-k for k in e]))[0]
 
 
 def general_rf(num, den):
@@ -586,9 +587,11 @@ def general_rf(num, den):
     if num.is_zero():
         den = MultiPoly.constant(num.names, 1)
     scale = gcd(*num.terms.values(), *den.terms.values())
-    num = MultiPoly(num.names, {e: c // scale for e, c in num.terms.items()})
-    den = MultiPoly(den.names, {e: c // scale for e, c in den.terms.items()})
-    if den.terms[graded_lead(den)] < 0:
+    num = MultiPoly(num.names,
+                    {e: c // scale for e, c in num.exponents().items()})
+    den = MultiPoly(den.names,
+                    {e: c // scale for e, c in den.exponents().items()})
+    if den.exponents()[graded_lead(den)] < 0:
         num, den = general_neg(num), general_neg(den)
     f = object.__new__(RationalFunction)
     f.num, f.den = num, den
@@ -684,8 +687,162 @@ def test_fast_paths_store_what_the_general_formulas_store(f, g, q, n, k):
         assert (p * r).terms == general_mul(p, r).terms
         assert (-p).terms == general_neg(p).terms
         assert (p ** n).terms == general_pow(p, n).terms
-        assert p.leading_coefficient() == (p.terms[graded_lead(p)]
+        assert p.leading_coefficient() == (p.exponents()[graded_lead(p)]
                                            if p.terms else 0)
+
+
+# -- packed monomial keys against exponent tuples -----------------------------
+#
+# MultiPoly keys each term by one packed int.  The references below work
+# on the exponent tuples of exponents(), with graded order as a sort key.
+
+SYMBOL_TUPLES = (("x",), NAMES, SKEW_SYMBOLS)
+
+
+def graded_key(e):
+    return (sum(e), e)
+
+
+def tuple_poly(draw, names):
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return MultiPoly(names, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in 1, 2 or 8 symbols, the second nonzero."""
+    names = draw(st.sampled_from(SYMBOL_TUPLES))
+    d = tuple_poly(draw, names)
+    assume(not d.is_zero())
+    return tuple_poly(draw, names), d
+
+
+def reference_exquo(p, d):
+    """p / d by graded division on exponent tuples; None unless exact."""
+    rem, divisor = p.exponents(), d.exponents()
+    lead = max(divisor, key=graded_key)
+    quot = {}
+    while rem:
+        e = max(rem, key=graded_key)
+        shift = tuple(a - b for a, b in zip(e, lead))
+        if min(shift) < 0 or rem[e] % divisor[lead]:
+            return None
+        q = quot[shift] = rem[e] // divisor[lead]
+        for e2, c2 in divisor.items():
+            t = tuple(a + b for a, b in zip(shift, e2))
+            rem[t] = rem.get(t, 0) - q * c2
+            if not rem[t]:
+                del rem[t]
+    return MultiPoly(p.names, quot)
+
+
+def reference_repr(p):
+    """The text of p, its terms in descending graded order of tuples."""
+    exps = p.exponents()
+    text = ""
+    for e in sorted(exps, key=graded_key, reverse=True):
+        c = exps[e]
+        factors = [n if k == 1 else "%s^%d" % (n, k)
+                   for n, k in zip(p.names, e) if k]
+        body = "*".join(([str(abs(c))] if abs(c) != 1 or not factors
+                         else []) + factors)
+        sign = "-" if c < 0 else "+"
+        text += (("-" if c < 0 else "") + body if not text
+                 else " %s %s" % (sign, body))
+    return text or "0"
+
+
+@given(poly_pairs(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_packed_products_powers_and_quotients_match_tuples(pair, n):
+    p, d = pair
+    assert (p * d).exponents() == general_mul(p, d).exponents()
+    assert (p ** n).exponents() == general_pow(p, n).exponents()
+    assert (p * d).exquo(d) == p
+    want = reference_exquo(p, d)
+    if want is None:
+        with pytest.raises(InexactDivision):
+            p.exquo(d)
+    else:
+        assert p.exquo(d) == want
+    assert d.leading_coefficient() \
+        == d.exponents()[max(d.exponents(), key=graded_key)]
+
+
+@given(poly_pairs(), st.integers(-12, 12).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_one_term_gcd_is_the_monomial_of_least_exponents(pair, c):
+    f, d = pair
+    lead = max(d.exponents(), key=graded_key)
+    m = MultiPoly(d.names, {lead: c})
+    for p in (f, d):
+        if not p.is_zero():
+            least = tuple(map(min, lead, *p.exponents()))
+            want = MultiPoly(d.names, {least: 1})
+            assert m.gcd(p) == want and p.gcd(m) == want
+
+
+@given(poly_pairs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_reads_match_tuples(pair, data):
+    p = pair[0]
+    exps = p.exponents()
+    for i, name in enumerate(p.names):
+        assert p.degree_in(name) == max((e[i] for e in exps), default=0)
+        for k in range(4):
+            want = {e[:i] + (0,) + e[i + 1:]: c for e, c in exps.items()
+                    if e[i] == k}
+            assert p.coefficient_of(name, k).exponents() == want
+    point = data.draw(st.tuples(*[st.integers(-3, 3)] * len(p.names)))
+    want = 0
+    for e, c in exps.items():
+        for x, k in zip(point, e):
+            c *= x ** k
+        want += c
+    assert p.evaluate(dict(zip(p.names, point)), QQ) == want
+    assert repr(p) == reference_repr(p)
+    assert p.total_degree() == max(map(sum, exps), default=0)
+
+
+def test_exquo_refuses_a_larger_key_that_does_not_divide():
+    x, y = (MultiPoly.variable(NAMES, n) for n in NAMES)
+    with pytest.raises(InexactDivision):  # x sorts above y
+        x.exquo(y)
+    with pytest.raises(InexactDivision):  # y^2 sorts above x
+        MultiPoly(NAMES, {(1, 0): 1}).exquo(MultiPoly(NAMES, {(0, 2): 1}))
+    with pytest.raises(InexactDivision):
+        (x * y + 1).exquo(x + y)
+    assert (x ** 3 * y).exquo(x * y) == x ** 2
+
+
+def test_degree_cap_raises_without_building_large_values():
+    x, y = (MultiPoly.variable(NAMES, n) for n in NAMES)
+    top = 2 ** 31 - 1
+    assert (x ** top).exponents() == {(top, 0): 1}
+    with pytest.raises(DegreeOverflow):
+        x ** 2 ** 31
+    with pytest.raises(DegreeOverflow):
+        (x + y + 1) ** 2 ** 31
+    with pytest.raises(DegreeOverflow):
+        x ** top * y
+    with pytest.raises(DegreeOverflow):
+        x ** top * (x + 1)
+    with pytest.raises(DegreeOverflow):
+        (x ** 2 ** 30 + 1) * (y ** 2 ** 30 + 1)
+    with pytest.raises(DegreeOverflow):
+        MultiPoly(NAMES, {(2 ** 30, 2 ** 30): 1})
+    t = FunctionField(("t",)).sym("t")
+    with pytest.raises(DegreeOverflow):
+        (1 / t) ** -(2 ** 31)
+    assert issubclass(DegreeOverflow, ArithmeticError)
+
+
+@pytest.mark.parametrize("terms", [{(1, -1): 1}, {(1,): 1}, {(1, 0, 0): 1},
+                                   {(1, 0.5): 1}, {(True, 0): 1},
+                                   {(0, 0): 0, (-1, 0): 0}, {1: 1}])
+def test_constructor_refuses_malformed_exponents(terms):
+    with pytest.raises(ValueError):
+        MultiPoly(NAMES, terms)
 
 
 @given(monomials, polys)
@@ -713,6 +870,22 @@ def test_orthogonal_replay_makes_few_polynomial_products(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
     replay_orthogonal_branch(0)
     assert len(calls) <= 219
+
+
+def test_a_zero_summand_makes_no_product(monkeypatch):
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    field = FunctionField(NAMES)
+    f = field.sym("x") / (field.sym("y") + 1)
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    assert f + field.zero is f and field.zero + f is f and f - 0 is f
+    assert not calls
 
 
 def test_orthogonal_replay_takes_few_contents(monkeypatch):

@@ -90,6 +90,26 @@ def test_perturbed_table_fails_bracket_table():
     assert "beta component" in info.value.name
 
 
+def test_a_large_failing_identity_has_a_short_message():
+    c, A = generic_context()
+    F = A.field
+    big = sum(F.symbols().values(), F.one) ** 4 / (F.sym("alpha") - 3)
+    A = papersuite.perturbed(A, 0, 3, 0, delta=big)
+    with pytest.raises(IdentityFails) as info:
+        check_eigenvectors_generic((c, A))
+    message = str(info.value)
+    assert len(message.encode()) < 1024
+    assert "nonzero residual (Element of" in message
+    assert "num 495 terms of total degree 4" in message
+    assert "den 2 terms of total degree 1" in message
+    # the full value stays on the exception
+    assert len(repr(info.value.residual)) > 1024
+    assert sum(map(bool, info.value.residual.coords)) == 1
+    # a short residual keeps its text
+    with pytest.raises(IdentityFails, match="nonzero residual alpha - 3$"):
+        skewverify._require_zero("short", F.sym("alpha") - 3)
+
+
 def test_shift_difference_values():
     assert shift_difference_at(THIRD, TWO_THIRDS, Fraction(5, 12),
                                TWO_THIRDS) == 0
