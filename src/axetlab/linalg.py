@@ -7,32 +7,35 @@ over a basis (or over independent vectors spanning a subspace) is done
 once, by ``invert``, whose result is applied with ``mat_vec``; ``solve``
 is for one system.
 
-Over Q and F_p the kernels run on Python ints, converting once in and
-once out through the field's integer encoding (``encode`` and ``decode``
-of ``QQ`` and ``PrimeField``).  ``mat_vec`` and ``mat_mul`` sum int
-products and build each entry once.  ``rref`` reduces the numerators of
-the matrix over a common denominator, which have the same RREF; over F_p
-it scales each pivot row to 1 and reduces every update mod p.  Over Q,
-and over a function field after clearing each row's denominators, it
-runs fraction-free Gauss-Jordan elimination over Z or Z[x] (Bareiss,
-Math. Comp. 22, 1968, in the Gauss-Jordan form of Nakos, Turner and
-Williams, SIGSAM Bull. 31, 1997): each update p*a - f*b is divided
-exactly by the previous pivot (``MultiPoly.exquo`` over Z[x]), so every
-entry stays a minor of the cleared matrix, and one division by the last
-pivot at the end gives the RREF.  The RREF is unique, so this is the
-result of elimination with field division, with none of the swelling of
-unreduced rational functions.  That last division is where common
-factors are cancelled over a function field: each entry a/prev is
-reduced by the heuristic gcd of a and prev (``scalars.cancel``), so
-``solve``, ``invert``, ``kernel_basis`` and everything built on them
-work on small fractions.  Where the heuristic fails the entry stays
-unreduced; its value is the same either way, since equality
-cross-multiplies.
+Each field owns an encoding of its vectors in a ring: ``encode`` gives
+numerators over one denominator (ints for Q, residues for F_p,
+``MultiPoly`` over Z[x] for a function field) and ``decode`` builds
+numerators over a denominator back into field elements.  ``rref``
+encodes each row on its own, as scaling a row leaves the RREF as it is.
+Over F_p it scales each pivot row to 1 and reduces every update mod p.
+Over Z and Z[x] alike it runs one fraction-free Gauss-Jordan loop
+(Bareiss, Math. Comp. 22, 1968, in the Gauss-Jordan form of Nakos,
+Turner and Williams, SIGSAM Bull. 31, 1997): each update p*a - f*b is
+divided exactly by the previous pivot (``//``, which is
+``MultiPoly.exquo`` over Z[x]), so every entry stays a minor of the
+encoded matrix, and decoding over the last pivot gives the RREF.  The
+RREF is unique, so this is the result of elimination with field
+division, with none of the swelling of unreduced rational functions.
+Decoding is where common factors are cancelled over a function field:
+each entry a/prev is reduced by the heuristic gcd of a and prev
+(``scalars.cancel``), so ``solve``, ``invert``, ``kernel_basis`` and
+everything built on them work on small fractions.  Where the heuristic
+fails the entry stays unreduced; its value is the same either way, since
+equality cross-multiplies.
+
+Over Q and F_p ``mat_vec`` and ``mat_mul`` also run on the encoding:
+they sum int products and build each entry once.  Over a function field
+they multiply field elements, so no entry pays a gcd.
 """
 
 from operator import mul
 
-from .scalars import FunctionField, MultiPoly, RationalFunction, cancel
+from .scalars import FunctionField
 
 
 def _split(flat, n, k):
@@ -42,14 +45,12 @@ def _split(flat, n, k):
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    if isinstance(field, FunctionField):
-        return _rref_fraction_free(rows, field)
-    # the matrix and its integer numerators have the same RREF
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    m = _split(field.encode([x for r in rows for x in r])[0], nrows, ncols)
+    # scaling a row leaves the RREF as it is, so each row is encoded alone
+    m = [field.encode(r)[0] for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     p = field.char
     pivots = []
-    prev = 1  # over Z the previous pivot; over F_p pivot rows are scaled to 1
+    prev = 1  # the previous pivot; over F_p pivot rows are scaled to 1
     r = 0
     for c in range(ncols):
         for pr in range(r, nrows):
@@ -70,90 +71,31 @@ def rref(rows, field):
                     m[i] = [(a - f * b) % p if b else a
                             for a, b in zip(row, prow)]
         else:
+            # earlier pivot columns are zero off their own row and get
+            # prev on it at the end; they are not updated
+            rest = [j for j in range(ncols) if j != c and j not in pivots]
             for i, row in enumerate(m):
-                if i != r:
-                    f = row[c]
-                    m[i] = [(piv * a - f * b) // prev
-                            for a, b in zip(row, prow)]
+                if i == r:
+                    continue
+                f = row[c]
+                row[c] = 0  # decode reads 0 as zero in any ring
+                for j in rest:
+                    a, b = row[j], prow[j]
+                    if f and b:
+                        v = piv * a - f * b
+                    elif a:
+                        v = piv * a
+                    else:
+                        continue
+                    row[j] = v // prev if r else v
             prev = piv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return _split(field.decode([a for row in m for a in row], prev),
-                  nrows, ncols), pivots
-
-
-def _clear_denominators(row, field):
-    """The row times the product of its distinct denominators, over Z[x]."""
-    row = [field.coerce(x) for x in row]
-    one = MultiPoly.constant(field.names, 1)
-    dens = []
-    for x in row:
-        if x.den != one and x.den not in dens:
-            dens.append(x.den)
-    out = []
-    for x in row:
-        v = x.num
-        if not v.is_zero():
-            for d in dens:
-                if d != x.den:
-                    v = v * d
-        out.append(v)
-    return out
-
-
-def _rref_fraction_free(rows, field):
-    m = [_clear_denominators(r, field) for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    zero = MultiPoly.constant(field.names, 0)
-    pivots = []
-    prev = None  # the previous pivot; None before the first
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = m[i]
-            f = row[c]
-            row[c] = zero
-            # earlier pivot columns are zero off their own row, and the
-            # result puts one there; they are not updated
-            for j in range(ncols):
-                if j == c or j in pivots:
-                    continue
-                a, b = row[j], prow[j]
-                if f.is_zero() or b.is_zero():
-                    if a.is_zero():
-                        continue
-                    v = p * a
-                else:
-                    v = p * a - f * b
-                row[j] = v if prev is None else v.exquo(prev)
-        pivots.append(c)
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    out = []
-    for i, row in enumerate(m):
-        out.append([field.zero if a.is_zero()
-                    else field.one if i < len(pivots) and j == pivots[i]
-                    else RationalFunction(*cancel(a, prev))
-                    for j, a in enumerate(row)])
-    return out, pivots
+    for i, c in enumerate(pivots):
+        m[i][c] = prev
+    return [field.decode(row, prev) for row in m], pivots
 
 
 def rank(rows, field):

@@ -141,7 +141,7 @@ def check_table(name):
 # -- displayed products -------------------------------------------------------
 
 def _check_3C_products_at(alpha, field=None):
-    ex = make_3C_skew(alpha, field) if field else make_3C_skew(alpha)
+    ex = make_3C_skew(alpha, field)
     A = ex.algebra
     w = ex.m_axis
     y, z = A.gen("y"), A.gen("z")

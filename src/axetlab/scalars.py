@@ -16,11 +16,16 @@ whatever its stored form, where ``x == field.zero`` would cross-multiply.
 
 A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
 carries zero, one, the characteristic, coercion from integers and
-rationals, and symbol lookup for the expression parser.  ``QQ`` and
-``PrimeField`` also own the integer encoding of the Q and F_p kernels in
-``linalg`` and ``algebra``: ``encode`` coerces a vector to (ints, den),
-and ``decode`` builds ints over den back into one ``Fraction`` or one
-residue (``PrimeFieldElement._make``, with no second reduction) each.
+rationals, and symbol lookup for the expression parser.  All three also
+own a ring encoding: ``encode`` coerces a vector to (nums, den) and
+``decode`` builds nums over den back into one element each.
+``linalg.rref`` runs on it over every field, and the other kernels of
+``linalg`` and ``algebra`` over Q and F_p.  ``QQ`` encodes into ints
+over the lcm of the denominators and decodes into ``Fraction``;
+``PrimeField`` into residues over 1, decoded with no second reduction
+(``PrimeFieldElement._make``); ``FunctionField`` into ``MultiPoly``
+numerators over the product of the distinct denominators, decoded
+through ``cancel``.
 
 Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
@@ -36,9 +41,10 @@ numerator of a negated value, an int operand lifted as (c, 1), and the
 terms of a negation, a content division, a one-term product or power,
 which hold no zero.  Each such path returns the (num, den) of the
 general formula, so no stored form depends on it.  Common factors are
-cancelled in two places only: ``linalg.rref`` over a function field runs
-every entry of its result through ``cancel``, and ``solve_linear``
-cancels before it reads degrees.  ``cancel`` uses ``MultiPoly.gcd``
+cancelled in two places only: ``FunctionField.decode``, which builds
+every entry of ``linalg.rref``'s result over a function field, runs each
+through ``cancel``, and ``solve_linear`` cancels before it reads
+degrees.  ``cancel`` uses ``MultiPoly.gcd``
 (the monomial of least exponents when one side is a single term, else
 the heuristic GCDHEU) and leaves the pair as it is when the heuristic
 fails, so no answer depends on a gcd: equality is decided by cross
@@ -52,12 +58,14 @@ is int order, and a divisibility test is one subtraction under guard
 bits.  Total degree stays below 2^31; a product or power that would
 reach it raises ``DegreeOverflow``, never wrapping.
 
-``MultiPoly.exquo`` is exact polynomial division: it divides by the
-leading term in graded order and raises ``InexactDivision`` on a nonzero
-remainder or a quotient coefficient that is not an integer, never
-truncating.  Fraction-free elimination (``linalg.rref``) relies on it to
-divide out the previous pivot, and the gcd to accept a candidate only
-when it divides both inputs.
+``MultiPoly.exquo`` (also spelled ``//``) is exact polynomial division:
+it divides by the leading term in graded order and raises
+``InexactDivision`` on a nonzero remainder or a quotient coefficient
+that is not an integer, never truncating.  Fraction-free elimination
+(``linalg.rref``) relies on it to divide out the previous pivot, with
+the same ``//`` it uses over Z, and the gcd to accept a candidate only
+when it divides both inputs.  A ``MultiPoly`` is true exactly when it
+has a term, the one zero test the scalars use.
 """
 
 from fractions import Fraction
@@ -394,6 +402,9 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self):
         return not any(self.terms)
 
@@ -494,7 +505,7 @@ class MultiPoly:
         o = self._lift(other)
         if o is None:
             raise MixedFields("cannot divide a polynomial by %r" % (other,))
-        if o.is_zero():
+        if not o:
             raise DivisionByZero("polynomial division by zero")
         lead = max(o.terms)
         lc = o.terms[lead]
@@ -527,6 +538,8 @@ class MultiPoly:
                     rem[t] = -q * c2
                     heappush(heap, -t)
         return MultiPoly._make(self.names, quot)
+
+    __floordiv__ = exquo  # exact, so // reads the same over Z and Z[x]
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -674,7 +687,7 @@ def _heugcd(f, g):
     values of xi the heuristic gives up.
     """
     names, n = f.names, len(f.names)
-    if f.is_zero() or g.is_zero():
+    if not (f and g):
         return None
     occurring = map(or_, f._occurring(), g._occurring())
     i = next((k for k, occurs in enumerate(occurring) if occurs), None)
@@ -698,7 +711,7 @@ def _heugcd(f, g):
                 e0 = e - k * unit
                 image[e0] = image.get(e0, 0) + v * xi ** k
             images.append(MultiPoly._nonzero(names, image))
-        if not (images[0].is_zero() or images[1].is_zero()):
+        if images[0] and images[1]:
             found = _heugcd(*images)
             if found is None:
                 return None
@@ -769,9 +782,9 @@ class RationalFunction:
             den = MultiPoly.constant(num.names, 1)
         if num.names != den.names:
             raise MixedFields("numerator and denominator symbol tuples differ")
-        if den.is_zero():
+        if not den:
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
+        if not num:
             den = MultiPoly.constant(num.names, 1)
         if len(den.terms) == 1 and 1 in den.terms.values():
             self.num, self.den = num, den  # a monic monomial: gcd 1, sign +
@@ -811,7 +824,7 @@ class RationalFunction:
         return None
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -867,7 +880,7 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if o.num.is_zero():
+        if not o.num:
             raise DivisionByZero("division by the zero rational function")
         return RationalFunction(_mul(self.num, o.den), _mul(self.den, o.num))
 
@@ -881,7 +894,7 @@ class RationalFunction:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if self.num.is_zero():
+            if not self.num:
                 raise DivisionByZero("inverting the zero rational function")
             return RationalFunction(self.den, self.num) ** (-n)
         if n == 1:
@@ -910,7 +923,7 @@ class RationalFunction:
 
     def substitute(self, sub):
         den = self.den.substitute(sub)
-        if den.is_zero():
+        if not den:
             raise DenominatorVanishes("denominator vanishes under substitution")
         return self.num.substitute(sub) / den
 
@@ -932,7 +945,7 @@ def solve_linear(expr, name):
         raise NonlinearExpression("%r appears with degree >= 2" % name)
     a1 = num.coefficient_of(name, 1)
     a0 = num.coefficient_of(name, 0)
-    if a1.is_zero():
+    if not a1:
         raise DivisionByZero("%r does not occur linearly in %r" % (name, expr))
     return RationalFunction(-a0, a1)
 
@@ -1026,7 +1039,12 @@ class PrimeField:
 
 
 class FunctionField:
-    """Descriptor for Q(names); elements are RationalFunction."""
+    """Descriptor for Q(names); elements are RationalFunction.
+
+    Like ``QQ`` and ``PrimeField`` it owns a ring encoding: ``encode``
+    clears a vector's denominators into Z[x] and ``decode`` cancels
+    numerators over a denominator back into rational functions.
+    """
 
     char = 0
 
@@ -1048,6 +1066,31 @@ class FunctionField:
         if lifted is None:
             raise MixedFields("cannot coerce %r into Q%r" % (x, (self.names,)))
         return lifted
+
+    def encode(self, vec):
+        """(nums, den) with vec = nums / den: MultiPoly numerators over den,
+        the product of the distinct denominators other than 1."""
+        vec = [self.coerce(x) for x in vec]
+        dens = []
+        for x in vec:
+            if x.den.terms != _ONE and x.den not in dens:
+                dens.append(x.den)
+        nums = []
+        for x in vec:
+            v = x.num
+            if v:
+                for d in dens:
+                    if d != x.den:
+                        v = v * d
+            nums.append(v)
+        return nums, reduce(_mul, dens, self.one.den)
+
+    def decode(self, nums, den):
+        """The vector nums / den of polynomials, den nonzero, each entry
+        reduced by ``cancel``."""
+        zero, one = self.zero, self.one
+        return [(one if n == den else RationalFunction(*cancel(n, den)))
+                if n else zero for n in nums]
 
     def symbols(self):
         return {n: self.sym(n) for n in self.names}

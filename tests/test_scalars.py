@@ -855,10 +855,20 @@ def test_one_term_gcd_is_the_heuristic_gcd(m, f):
     assert f.gcd(m) == want
 
 
-def test_orthogonal_replay_makes_few_polynomial_products(monkeypatch):
-    # 1,518 products before the fast paths, 334 with them, 219 once
-    # sigma^2 is read from f^2 = f instead of solved from probes
-    from axetlab.skewverify import replay_orthogonal_branch
+def run_replay(kind):
+    from axetlab import skewverify
+    if kind == "orthogonal":
+        skewverify.replay_orthogonal_branch(0)
+    else:  # its pair case runs rref over Q(beta, p)
+        skewverify.replay_nonorthogonal_branch()
+
+
+@pytest.mark.parametrize("kind, bound", [("orthogonal", 205),
+                                         ("nonorthogonal", 302)],
+                         ids=["orthogonal", "nonorthogonal"])
+def test_replay_makes_few_polynomial_products(monkeypatch, kind, bound):
+    # the bounds are the counts the replays make: a lost fast path in the
+    # scalars or a lost zero skip in rref raises them
     calls = []
     mul = MultiPoly.__mul__
 
@@ -868,8 +878,8 @@ def test_orthogonal_replay_makes_few_polynomial_products(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
-    replay_orthogonal_branch(0)
-    assert len(calls) <= 219
+    run_replay(kind)
+    assert len(calls) <= bound
 
 
 def test_a_zero_summand_makes_no_product(monkeypatch):
@@ -888,11 +898,12 @@ def test_a_zero_summand_makes_no_product(monkeypatch):
     assert not calls
 
 
-def test_orthogonal_replay_takes_few_contents(monkeypatch):
-    # 1,354 before construction trusted a unit or monic monomial
-    # denominator, a negation and an int operand, 374 with it, 278 once
-    # sigma^2 is read from f^2 = f instead of solved from probes
-    from axetlab.skewverify import replay_orthogonal_branch
+@pytest.mark.parametrize("kind, bound", [("orthogonal", 250),
+                                         ("nonorthogonal", 264)],
+                         ids=["orthogonal", "nonorthogonal"])
+def test_replay_takes_few_contents(monkeypatch, kind, bound):
+    # the bounds are the counts the replays take: construction that no
+    # longer trusts a normal form raises them
     calls = []
     content = MultiPoly.content
 
@@ -901,5 +912,97 @@ def test_orthogonal_replay_takes_few_contents(monkeypatch):
         return content(self)
 
     monkeypatch.setattr(MultiPoly, "content", counted)
-    replay_orthogonal_branch(0)
-    assert len(calls) <= 278
+    run_replay(kind)
+    assert len(calls) <= bound
+
+
+# -- the ring encoding of each field ------------------------------------------
+
+@st.composite
+def field_vectors(draw):
+    """A field, a vector over it and whether every denominator is 1.
+
+    Entries are n/d, the unreduced (n*h)/(d*h) or zero written as
+    n/d - n/d, over Q, F_7 or Q(x, y).
+    """
+    field = draw(st.sampled_from([QQ, PrimeField(7), FunctionField(NAMES)]))
+    if isinstance(field, FunctionField):
+        ring, lift = polys, RationalFunction
+        nonzero = polys.filter(bool)
+    else:
+        ring = st.integers(-20, 20)
+        nonzero = ring.filter(lambda d: d % 7)
+
+        def lift(n, d=1):
+            return field.coerce(n) / field.coerce(d)
+    unit = draw(st.booleans())
+    vec = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(ring)
+        if unit:
+            vec.append(lift(n))
+            continue
+        d, h = draw(nonzero), draw(nonzero)
+        form = draw(st.sampled_from(("reduced", "unreduced", "zero")))
+        if form == "unreduced":
+            vec.append(lift(n * h, d * h))
+        elif form == "zero":
+            vec.append(lift(n, d) - lift(n, d))
+        else:
+            vec.append(lift(n, d))
+    return field, vec, unit
+
+
+@given(field_vectors())
+@settings(max_examples=150, deadline=None)
+def test_decode_inverts_encode(case):
+    field, vec, unit = case
+    nums, den = field.encode(vec)
+    assert field.decode(nums, den) == vec
+    assert bool(den)
+    if unit:
+        assert den == 1
+
+
+def test_decode_gives_the_stored_one_where_num_equals_den():
+    field = FunctionField(NAMES)
+    for den in (poly("2*x*y + 4").num, poly("-x^2 + y").num, poly("3").num):
+        half, zero, one = field.decode([den, den - den, 2 * den], 2 * den)
+        assert half == Fraction(1, 2) and zero is field.zero
+        assert one is field.one
+        assert (one.num.terms, one.den.terms) == ({0: 1}, {0: 1})
+    assert QQ.decode([6, 3], 6) == [QQ.one, Fraction(1, 2)]
+    F = PrimeField(7)
+    assert F.decode([3, 0], 3) == [F.one, F.zero]
+
+
+def test_function_field_encoding_multiplies_out_distinct_denominators():
+    field = FunctionField(NAMES)
+    x, y = field.sym("x"), field.sym("y")
+    nums, den = field.encode([x / (y + 1), 0, Fraction(1, 2), y / (y + 1),
+                              3])
+    assert den == poly("2*y + 2").num
+    assert nums == [poly(t).num for t in ("2*x", "0", "y + 1", "2*y",
+                                          "6*y + 6")]
+    assert field.encode([x, 2])[1] == 1
+
+
+@given(polys)
+def test_multipoly_truthiness_is_the_zero_test(p):
+    assert bool(p) == (not p.is_zero())
+
+
+@given(poly_pairs())
+@settings(max_examples=100, deadline=None)
+def test_floordiv_is_exact_division(pair):
+    p, d = pair
+    for a in (p, p * d):
+        try:
+            want = a.exquo(d)
+        except InexactDivision:
+            with pytest.raises(InexactDivision):
+                a // d
+        else:
+            assert (a // d).terms == want.terms
+    with pytest.raises(DivisionByZero):
+        p // 0
