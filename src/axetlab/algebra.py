@@ -6,7 +6,9 @@ overloading; ``LinearMap`` is a matrix between two algebras.  On top of
 that live the operations the rest of the package is built from: adjoint
 action, eigenspaces, subalgebra closure, identity search, ideal
 quotients, adjoining an identity, coefficient specialization, and the
-isomorphism check used to certify classification outcomes.
+isomorphism check used to certify classification outcomes.  Spans,
+quotients, that check and ``axes.Eigenbasis`` write products over a
+basis with one kernel, ``products_over``.
 
 The table is read-only (tuples), so the integer copy that
 ``multiply_coords`` runs on over Q and F_p, made once, always agrees
@@ -221,42 +223,28 @@ class StructureAlgebra:
             raise DimensionMismatch("keep does not complement the ideal")
         if names is None:
             names = [self.basis_names[k] for k in keep]
-        products = {}
-        for a in range(len(keep)):
-            for b in range(a, len(keep)):
-                products[(a, b)] = linalg.mat_vec(
-                    inv[:len(keep)], self.products[keep[a]][keep[b]],
-                    self.field)
-        return StructureAlgebra(self.field, names, products)
+        return StructureAlgebra(self.field, names, self.products_over(
+            cols[:len(keep)], inv[:len(keep)]))
 
     def adjoin_identity(self, name="one"):
         """The algebra with an identity adjoined as the last basis element."""
         if name in self.basis_names:
             raise ValueError("basis name %r already taken" % name)
-        names = self.basis_names + (name,)
-        n = self.dim
-        products = {}
-        for i in range(n):
-            for j in range(i, n):
-                products[(i, j)] = list(self.products[i][j]) + [self.field.zero]
-        for i in range(n):
-            vec = [self.field.zero] * (n + 1)
-            vec[i] = self.field.one
-            products[(i, n)] = vec
-        last = [self.field.zero] * (n + 1)
-        last[n] = self.field.one
-        products[(n, n)] = last
-        return StructureAlgebra(self.field, names, products)
+        n, zero, one = self.dim, self.field.zero, self.field.one
+        products = {(i, j): list(self.products[i][j]) + [zero]
+                    for i in range(n) for j in range(i, n)}
+        for i in range(n + 1):  # b_i one = b_i, and one one = one
+            products[(i, n)] = [one if k == i else zero for k in range(n + 1)]
+        return StructureAlgebra(self.field, self.basis_names + (name,),
+                                products)
 
     def map_coefficients(self, fn, field, names=None):
         """New algebra over field with every structure constant mapped."""
         if names is None:
             names = self.basis_names
-        products = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                products[(i, j)] = [fn(c) for c in self.products[i][j]]
-        return StructureAlgebra(field, names, products)
+        return StructureAlgebra(field, names, {
+            (i, j): [fn(c) for c in self.products[i][j]]
+            for i in range(self.dim) for j in range(i, self.dim)})
 
     def specialize(self, assignment, field, names=None):
         """Evaluate rational-function structure constants at a point."""
@@ -266,31 +254,32 @@ class StructureAlgebra:
     def span_subalgebra(self, vectors, names):
         """The subalgebra on an independent, multiplication-closed span,
         written on vectors; with a basis of A it is A on a new basis."""
-        n = len(vectors)
-        inv = linalg.invert(linalg.transpose([v.coords for v in vectors]),
-                            self.field)
+        n, cols = len(vectors), [v.coords for v in vectors]
+        inv = linalg.invert(linalg.transpose(cols), self.field)
         if inv is None:
             raise DimensionMismatch("the vectors are dependent")
-        products = {}
-        for i in range(n):
-            for j in range(i, n):
-                x = linalg.mat_vec(inv, self.multiply_coords(
-                    vectors[i].coords, vectors[j].coords), self.field)
-                if any(x[n:]):
-                    raise ValueError(
-                        "the span is not closed under multiplication")
-                products[(i, j)] = x[:n]
-        return StructureAlgebra(self.field, names, products)
+        table = self.products_over(cols, inv)
+        if any(any(x[n:]) for x in table.values()):
+            raise ValueError("the span is not closed under multiplication")
+        return StructureAlgebra(self.field, names,
+                                {pair: x[:n] for pair, x in table.items()})
+
+    def products_over(self, vectors, inverse):
+        """{(i, j): inverse * (v_i v_j)} for i <= j over coordinate lists,
+        by one ``mat_mul``, so the inverse is encoded once.  With inverse
+        from ``linalg.invert``, the tail past len(vectors) holds the
+        coordinates outside the span of the vectors."""
+        n = len(vectors)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        prods = [self.multiply_coords(vectors[i], vectors[j])
+                 for i, j in pairs]
+        cols = linalg.mat_mul(inverse, linalg.transpose(prods), self.field)
+        return dict(zip(pairs, zip(*cols)))
 
     def same_table(self, other):
         """Coefficient-exact comparison of basis names and all products."""
-        if self.basis_names != other.basis_names or self.dim != other.dim:
-            return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.products[i][j] != other.products[i][j]:
-                    return False
-        return True
+        return (self.basis_names == other.basis_names
+                and self.products == other.products)
 
     def __repr__(self):
         return "StructureAlgebra(%r, dim %d over %r)" % (
@@ -394,19 +383,17 @@ class LinearMap:
         consistent with the map the spanning ones determine.
         """
         field = source.field
+        xs = linalg.transpose([x.coords for x, _ in pairs])
+        ys = linalg.transpose([y.coords for _, y in pairs])
         # the pivot columns are the greedy choice of independent x's
-        _, pivots = linalg.rref(
-            linalg.transpose([x.coords for x, _ in pairs]), field)
-        chosen = [pairs[c] for c in pivots]
-        if len(chosen) != source.dim:
+        _, pivots = linalg.rref(xs, field)
+        if len(pivots) != source.dim:
             raise DimensionMismatch("pairs do not span the source")
-        basis_matrix = linalg.transpose([x.coords for x, _ in chosen])
-        image_matrix = linalg.transpose([y.coords for _, y in chosen])
-        inv = linalg.invert(basis_matrix, field)
-        m = cls(source, target, linalg.mat_mul(image_matrix, inv, field))
-        for x, y in pairs:
-            if m(x) != y:
-                raise DimensionMismatch("pairs are linearly inconsistent")
+        inv = linalg.invert([[r[c] for c in pivots] for r in xs], field)
+        m = cls(source, target, linalg.mat_mul(
+            [[r[c] for c in pivots] for r in ys], inv, field))
+        if linalg.mat_mul(m.matrix, xs, target.field) != ys:
+            raise DimensionMismatch("pairs are linearly inconsistent")
         return m
 
     @classmethod
@@ -433,10 +420,6 @@ class LinearMap:
                 self.matrix == linalg.identity_matrix(self.source.dim,
                                                       self.source.field))
 
-    def is_invertible(self):
-        return (self.source.dim == self.target.dim and
-                linalg.rank(self.matrix, self.target.field) == self.source.dim)
-
     def inverse(self):
         if self.source.dim != self.target.dim:
             raise DimensionMismatch("map is not square")
@@ -446,10 +429,7 @@ class LinearMap:
         return LinearMap(self.target, self.source, inv)
 
     def is_involution(self):
-        if self.source is not self.target:
-            return False
-        sq = linalg.mat_mul(self.matrix, self.matrix, self.target.field)
-        return sq == linalg.identity_matrix(self.source.dim, self.source.field)
+        return self.source is self.target and self.compose(self).is_identity()
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -463,19 +443,11 @@ class LinearMap:
 
 def check_linear_map_is_isomorphism(m):
     """Whether m is an isomorphism: bijective, which needs equal
-    dimensions and full rank, and multiplicative on all basis pairs.
-
-    The images of the basis are the columns of m.matrix, so each pair
-    i <= j costs one mat_vec, m(b_i b_j), and one product in the target,
-    m(b_i) m(b_j).
-    """
-    if not m.is_invertible():
-        return False
+    dimensions and an invertible matrix, and multiplicative on all basis
+    pairs, which holds when the target's ``products_over`` the images of
+    the basis (the columns of m.matrix) is the source's table."""
     src, tgt = m.source, m.target
-    images = linalg.transpose(m.matrix)
-    for i in range(src.dim):
-        for j in range(i, src.dim):
-            if (linalg.mat_vec(m.matrix, src.products[i][j], tgt.field)
-                    != tgt.multiply_coords(images[i], images[j])):
-                return False
-    return True
+    inv = linalg.invert(m.matrix, tgt.field) if src.dim == tgt.dim else None
+    return inv is not None and all(
+        x == src.products[i][j] for (i, j), x in
+        tgt.products_over(linalg.transpose(m.matrix), inv).items())

@@ -7,14 +7,15 @@ itself.  All four conditions are checked over the exact field; failures
 are reported, not raised.
 
 The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
-each eigenspace by eigenvalue and builds the Miyamoto map once.  The
-report of ``verify_axis`` keeps it, and ``realize_axet`` and
-``dichotomy_check`` read it there; the other functions build their own.
+each eigenspace by eigenvalue and writes the eigenvector products over
+the eigenbasis once, in ``table``.  That table answers the fusion law
+and the automorphism check of the Miyamoto map; the report of
+``verify_axis`` keeps the eigenbasis, and ``realize_axet`` and
+``dichotomy_check`` reuse it.
 """
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
 
 from . import linalg
 from .algebra import LinearMap, check_linear_map_is_isomorphism
@@ -68,11 +69,32 @@ class Eigenbasis:
         return linalg.mat_vec(self.inverse, v.coords, self.algebra.field)
 
     @cached_property
+    def table(self):
+        """``products_over`` the vectors; the spaces must span A."""
+        return self.algebra.products_over([v.coords for v in self.vectors],
+                                          self.inverse)
+
+    def violations(self, allowed):
+        """{(i, j): witness} for the eigenvalue indices i <= j where a
+        product of eigenvectors from spaces i and j has a coordinate on a
+        space k not in allowed(i, j); the witness is the first such
+        product, in the order of the vectors."""
+        owner, found = self.owner, {}
+        for (p, q), x in self.table.items():
+            ij = owner[p], owner[q]
+            if ij in found:
+                continue
+            ok = allowed(*ij)
+            if any(c and owner[k] not in ok for k, c in enumerate(x)):
+                found[ij] = self.vectors[p] * self.vectors[q]
+        return found
+
+    @cached_property
     def miyamoto(self):
         """The Miyamoto map: +1 on even, -1 on odd eigenspaces of the
-        preferred C2 grading of the law.  It is asserted to be an
-        automorphism, and is an involution whenever an odd eigenspace is
-        nonzero.  Computed on first read, then kept."""
+        preferred C2 grading of the law.  It is an automorphism exactly
+        when every eigenvector product carries the product of its
+        factors' signs, which is checked.  Computed on first read."""
         A, a = self.algebra, self.axis
         grading = find_c2_grading(self.law)
         if grading is None:
@@ -81,15 +103,15 @@ class Eigenbasis:
         if self.inverse is None:
             raise NotSemisimple("adjoint of %r is not semisimple over the law"
                                 % (a,))
-        images = [[-c for c in v.coords]
-                  if grading.signs[k] == ODD else v.coords
-                  for v, k in zip(self.vectors, self.owner)]
-        tau = LinearMap(A, A, linalg.mat_mul(linalg.transpose(images),
-                                             self.inverse, A.field))
-        if not is_automorphism(A, tau):
+        signs = grading.signs
+        if self.violations(lambda i, j: {
+                k for k, s in enumerate(signs) if s == signs[i] * signs[j]}):
             raise NotSemisimple("Miyamoto map of %r is not an automorphism"
                                 % (a,))
-        return tau
+        images = [[-c for c in v.coords] if signs[k] == ODD else v.coords
+                  for v, k in zip(self.vectors, self.owner)]
+        return LinearMap(A, A, linalg.mat_mul(linalg.transpose(images),
+                                              self.inverse, A.field))
 
 
 @dataclass
@@ -134,25 +156,14 @@ class AxisReport:
 def verify_axis(A, a, law):
     """Check the four axis conditions for a under law; returns AxisReport."""
     basis = Eigenbasis(A, a, law)
-    spaces = basis.spaces
     is_idem = (a * a == a)
-    is_primitive = is_idem and len(spaces[0][1]) == 1 and not a.is_zero()
-
+    is_primitive = (is_idem and len(basis.spaces[0][1]) == 1
+                    and not a.is_zero())
     violations = []
     if basis.inverse is not None:
-        # decompose each eigenvector product over the full eigenbasis and
-        # require support only on the eigenvalues the star table allows
-        n = len(spaces)
-        for i in range(n):
-            for j in range(i, n):
-                allowed = law.star_indices(i, j)
-                for u, v in product(spaces[i][1], spaces[j][1]):
-                    prod = u * v
-                    if any(c and basis.owner[k] not in allowed
-                           for k, c in enumerate(basis.coords(prod))):
-                        violations.append(FusionViolation(
-                            law.eigenvalues[i], law.eigenvalues[j], prod))
-                        break
+        found = basis.violations(law.star_indices)
+        violations = [FusionViolation(law.eigenvalues[i], law.eigenvalues[j],
+                                      found[i, j]) for i, j in sorted(found)]
     return AxisReport(basis=basis, is_idempotent=is_idem,
                       fusion_violations=violations,
                       is_primitive=is_primitive)
@@ -204,6 +215,5 @@ def miyamoto(A, a, law):
 
 def is_automorphism(A, m):
     """Bijective and multiplicative self-map of A."""
-    if m.source is not A or m.target is not A:
-        return False
-    return check_linear_map_is_isomorphism(m)
+    return (m.source is A and m.target is A
+            and check_linear_map_is_isomorphism(m))

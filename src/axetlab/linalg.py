@@ -4,8 +4,9 @@ Matrices are lists of row lists.  ``rref`` reduces all the way to RREF
 with first-nonzero pivoting, so results are deterministic for a fixed
 input order; every other routine here goes through it.  Writing vectors
 over a basis (or over independent vectors spanning a subspace) is done
-once, by ``invert``, whose result is applied with ``mat_vec``; ``solve``
-is for one system.
+once, by ``invert``, whose result is applied to all the vectors by one
+``mat_mul`` (``StructureAlgebra.products_over`` for products), so it is
+encoded once; ``solve`` is for one system.
 
 Each field owns an encoding of its vectors in a ring: ``encode`` gives
 numerators over one denominator (ints for Q, residues for F_p,

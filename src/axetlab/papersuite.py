@@ -5,7 +5,8 @@ frozen here, independent of the constructors in catalog, so a mutation
 on either side is caught.  Checks are named, deterministic, and gated by
 characteristic (0 or 5).  A check fails only through skewverify's helpers
 (_require_zero, _require_equal, _require), and run_suite records the
-exception as the item's detail.
+exception as the item's detail, naming the last check that held when
+another exception ends the item.
 """
 
 import json
@@ -626,10 +627,15 @@ def run_suite(char=0):
             fn = lambda: check_parameter_sum(char)  # noqa: E731
         elif name == "seress-property":
             fn = lambda: check_seress(char)  # noqa: E731
+        skewverify.last_passed = None
         try:
             result = fn()
             items.append(ItemResult(name, "pass", result.detail))
         except Exception as e:  # honest red: record, keep going
-            items.append(ItemResult(name, "fail", "%s: %s"
-                                    % (type(e).__name__, e)))
+            detail = "%s: %s" % (type(e).__name__, e)
+            if skewverify.last_passed and not isinstance(
+                    e, (skewverify.IdentityFails,
+                        skewverify.ContradictionNotFound)):
+                detail += " (after %s)" % skewverify.last_passed
+            items.append(ItemResult(name, "fail", detail))
     return SuiteReport(char, items)

@@ -110,24 +110,35 @@ class BranchReport:
         return "\n".join(lines)
 
 
+# the name of the last check that held; run_suite clears it before each
+# item and names it when the item fails through another exception
+last_passed = None
+
+
 def _require_zero(name, residual):
     """Fail the identity `name` unless the scalar or element is zero."""
+    global last_passed
     if residual:
         raise IdentityFails(name, residual)
+    last_passed = name
 
 
 def _require_equal(name, got, want):
     """Fail the identity got = want; the residual is formed only on failure."""
+    global last_passed
     if got != want:
         raise IdentityFails(name, got - want)
+    last_passed = name
 
 
 def _require(name, condition, detail=None):
     """Fail unless condition holds; detail, such as the label, count or
     value found, is formatted only on failure."""
+    global last_passed
     if not condition:
         raise ContradictionNotFound(
             name if detail is None else "%s: %s" % (name, detail))
+    last_passed = name
 
 
 def generic_context():

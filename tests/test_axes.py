@@ -1,18 +1,23 @@
 """Axis verification, eigenprojections, and Miyamoto involutions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axetlab import axes, linalg
+from axetlab import linalg
+from axetlab import papersuite as ps
+from axetlab.algebra import LinearMap, check_linear_map_is_isomorphism
 from axetlab.axes import (Eigenbasis, NoGrading, NotPrimitive, NotSemisimple,
                           component, in_part, is_automorphism, miyamoto,
                           projection, verify_axis)
 from axetlab.catalog import (make_2B, make_3C, make_3C_skew, make_Q2_third,
-                             make_Q2_skew, make_Q2x_plus_one)
-from axetlab.fusion import FusionLaw, make_jordan, make_monster
+                             make_Q2_skew, make_Q2x_plus_one,
+                             orthogonal_branch_to_Q2, skew_examples)
+from axetlab.fusion import (ODD, FusionLaw, find_c2_grading, make_jordan,
+                            make_monster)
 from axetlab.scalars import QQ, FunctionField
 from axetlab.algebra import StructureAlgebra
 
@@ -171,17 +176,18 @@ def test_jordan_axis_under_its_own_law_is_not_identity():
 
 def test_eigenbasis_miyamoto_is_built_once(monkeypatch):
     ex = make_3C_skew(QUARTER)
-    basis = Eigenbasis(ex.algebra, ex.m_axis, ex.m_law)
-    checks = []
+    tables = []
+    products_over = StructureAlgebra.products_over
 
-    def counted(A, m):
-        checks.append(m)
-        return is_automorphism(A, m)
-    monkeypatch.setattr(axes, "is_automorphism", counted)
-    tau = basis.miyamoto
-    assert basis.miyamoto is tau
+    def counted(A, vectors, inverse):
+        tables.append(vectors)
+        return products_over(A, vectors, inverse)
+    monkeypatch.setattr(StructureAlgebra, "products_over", counted)
+    report = verify_axis(ex.algebra, ex.m_axis, ex.m_law)
+    tau = report.basis.miyamoto
+    assert report.basis.miyamoto is tau
     assert tau(ex.j_axis) == ex.third
-    assert len(checks) == 1
+    assert len(tables) == 1
 
 
 def test_eigenbasis_eigenspace_reads_the_law_index():
@@ -248,3 +254,72 @@ def test_miyamoto_fixes_even_and_negates_odd(u):
     even = component(A, a, law, v, [1, 0, Fraction(2, 3)])
     odd = component(A, a, law, v, [THIRD])
     assert tau(v) == even - odd
+
+
+def reference_violations(basis):
+    """The fusion check as a loop over eigenvector pairs, each product
+    decomposed on its own with Eigenbasis.coords: (lam, mu, witness)."""
+    law, spaces, found = basis.law, basis.spaces, []
+    for i in range(len(spaces)):
+        for j in range(i, len(spaces)):
+            allowed = law.star_indices(i, j)
+            for u, v in product(spaces[i][1], spaces[j][1]):
+                if any(c and basis.owner[k] not in allowed
+                       for k, c in enumerate(basis.coords(u * v))):
+                    found.append((law.eigenvalues[i], law.eigenvalues[j],
+                                  u * v))
+                    break
+    return found
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_eigenbasis_table_matches_the_reference_checks(data):
+    examples = skew_examples(data.draw(st.sampled_from((0, 5, 7))))
+    ex = data.draw(st.sampled_from(examples))
+    A = ex.algebra
+    if data.draw(st.booleans()):
+        A = ps.perturbed(A, *(data.draw(st.integers(0, A.dim - 1))
+                              for _ in range(3)))
+    a = A.element(list(data.draw(st.sampled_from(
+        (ex.m_axis, ex.j_axis, ex.third))).coords))
+    law = data.draw(st.sampled_from((ex.m_law, ex.j_law)))
+    report = verify_axis(A, a, law)
+    basis = report.basis
+    if basis.inverse is None:
+        with pytest.raises(NotSemisimple):
+            basis.miyamoto
+        return
+    assert [(v.lam, v.mu, v.witness) for v in report.fusion_violations] \
+        == reference_violations(basis)
+    # the Miyamoto map by hand: +1 on even, -1 on odd eigenvectors
+    signs = find_c2_grading(law).signs
+    by_hand = LinearMap.from_pairs(A, A, [
+        (v, -v if signs[k] == ODD else v)
+        for v, k in zip(basis.vectors, basis.owner)])
+    if is_automorphism(A, by_hand):
+        assert basis.miyamoto == by_hand
+    else:
+        with pytest.raises(NotSemisimple, match="not an automorphism"):
+            basis.miyamoto
+
+
+def test_axis_and_isomorphism_checks_encode_each_matrix_once(monkeypatch):
+    ex = make_Q2_skew(QQ)
+    iso = orthogonal_branch_to_Q2()
+    calls = {"mat_vec": 0, "mat_mul": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    tau = verify_axis(ex.algebra, ex.m_axis, ex.m_law).basis.miyamoto
+    assert check_linear_map_is_isomorphism(iso)
+    counts = dict(calls)
+    assert tau(ex.j_axis) == ex.third
+    # one mat_mul each for the eigenbasis table, the map and the check
+    assert counts["mat_vec"] == 0
+    assert counts["mat_mul"] <= 3

@@ -246,6 +246,14 @@ def test_perturbed_F5_example_turns_the_merged_checks_red(monkeypatch):
                                      "nonzero residual z")
 
 
+def test_a_library_failure_names_the_last_check_that_held(monkeypatch):
+    monkeypatch.setattr(ps, "make_Q2x_plus_one", lambda:
+                        perturbed_example(make_Q2x_plus_one(), 0, 0, 0))
+    assert failure_details(5)["bullets-F5"] == (
+        "NotSemisimple: Miyamoto map of 4*z + one is not an automorphism "
+        "(after expansion of x over w)")
+
+
 def test_a_wrong_oracle_label_is_named_in_the_detail(monkeypatch):
     monkeypatch.setattr(ps, "rehren_oracle", lambda alpha, beta: ("2B",))
     assert failure_details(0)["rehren-oracle"] == (
