@@ -238,18 +238,16 @@ class StructureAlgebra:
         return StructureAlgebra(self.field, self.basis_names + (name,),
                                 products)
 
-    def map_coefficients(self, fn, field, names=None):
+    def map_coefficients(self, fn, field):
         """New algebra over field with every structure constant mapped."""
-        if names is None:
-            names = self.basis_names
-        return StructureAlgebra(field, names, {
+        return StructureAlgebra(field, self.basis_names, {
             (i, j): [fn(c) for c in self.products[i][j]]
             for i in range(self.dim) for j in range(i, self.dim)})
 
-    def specialize(self, assignment, field, names=None):
+    def specialize(self, assignment, field):
         """Evaluate rational-function structure constants at a point."""
         return self.map_coefficients(lambda c: c.evaluate(assignment, field),
-                                     field, names)
+                                     field)
 
     def span_subalgebra(self, vectors, names):
         """The subalgebra on an independent, multiplication-closed span,
@@ -402,10 +400,16 @@ class LinearMap:
                    linalg.identity_matrix(algebra.dim, algebra.field))
 
     def __call__(self, x):
-        if x.algebra is not self.source:
+        return self.images([x])[0]
+
+    def images(self, xs):
+        """The images of the source elements xs, by one ``mat_mul`` with
+        their coordinates as columns."""
+        if any(x.algebra is not self.source for x in xs):
             raise MixedFields("element not in the source algebra")
-        return Element(self.target,
-                       linalg.mat_vec(self.matrix, x.coords, self.target.field))
+        cols = linalg.mat_mul(self.matrix, linalg.transpose(
+            [x.coords for x in xs]), self.target.field)
+        return [Element(self.target, c) for c in zip(*cols)]
 
     def compose(self, other):
         """self after other."""

@@ -13,7 +13,11 @@ A document looks like::
 
 Missing product pairs are zero.  All coefficients are exact expressions
 under the scalar grammar; the emitter is deterministic and round-trips
-through the parser coefficient-exactly.
+through the parser coefficient-exactly.  The parser reads a document in
+one pass: the basis line fixes one symbol table, the field's symbols and
+each basis name, against which every product and axis element is parsed
+as its line is read, so the first error in line order is reported; law
+parameters are parsed against the field's symbols only.
 """
 
 import re
@@ -105,28 +109,22 @@ class _LinComb:
         raise ExprError("basis symbols cannot be raised to powers", pos=0)
 
 
-def _parse_element(text, algebra, lineno, column):
-    """An element of the algebra from a linear expression over its basis."""
-    field = algebra.field
-    names = dict(field.symbols())
-    zero = [field.zero] * algebra.dim
-    for i, n in enumerate(algebra.basis_names):
-        coords = list(zero)
-        coords[i] = field.one
-        names[n] = _LinComb(field, coords)
-    value = _parse_scalar_token(text, field, lineno, column, names)
+def _parse_element(text, field, names, dim, lineno, column):
+    """The coordinates of a linear expression over the basis symbols,
+    which names binds to unit ``_LinComb``s beside the field's symbols."""
+    value = _parse_scalar_token(text, field, names, lineno, column)
     if isinstance(value, _LinComb):
-        return algebra.element(value.coords)
+        return value.coords
     # a pure scalar is only an element when it is zero
     if not value:
-        return algebra.zero
+        return [field.zero] * dim
     raise ParseError("expected a combination of basis symbols", lineno,
                      column)
 
 
-def _parse_scalar_token(text, field, lineno, column, names=None):
+def _parse_scalar_token(text, field, names, lineno, column):
     try:
-        return parse_expression(text, field, names or field.symbols())
+        return parse_expression(text, field, names)
     except _EXPR_ERRORS as e:
         pos = getattr(e, "pos", 0) or 0
         raise ParseError(str(e), lineno, column + pos)
@@ -182,16 +180,14 @@ def _parse_field_line(words, lineno):
 
 
 def parse_algebra_file(text):
-    """Parse a document into an AlgebraFile.
+    """Parse a document into an AlgebraFile in one pass: each line is
+    checked and its expressions parsed as it is read, so the first error
+    in line order is the one reported.
 
     Sections must come in order: field, dim, basis, products, axes.
     """
-    field = None
-    dim = None
-    basis = None
-    products = {}
-    seen_pairs = set()
-    axis_lines = []
+    field = dim = basis = None
+    table, seen_pairs, axes = {}, set(), []
     stage = 0  # 0 field, 1 dim, 2 basis, 3 products/axes
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -226,10 +222,17 @@ def parse_algebra_file(text):
             if len(basis) != dim:
                 raise ParseError("expected %d basis names, got %d"
                                  % (dim, len(basis)), lineno)
+            symbols = field.symbols()
             for n in basis:
-                if n in field.symbols():
+                if n in symbols:
                     raise ParseError("basis name %r shadows a field symbol"
                                      % n, lineno)
+            # the symbol table of every element expression
+            names = dict(symbols)
+            for i, n in enumerate(basis):
+                names[n] = _LinComb(field, [field.one if k == i
+                                            else field.zero
+                                            for k in range(dim)])
             stage = 3
         elif head == "product":
             if stage != 3:
@@ -249,11 +252,34 @@ def parse_algebra_file(text):
                                  lineno, words[1][0])
             seen_pairs.add(pair)
             column = words[4][0]
-            products[(x, y, lineno, column)] = raw[column - 1:]
+            table[(basis.index(x), basis.index(y))] = _parse_element(
+                raw[column - 1:], field, names, dim, lineno, column)
         elif head == "axis":
             if stage != 3:
                 raise ParseError("axes must follow the basis line", lineno)
-            axis_lines.append((lineno, raw, words[1:]))
+            rest = words[1:]
+            if not rest:
+                raise ParseError("axis needs a law and an element", lineno)
+            law_name = rest[0][1]
+            make_law = LAWS.get(law_name)
+            if make_law is None:
+                raise ParseError("unknown law %r (want %s)"
+                                 % (law_name, " or ".join(LAWS)), lineno)
+            wanted = law_parameters(law_name)
+            if len(rest) < len(wanted) + 2:
+                raise ParseError("expected: axis %s %s <element>" % (
+                    law_name, " ".join("<%s>" % n for n in wanted)), lineno)
+            params = rest[1:len(wanted) + 1]
+            try:
+                # parameters are scalars: the basis names are not bound
+                law = make_law(*(_parse_scalar_token(
+                    text, field, symbols, lineno, column)
+                    for column, text in params))
+            except DegenerateParameter as e:
+                raise ParseError(str(e), lineno, params[0][0]) from None
+            column = rest[len(params) + 1][0]
+            axes.append((_parse_element(raw[column - 1:], field, names, dim,
+                                        lineno, column), law))
         else:
             raise ParseError("unknown directive %r" % head, lineno,
                              words[0][0])
@@ -262,41 +288,9 @@ def parse_algebra_file(text):
         raise ParseError("missing field line", max(1, text.count("\n") + 1))
     if basis is None:
         raise ParseError("missing basis line", max(1, text.count("\n") + 1))
-
-    # build a zero-table algebra first so expressions can be parsed, then
-    # rebuild with the parsed products
-    shell = StructureAlgebra(field, basis, {})
-    index = {n: i for i, n in enumerate(basis)}
-    table = {}
-    for (x, y, lineno, column), expr in products.items():
-        element = _parse_element(expr, shell, lineno, column)
-        table[(index[x], index[y])] = element.coords
     algebra = StructureAlgebra(field, basis, table)
-
-    axes = []
-    for lineno, raw, rest in axis_lines:
-        if not rest:
-            raise ParseError("axis needs a law and an element", lineno)
-        law_name = rest[0][1]
-        make_law = LAWS.get(law_name)
-        if make_law is None:
-            raise ParseError("unknown law %r (want %s)"
-                             % (law_name, " or ".join(LAWS)), lineno)
-        names = law_parameters(law_name)
-        if len(rest) < len(names) + 2:
-            raise ParseError("expected: axis %s %s <element>"
-                             % (law_name, " ".join("<%s>" % n for n in names)),
-                             lineno)
-        params = rest[1:len(names) + 1]
-        try:
-            law = make_law(*(_parse_scalar_token(text, field, lineno, column)
-                             for column, text in params))
-        except DegenerateParameter as e:
-            raise ParseError(str(e), lineno, params[0][0]) from None
-        column = rest[len(params) + 1][0]
-        element = _parse_element(raw[column - 1:], algebra, lineno, column)
-        axes.append((element, law))
-    return AlgebraFile(algebra, axes)
+    return AlgebraFile(algebra, [(algebra.element(coords), law)
+                                 for coords, law in axes])
 
 
 # -- emitting -----------------------------------------------------------------

@@ -8,10 +8,11 @@ are reported, not raised.
 
 The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
 each eigenspace by eigenvalue and writes the eigenvector products over
-the eigenbasis once, in ``table``.  That table answers the fusion law
-and the automorphism check of the Miyamoto map; the report of
-``verify_axis`` keeps the eigenbasis, and ``realize_axet`` and
-``dichotomy_check`` reuse it.
+the eigenbasis once, in ``table``; ``coords`` writes one vector over
+the eigenbasis with one ``mat_mul`` by its inverse.  The table answers
+the fusion law and the automorphism check of the Miyamoto map; the
+report of ``verify_axis`` keeps the eigenbasis, and ``realize_axet``
+and ``dichotomy_check`` reuse it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -66,7 +67,8 @@ class Eigenbasis:
 
     def coords(self, v):
         """Coordinates of v over vectors; the spaces must span A."""
-        return linalg.mat_vec(self.inverse, v.coords, self.algebra.field)
+        return [r[0] for r in linalg.mat_mul(
+            self.inverse, [[c] for c in v.coords], self.algebra.field)]
 
     @cached_property
     def table(self):

@@ -251,8 +251,9 @@ def realize_axet(reports, max_points=24):
     Every report must have passed (NotAnAxis otherwise); an axis given
     twice is one point, with the first report's law.  New orbit
     points inherit the law of their preimage and the conjugated map
-    tau_{g(x)} = g tau_x g^{-1}; growth past max_points raises
-    NotClosedWithinBound.  The pass that adds no point records the
+    tau_{g(x)} = g tau_x g^{-1}; more than max_points points, given
+    or found, raise NotClosedWithinBound.  Each row maps the points as
+    they stand when it starts; the pass that adds no point records the
     permutation rows.
     """
     points, laws, maps = [], [], []
@@ -264,13 +265,14 @@ def realize_axet(reports, max_points=24):
         points.append(report.basis.axis)
         laws.append(report.basis.law)
         maps.append(report.basis.miyamoto)
+    if len(points) > max_points:
+        raise NotClosedWithinBound("orbit exceeds %d points" % max_points)
 
     while True:
         size, perms = len(points), []
         for p in range(len(points)):
             row = []
-            for q in range(len(points)):
-                img = maps[p](points[q])
+            for q, img in enumerate(maps[p].images(points)):
                 try:
                     row.append(points.index(img))
                 except ValueError:

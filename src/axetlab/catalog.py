@@ -329,14 +329,14 @@ class SkewConstants:
         return -bracket / (2 * b * (a - b) ** 2)
 
 
-def make_generic_skew(constants, field=None):
+def make_generic_skew(constants):
     """The four-dimensional algebra on a, b, c, sigma with generic products.
 
     a is the even axis, b and c the swapped pair, sigma = ab - beta(a+b);
     sigma^2 is kept free as zeta a + theta (b+c) + kappa sigma.
     """
     c = constants
-    field = _field_of(c.alpha, field)
+    field = _field_of(c.alpha, None)
     if not c.beta or c.alpha == c.beta:
         raise DegenerateParameter(
             "the generic algebra needs beta != 0 and alpha != beta")

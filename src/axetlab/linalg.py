@@ -29,9 +29,11 @@ everything built on them work on small fractions.  Where the heuristic
 fails the entry stays unreduced; its value is the same either way, since
 equality cross-multiplies.
 
-Over Q and F_p ``mat_vec`` and ``mat_mul`` also run on the encoding:
-they sum int products and build each entry once.  Over a function field
-they multiply field elements, so no entry pays a gcd.
+``mat_mul`` is the one kernel that applies a matrix, to one vector as a
+one-column matrix or to many as its columns, so the matrix is encoded
+once per product.  Over Q and F_p it runs on the encoding: it sums int
+products and builds each entry once.  Over a function field it
+multiplies field elements, so no entry pays a gcd.
 """
 
 from operator import mul
@@ -152,18 +154,6 @@ def invert(rows, field):
     if pivots[:k] != list(range(k)):
         return None
     return [r[k:] for r in red]
-
-
-def mat_vec(rows, vec, field):
-    if isinstance(field, FunctionField):
-        return [sum((a * b for a, b in zip(r, vec) if b), field.zero)
-                for r in rows]
-    v, vd = field.encode(vec)
-    cols = [j for j, b in enumerate(v) if b]
-    a, ad = field.encode([r[j] for r in rows for j in cols])
-    v = [v[j] for j in cols]
-    return field.decode([sum(map(mul, r, v))
-                         for r in _split(a, len(rows), len(cols))], ad * vd)
 
 
 def mat_mul(a, b, field):

@@ -86,6 +86,10 @@ class MixedFields(TypeError):
 class DivisionByZero(ZeroDivisionError):
     """Raised on inversion of zero or coercion with vanishing denominator."""
 
+    def __init__(self, message, pos=None):
+        super().__init__(message)
+        self.pos = pos
+
 
 class DenominatorVanishes(ZeroDivisionError):
     """Raised when evaluating a rational function at a pole."""
@@ -1252,7 +1256,8 @@ class _Parser:
                     try:
                         v = v / w
                     except ZeroDivisionError:
-                        raise DivisionByZero("division by zero at position %d" % pos)
+                        raise DivisionByZero(
+                            "division by zero at position %d" % pos, pos=pos)
             else:
                 return v
 

@@ -719,11 +719,11 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
         raise NoMatch("p is not an axis under the given law")
     if j_law is not None and not verify_axis(A, q, j_law).passed:
         raise NoMatch("q is not an axis under its stated law")
-    tau_p = report_p.basis.miyamoto
     field = A.field
     alpha, beta = (field.coerce(v) for v in family[1])
 
-    if tau_p(q) == q:
+    r = report_p.basis.miyamoto(q)  # tau_p(q)
+    if r == q:
         # ad_p maps the pair algebra into itself, so p has a beta part
         # inside it exactly when it meets the beta eigenspace of p
         both = ([v.coords for v in A.subalgebra_closure([p, q])]
@@ -739,7 +739,6 @@ def dichotomy_check(A, p, q, m_law, j_law=None):
     if alpha + beta != field.one:
         raise NoMatch("the fusion parameters do not sum to 1")
 
-    r = tau_p(q)
     sigma = p * q - beta * (p + q)
     candidates = []
     if field.char == 5 and alpha == field.coerce(Fraction(1, 3)):

@@ -115,6 +115,7 @@ def test_error_positions():
 
 @pytest.mark.parametrize("line, column", [
     ("product a b = 1/3*a + (b", 25),
+    ("product a b = 1/0*a", 16),
     ("product a b =   (b", 19),
     ("axis jordan 1/(2 a", 17),
     ("axis monster 1/3   2/(3 a", 24),
@@ -130,6 +131,39 @@ def test_error_columns_are_one_based_in_the_line(line, column):
     with pytest.raises(ParseError) as info:
         parse_algebra_file(bad)
     assert (info.value.line, info.value.column) == (5, column)
+
+
+def test_the_first_error_in_line_order_is_reported():
+    bad = ("field rational\ndim 2\nbasis a b\nproduct a a = a\n"
+           "product a b = 1/0*a\n\nbogus line\n")
+    with pytest.raises(ParseError) as info:
+        parse_algebra_file(bad)
+    assert str(info.value) \
+        == "line 5, column 16: division by zero at position 1"
+
+
+def test_parse_builds_one_algebra_and_one_symbol_table(monkeypatch):
+    from axetlab import algfile
+    from axetlab.scalars import FunctionField
+    field = FunctionField(("alpha",))
+    ex = make_3C_skew(field.sym("alpha"), field)
+    text = emit_algebra_file(ex.algebra, [(ex.m_axis, ex.m_law),
+                                          (ex.j_axis, ex.j_law)])
+    calls = {"algebra": 0, "symbols": 0}
+    build, symbols = algfile.StructureAlgebra, FunctionField.symbols
+
+    def counted_build(*args):
+        calls["algebra"] += 1
+        return build(*args)
+
+    def counted_symbols(self):
+        calls["symbols"] += 1
+        return symbols(self)
+    monkeypatch.setattr(algfile, "StructureAlgebra", counted_build)
+    monkeypatch.setattr(FunctionField, "symbols", counted_symbols)
+    doc = parse_algebra_file(text)
+    assert calls == {"algebra": 1, "symbols": 1}
+    assert emit_algebra_file(doc.algebra, doc.axes) == text
 
 
 def test_degree_overflow_is_a_parse_error(monkeypatch):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from axetlab.algebra import StructureAlgebra
+from axetlab import linalg
+from axetlab.algebra import LinearMap, StructureAlgebra
 from axetlab.axes import verify_axis
 from axetlab.axets import (AbstractAxet, FiniteAxet, NotAnAxis,
                            NotClosedWithinBound, TooLarge, classify_shape,
                            closure, odd_subaxet, realize_axet, restrict,
                            shape_label)
-from axetlab.catalog import make_3C_skew, make_Q2x
+from axetlab.catalog import make_3C, make_3C_skew, make_Q2x
 from axetlab.fusion import make_jordan, make_monster
 
 
@@ -186,6 +187,41 @@ def test_realize_respects_the_point_bound():
     with pytest.raises(NotClosedWithinBound):
         realize_axet([verify_axis(A, A.gen(n), law) for n in "xz"],
                      max_points=3)
+
+
+def test_realize_bounds_the_given_axes_too():
+    A = make_3C(Fraction(1, 4))
+    law = make_jordan(Fraction(1, 4))
+    reports = [verify_axis(A, A.gen(n), law) for n in "xyz"]
+    with pytest.raises(NotClosedWithinBound, match="exceeds 2 points"):
+        realize_axet(reports, max_points=2)
+    assert realize_axet(reports, max_points=3).size == 3
+
+
+def test_realize_maps_each_row_with_one_product(monkeypatch):
+    A = make_Q2x()
+    law = make_monster(A.field.coerce(Fraction(2, 3)),
+                       A.field.coerce(Fraction(1, 3)))
+    reports = [verify_axis(A, A.gen(n), law) for n in "xz"]
+    for report in reports:
+        report.basis.miyamoto  # built before counting
+    calls = {"mat_mul": 0, "compose": 0}
+    mat_mul, compose = linalg.mat_mul, LinearMap.compose
+
+    def counted_mat_mul(*args):
+        calls["mat_mul"] += 1
+        return mat_mul(*args)
+
+    def counted_compose(*args):
+        calls["compose"] += 1
+        return compose(*args)
+    monkeypatch.setattr(linalg, "mat_mul", counted_mat_mul)
+    monkeypatch.setattr(LinearMap, "compose", counted_compose)
+    assert realize_axet(reports).size == 4
+    # the first pass has the 2 given points as rows and adds 2, each with
+    # a conjugated map of two compositions; the second has 4 rows
+    assert calls["compose"] == 2 * 2
+    assert calls["mat_mul"] - calls["compose"] == 2 + 4
 
 
 def test_realized_laws_follow_orbits():

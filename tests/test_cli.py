@@ -199,6 +199,10 @@ def test_axet_max_points_bound(tmp_path, capsys):
     path = emit(tmp_path, "Q2x")
     assert cli.main(["axet", path, "--max-points", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+    # 3C's three given axes exceed the bound before any orbit grows
+    path = emit(tmp_path, "3C", "--alpha", "1/4")
+    assert cli.main(["axet", path, "--max-points", "2"]) == 1
+    assert "orbit exceeds 2 points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
