@@ -11,7 +11,7 @@ from .algebra import (DimensionMismatch, Element, LinearMap, NotProperIdeal,
                       StructureAlgebra, check_linear_map_is_isomorphism)
 from .algfile import (AlgebraFile, ParseError, emit_algebra_file,
                       format_element, parse_algebra_file)
-from .axes import (AxisReport, FusionViolation, NoGrading, NotPrimitive,
+from .axes import (Eigenbasis, FusionViolation, NoGrading, NotPrimitive,
                    NotSemisimple, component, in_part, is_automorphism,
                    miyamoto, projection, verify_axis)
 from .axets import (AbstractAxet, FiniteAxet, NotAnAxis, NotClosedWithinBound,

@@ -7,15 +7,16 @@ itself.  All four conditions are checked over the exact field; failures
 are reported, not raised.
 
 The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
-each eigenspace by eigenvalue and writes the eigenvector products over
-the eigenbasis once, in ``table``; ``coords`` writes one vector over
-the eigenbasis with one ``mat_mul`` by its inverse.  The table answers
-the fusion law and the automorphism check of the Miyamoto map; the
-report of ``verify_axis`` keeps the eigenbasis, and ``realize_axet``
-and ``dichotomy_check`` reuse it.
+each eigenspace by eigenvalue, writes the eigenvector products over
+the eigenbasis once, in ``table``, and reads the four axis conditions
+from them; ``coords`` writes one vector over the eigenbasis with one
+``mat_mul`` by its inverse.  The table answers the fusion law and the
+automorphism check of the Miyamoto map.  ``verify_axis`` returns the
+Eigenbasis, which ``realize_axet`` and ``dichotomy_check`` reuse;
+``projection``, ``component`` and ``in_part`` raise from its verdicts.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -36,11 +37,12 @@ class NoGrading(ValueError):
 
 
 class Eigenbasis:
-    """The eigenspaces of ad_a for a law: spaces holds (eigenvalue,
-    [Element]) pairs in law order, vectors their concatenation, owner[k]
-    the eigenvalue index of vectors[k].  inverse inverts the matrix with
-    the vectors as columns; it is None unless the spaces span A (a law's
-    eigenvalues are distinct, so spanning vectors form a basis)."""
+    """The eigenspaces of ad_a for a law, and the four axis conditions
+    read from them on first read (passed sums them up): spaces holds
+    (eigenvalue, [Element]) pairs in law order, vectors their
+    concatenation, owner[k] the eigenvalue index of vectors[k].  inverse
+    inverts the matrix with the vectors as columns, a basis when the
+    spaces span A (a law's eigenvalues are distinct); else it is None."""
 
     def __init__(self, A, a, law):
         self.algebra = A
@@ -92,6 +94,42 @@ class Eigenbasis:
         return found
 
     @cached_property
+    def is_idempotent(self):
+        return self.axis * self.axis == self.axis
+
+    @property
+    def spectrum_ok(self):
+        return self.inverse is not None
+
+    @property
+    def is_primitive(self):
+        # a = 0 fails too: its 1-eigenspace is 0
+        return self.is_idempotent and len(self.spaces[0][1]) == 1
+
+    @cached_property
+    def fusion_violations(self):
+        """The FusionViolations of the law's star table, sorted by
+        eigenvalue index; empty when the spaces do not span A."""
+        if not self.spectrum_ok:
+            return []
+        found = self.violations(self.law.star_indices)
+        ev = self.law.eigenvalues
+        return [FusionViolation(ev[i], ev[j], found[i, j])
+                for i, j in sorted(found)]
+
+    @property
+    def passed(self):
+        return (self.is_idempotent and self.spectrum_ok
+                and not self.fusion_violations and self.is_primitive)
+
+    def summary(self):
+        dims = ", ".join("dim A_%s = %d" % (v, len(b))
+                         for v, b in self.spaces)
+        return ("idempotent=%s spectrum=%s primitive=%s violations=%d (%s)"
+                % (self.is_idempotent, self.spectrum_ok, self.is_primitive,
+                   len(self.fusion_violations), dims))
+
+    @cached_property
     def miyamoto(self):
         """The Miyamoto map: +1 on even, -1 on odd eigenspaces of the
         preferred C2 grading of the law.  It is an automorphism exactly
@@ -102,7 +140,7 @@ class Eigenbasis:
         if grading is None:
             raise NoGrading("law %r has no nontrivial C2 grading"
                             % (self.law,))
-        if self.inverse is None:
+        if not self.spectrum_ok:
             raise NotSemisimple("adjoint of %r is not semisimple over the law"
                                 % (a,))
         signs = grading.signs
@@ -126,61 +164,20 @@ class FusionViolation:
         return "FusionViolation(%r * %r)" % (self.lam, self.mu)
 
 
-@dataclass
-class AxisReport:
-    """Outcome of verify_axis; passed summarises the four conditions."""
-
-    basis: Eigenbasis
-    is_idempotent: bool
-    fusion_violations: list = dc_field(default_factory=list)
-    is_primitive: bool = False
-
-    @property
-    def spectrum_ok(self):
-        return self.basis.inverse is not None
-
-    @property
-    def passed(self):
-        return (self.is_idempotent and self.spectrum_ok
-                and not self.fusion_violations and self.is_primitive)
-
-    def eigenspace(self, lam):
-        return self.basis.eigenspace(lam)
-
-    def summary(self):
-        dims = ", ".join("dim A_%s = %d" % (v, len(b))
-                         for v, b in self.basis.spaces)
-        return ("idempotent=%s spectrum=%s primitive=%s violations=%d (%s)"
-                % (self.is_idempotent, self.spectrum_ok, self.is_primitive,
-                   len(self.fusion_violations), dims))
-
-
 def verify_axis(A, a, law):
-    """Check the four axis conditions for a under law; returns AxisReport."""
-    basis = Eigenbasis(A, a, law)
-    is_idem = (a * a == a)
-    is_primitive = (is_idem and len(basis.spaces[0][1]) == 1
-                    and not a.is_zero())
-    violations = []
-    if basis.inverse is not None:
-        found = basis.violations(law.star_indices)
-        violations = [FusionViolation(law.eigenvalues[i], law.eigenvalues[j],
-                                      found[i, j]) for i, j in sorted(found)]
-    return AxisReport(basis=basis, is_idempotent=is_idem,
-                      fusion_violations=violations,
-                      is_primitive=is_primitive)
+    """The Eigenbasis of a under law, which reads the axis conditions."""
+    return Eigenbasis(A, a, law)
 
 
 def _primitive_eigenbasis(A, a, law):
-    """The Eigenbasis of an idempotent a with a full spectrum and a one
-    dimensional 1-eigenspace."""
-    if not (a * a == a):
-        raise NotPrimitive("%r is not idempotent" % (a,))
+    """The Eigenbasis of a, a primitive idempotent with a full spectrum."""
     basis = Eigenbasis(A, a, law)
-    if basis.inverse is None:
+    if not basis.is_idempotent:
+        raise NotPrimitive("%r is not idempotent" % (a,))
+    if not basis.spectrum_ok:
         raise NotSemisimple("adjoint of %r is not semisimple over the law"
                             % (a,))
-    if len(basis.spaces[0][1]) != 1:
+    if not basis.is_primitive:
         raise NotPrimitive("1-eigenspace of %r has dimension %d"
                            % (a, len(basis.spaces[0][1])))
     return basis

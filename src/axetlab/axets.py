@@ -6,8 +6,9 @@ family X'(k+2k) starts from X(4k) and identifies a_{2j} with a_{2j+2k},
 leaving k even and 2k odd points, 3k in total; the same reflection
 formula acts on canonical representatives.
 
-A RealizedAxet is the closure of the axes of passed verify_axis reports
-under their Miyamoto involutions, with the permutation action recorded.
+A RealizedAxet is the closure of the axes of passed eigenbases (from
+verify_axis) under their Miyamoto involutions, with the permutation
+action recorded.
 Shapes are recognised by a brute-force action-preserving bijection
 search, which is fine at the sizes the workbench handles (n <= 24).
 """
@@ -22,10 +23,10 @@ class NotClosedWithinBound(ValueError):
 
 
 class NotAnAxis(ValueError):
-    def __init__(self, report):
+    def __init__(self, basis):
         super().__init__("element fails axis verification: %s"
-                         % report.summary())
-        self.report = report
+                         % basis.summary())
+        self.basis = basis
 
 
 class FiniteAxet:
@@ -245,11 +246,11 @@ class RealizedAxet(FiniteAxet):
         super().__init__(labels, perms)
 
 
-def realize_axet(reports, max_points=24):
-    """Close the axes of verify_axis reports under their Miyamoto maps.
+def realize_axet(bases, max_points=24):
+    """Close the axes of verify_axis eigenbases under their Miyamoto maps.
 
-    Every report must have passed (NotAnAxis otherwise); an axis given
-    twice is one point, with the first report's law.  New orbit
+    Every eigenbasis must have passed (NotAnAxis otherwise); an axis
+    given twice is one point, with the first one's law.  New orbit
     points inherit the law of their preimage and the conjugated map
     tau_{g(x)} = g tau_x g^{-1}; more than max_points points, given
     or found, raise NotClosedWithinBound.  Each row maps the points as
@@ -257,14 +258,14 @@ def realize_axet(reports, max_points=24):
     permutation rows.
     """
     points, laws, maps = [], [], []
-    for report in reports:
-        if not report.passed:
-            raise NotAnAxis(report)
-        if report.basis.axis in points:  # an axis declared twice
+    for basis in bases:
+        if not basis.passed:
+            raise NotAnAxis(basis)
+        if basis.axis in points:  # an axis declared twice
             continue
-        points.append(report.basis.axis)
-        laws.append(report.basis.law)
-        maps.append(report.basis.miyamoto)
+        points.append(basis.axis)
+        laws.append(basis.law)
+        maps.append(basis.miyamoto)
     if len(points) > max_points:
         raise NotClosedWithinBound("orbit exceeds %d points" % max_points)
 

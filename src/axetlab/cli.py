@@ -108,46 +108,38 @@ def cmd_paper_suite(args):
     return 0 if report.passed else 1
 
 
-def _catalog_document(name, alpha):
-    def frac():
-        if alpha is None:
-            raise DegenerateParameter("%s needs --alpha" % name)
-        return parse_scalar(alpha, QQ)
-
-    if name == "2B":
-        A = make_2B()
-        law = make_jordan(Fraction(1, 2))
-        return A, [(A.gen("a"), law), (A.gen("b"), law)]
-    if name == "3C":
-        A = make_3C(frac())
-        law = make_jordan(frac())
-        return A, [(A.gen(n), law) for n in A.basis_names]
-    skew_pairs = {"3C-skew": lambda: make_3C_skew(frac()),
-                  "3C-1-2": make_3C_minus1_2, "Q2-skew": make_Q2_skew,
-                  "Q2x5": make_Q2x_plus_one,
-                  "orthogonal": make_orthogonal_branch}
-    if name in skew_pairs:
-        ex = skew_pairs[name]()
-        return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
-    if name == "Q2":
-        A = make_Q2_third()
-        j = make_jordan(Fraction(1, 3))
-        m = make_monster(Fraction(2, 3), Fraction(1, 3))
-        return A, [(A.gen("s1"), j), (A.gen("s2"), j),
-                   (A.gen("d1"), m), (A.gen("d2"), m)]
-    if name == "Q2x":
-        A = make_Q2x()
-        m = make_Q2x_law()
-        return A, [(A.gen("x"), m), (A.gen("z"), m)]
-    raise ParseError("unknown catalog name %r" % name, 1)
+def _axes(A, *groups):
+    """A with an axis per name of each (names, law) group."""
+    return A, [(A.gen(n), law) for names, law in groups for n in names]
 
 
-CATALOG_NAMES = ("2B", "3C", "3C-skew", "3C-1-2", "Q2", "Q2-skew", "Q2x",
-                 "Q2x5", "orthogonal")
+def _pair(ex):
+    return ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)]
+
+
+# name -> builder of (algebra, axes); its argument reads --alpha
+CATALOG = {
+    "2B": lambda alpha: _axes(make_2B(), ("ab", make_jordan(Fraction(1, 2)))),
+    "3C": lambda alpha: _axes(make_3C(alpha()), ("xyz", make_jordan(alpha()))),
+    "3C-skew": lambda alpha: _pair(make_3C_skew(alpha())),
+    "3C-1-2": lambda alpha: _pair(make_3C_minus1_2()),
+    "Q2": lambda alpha: _axes(
+        make_Q2_third(), (("s1", "s2"), make_jordan(Fraction(1, 3))),
+        (("d1", "d2"), make_monster(Fraction(2, 3), Fraction(1, 3)))),
+    "Q2-skew": lambda alpha: _pair(make_Q2_skew()),
+    "Q2x": lambda alpha: _axes(make_Q2x(), ("xz", make_Q2x_law())),
+    "Q2x5": lambda alpha: _pair(make_Q2x_plus_one()),
+    "orthogonal": lambda alpha: _pair(make_orthogonal_branch()),
+}
 
 
 def cmd_catalog(args):
-    algebra, axes = _catalog_document(args.name, args.alpha)
+    def alpha():
+        if args.alpha is None:
+            raise DegenerateParameter("%s needs --alpha" % args.name)
+        return parse_scalar(args.alpha, QQ)
+
+    algebra, axes = CATALOG[args.name](alpha)
     text = emit_algebra_file(algebra, axes)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -197,7 +189,7 @@ def build_parser():
     p.set_defaults(fn=cmd_paper_suite)
 
     p = sub.add_parser("catalog", help="emit a built-in algebra as a file")
-    p.add_argument("name", choices=CATALOG_NAMES)
+    p.add_argument("name", choices=CATALOG)
     p.add_argument("--alpha", help="parameter for the 3C families")
     p.add_argument("-o", "--output", help="write the file here")
     p.set_defaults(fn=cmd_catalog)

@@ -706,33 +706,42 @@ def replay_nonorthogonal_branch():
 def dichotomy_check(A, p, q, m_law, j_law=None):
     """Classify the pair algebra of an M-axis p and a fixed-or-swapped q.
 
-    If the involution of p fixes q the pair generates a Jordan-type
-    algebra (the beta part of p inside it is empty); otherwise the orbit
-    is the three-point skew shape and the algebra is matched against the
-    classified list by generator-respecting isomorphism.
+    p and q are verified under m_law = M(alpha, beta), one eigenbasis each,
+    before either branch; j_law is None or J(alpha) (NoMatch otherwise), and
+    then q must have no beta part.  If tau_p fixes q the pair generates a
+    Jordan-type algebra (the beta part of p inside it is empty); otherwise
+    the orbit is the three-point skew shape and the algebra is matched to
+    the classified list by generator-respecting isomorphism.
     """
     family = law_family(m_law)
     if family is None or family[0] != "monster":
         raise NoMatch("p's law is not a Monster law")
-    report_p = verify_axis(A, p, m_law)
-    if not report_p.passed:
-        raise NoMatch("p is not an axis under the given law")
-    if j_law is not None and not verify_axis(A, q, j_law).passed:
-        raise NoMatch("q is not an axis under its stated law")
     field = A.field
     alpha, beta = (field.coerce(v) for v in family[1])
+    if j_law is not None and law_family(j_law) != ("jordan", (alpha,)):
+        raise NoMatch("q's stated law is not J(%s)" % alpha)
+    basis_p = verify_axis(A, p, m_law)
+    if not basis_p.passed:
+        raise NoMatch("p is not an axis under the given law")
+    # q is a J(alpha) axis exactly when it is an M(alpha, beta) axis with
+    # no beta part: the eigenspaces, products and star sets of 1, 0 and
+    # alpha are the same under both laws
+    basis_q = verify_axis(A, q, m_law)
+    if not basis_q.passed or (j_law is not None
+                              and basis_q.eigenspace(beta)):
+        raise NoMatch("q is not an axis under its stated law")
 
-    r = report_p.basis.miyamoto(q)  # tau_p(q)
+    r = basis_p.miyamoto(q)  # tau_p(q)
     if r == q:
         # ad_p maps the pair algebra into itself, so p has a beta part
         # inside it exactly when it meets the beta eigenspace of p
         both = ([v.coords for v in A.subalgebra_closure([p, q])]
-                + [v.coords for v in report_p.eigenspace(beta)])
+                + [v.coords for v in basis_p.eigenspace(beta)])
         if linalg.rank(both, field) < len(both):
             raise NoMatch("p keeps a beta part inside the pair algebra")
         return ("jordan", "J(%s)" % alpha)
 
-    realized = realize_axet([report_p, verify_axis(A, q, m_law)])
+    realized = realize_axet([basis_p, basis_q])
     shape = classify_shape(realized)
     if shape != "Xskew(1)":
         raise NoMatch("the realized axet is %s, not Xskew(1)" % shape)

@@ -183,9 +183,9 @@ def test_eigenbasis_miyamoto_is_built_once(monkeypatch):
         tables.append(vectors)
         return products_over(A, vectors, inverse)
     monkeypatch.setattr(StructureAlgebra, "products_over", counted)
-    report = verify_axis(ex.algebra, ex.m_axis, ex.m_law)
-    tau = report.basis.miyamoto
-    assert report.basis.miyamoto is tau
+    basis = verify_axis(ex.algebra, ex.m_axis, ex.m_law)
+    tau = basis.miyamoto
+    assert basis.miyamoto is tau
     assert tau(ex.j_axis) == ex.third
     assert len(tables) == 1
 
@@ -284,13 +284,12 @@ def test_eigenbasis_table_matches_the_reference_checks(data):
     a = A.element(list(data.draw(st.sampled_from(
         (ex.m_axis, ex.j_axis, ex.third))).coords))
     law = data.draw(st.sampled_from((ex.m_law, ex.j_law)))
-    report = verify_axis(A, a, law)
-    basis = report.basis
+    basis = verify_axis(A, a, law)
     if basis.inverse is None:
         with pytest.raises(NotSemisimple):
             basis.miyamoto
         return
-    assert [(v.lam, v.mu, v.witness) for v in report.fusion_violations] \
+    assert [(v.lam, v.mu, v.witness) for v in basis.fusion_violations] \
         == reference_violations(basis)
     # the Miyamoto map by hand: +1 on even, -1 on odd eigenvectors
     signs = find_c2_grading(law).signs
@@ -302,6 +301,27 @@ def test_eigenbasis_table_matches_the_reference_checks(data):
     else:
         with pytest.raises(NotSemisimple, match="not an automorphism"):
             basis.miyamoto
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_jordan_axis_is_a_monster_axis_with_no_beta_part(data):
+    # the reading of q's Jordan type in dichotomy_check
+    examples = skew_examples(data.draw(st.sampled_from((0, 5, 7))))
+    ex = data.draw(st.sampled_from(examples))
+    A = ex.algebra
+    if data.draw(st.booleans()):
+        A = ps.perturbed(A, *(data.draw(st.integers(0, A.dim - 1))
+                              for _ in range(3)))
+    q = A.element(list(data.draw(st.sampled_from(
+        ex.algebra.basis() + [ex.m_axis, ex.j_axis, ex.third])).coords))
+    jordan = verify_axis(A, q, ex.j_law)
+    monster = verify_axis(A, q, ex.m_law)
+    no_beta = not monster.eigenspace(ex.beta)
+    assert jordan.passed == (monster.passed and no_beta)
+    if no_beta:
+        assert jordan.fusion_violations == monster.fusion_violations
+        assert jordan.is_primitive == monster.is_primitive
 
 
 def test_axis_and_isomorphism_checks_encode_each_matrix_once(monkeypatch):
@@ -316,7 +336,7 @@ def test_axis_and_isomorphism_checks_encode_each_matrix_once(monkeypatch):
         return counted
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
-    tau = verify_axis(ex.algebra, ex.m_axis, ex.m_law).basis.miyamoto
+    tau = verify_axis(ex.algebra, ex.m_axis, ex.m_law).miyamoto
     assert check_linear_map_is_isomorphism(iso)
     counts = dict(calls)
     assert tau(ex.j_axis) == ex.third

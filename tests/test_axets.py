@@ -202,9 +202,9 @@ def test_realize_maps_each_row_with_one_product(monkeypatch):
     A = make_Q2x()
     law = make_monster(A.field.coerce(Fraction(2, 3)),
                        A.field.coerce(Fraction(1, 3)))
-    reports = [verify_axis(A, A.gen(n), law) for n in "xz"]
-    for report in reports:
-        report.basis.miyamoto  # built before counting
+    bases = [verify_axis(A, A.gen(n), law) for n in "xz"]
+    for basis in bases:
+        basis.miyamoto  # built before counting
     calls = {"mat_mul": 0, "compose": 0}
     mat_mul, compose = linalg.mat_mul, LinearMap.compose
 
@@ -217,7 +217,7 @@ def test_realize_maps_each_row_with_one_product(monkeypatch):
         return compose(*args)
     monkeypatch.setattr(linalg, "mat_mul", counted_mat_mul)
     monkeypatch.setattr(LinearMap, "compose", counted_compose)
-    assert realize_axet(reports).size == 4
+    assert realize_axet(bases).size == 4
     # the first pass has the 2 given points as rows and adds 2, each with
     # a conjugated map of two compositions; the second has 4 rows
     assert calls["compose"] == 2 * 2

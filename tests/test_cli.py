@@ -29,7 +29,7 @@ def test_catalog_to_stdout(capsys):
 GOLDEN_CATALOG = Path(__file__).resolve().parent / "golden" / "catalog"
 
 
-@pytest.mark.parametrize("name", cli.CATALOG_NAMES)
+@pytest.mark.parametrize("name", cli.CATALOG)
 def test_catalog_emit_is_pinned(capsys, name):
     extra = ["--alpha", "1/4"] if name in ("3C", "3C-skew") else []
     assert cli.main(["catalog", name, *extra]) == 0

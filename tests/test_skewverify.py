@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axetlab import papersuite, skewverify
+from axetlab.algebra import StructureAlgebra
 from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
@@ -204,7 +205,8 @@ def test_dichotomy_skew_pairs():
 
 def test_dichotomy_verifies_each_axis_once_on_the_swapped_branch(
         monkeypatch):
-    # p once, q under its own law, q under the M law for the realization
+    # p once and q once, both under the M law; q's Jordan type is read
+    # from its M-law eigenbasis
     ex = make_3C_skew(Fraction(1, 4))
     verify_axis = skewverify.verify_axis
     calls = []
@@ -216,8 +218,61 @@ def test_dichotomy_verifies_each_axis_once_on_the_swapped_branch(
     kind, label = dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis,
                                   ex.m_law, ex.j_law)
     assert (kind, label) == ("skew", "3C(1/4,3/4)")
-    assert calls == [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law),
-                     (ex.j_axis, ex.m_law)]
+    assert calls == [(ex.m_axis, ex.m_law), (ex.j_axis, ex.m_law)]
+
+
+@pytest.mark.parametrize("branch", ["fixed", "swapped"])
+def test_dichotomy_computes_one_adjoint_per_axis(monkeypatch, branch):
+    if branch == "fixed":
+        A = make_2B()
+        args = (A, A.gen("a"), A.gen("b"), make_monster(THIRD, TWO_THIRDS),
+                make_jordan(THIRD))
+        want = ("jordan", "J(1/3)")
+    else:
+        ex = make_Q2_skew()
+        args = (ex.algebra, ex.m_axis, ex.j_axis, ex.m_law, ex.j_law)
+        want = ("skew", "Q2(1/3,2/3)")
+    adjoint = StructureAlgebra.adjoint
+    calls = []
+
+    def counted(A, a):
+        calls.append(a)
+        return adjoint(A, a)
+    monkeypatch.setattr(StructureAlgebra, "adjoint", counted)
+    assert dichotomy_check(*args) == want
+    assert calls == [args[1], args[2]]
+
+
+def test_dichotomy_checks_q_on_both_branches():
+    # tau_a fixes 0 and 2b in 2B, so these reach the fixed branch
+    A = make_2B()
+    law = make_monster(THIRD, TWO_THIRDS)
+    for q in (A.zero, 2 * A.gen("b")):
+        with pytest.raises(NoMatch, match="q is not an axis"):
+            dichotomy_check(A, A.gen("a"), q, law)
+    # 2 s1 is not idempotent; d1 swaps s1 and s2, the swapped branch
+    A = make_Q2_third()
+    with pytest.raises(NoMatch, match="q is not an axis"):
+        dichotomy_check(A, A.gen("d1"), 2 * A.gen("s1"),
+                        make_monster(TWO_THIRDS, THIRD))
+
+
+def test_dichotomy_rejects_a_q_law_other_than_j_alpha():
+    ex = make_Q2_skew()
+    for j_law in (make_jordan(TWO_THIRDS), ex.m_law,
+                  make_monster(THIRD, Fraction(1, 5))):
+        with pytest.raises(NoMatch, match=r"stated law is not J\(1/3\)"):
+            dichotomy_check(ex.algebra, ex.m_axis, ex.j_axis, ex.m_law,
+                            j_law)
+
+
+def test_dichotomy_rejects_a_q_with_a_beta_part_under_j_law():
+    # q = d1 passes M(2/3, 1/3) with a 1/3 eigenspace, so not J(2/3)
+    A = make_Q2_third()
+    with pytest.raises(NoMatch, match="its stated law"):
+        dichotomy_check(A, A.gen("d2"), A.gen("d1"),
+                        make_monster(TWO_THIRDS, THIRD),
+                        make_jordan(TWO_THIRDS))
 
 
 def test_dichotomy_char5():
