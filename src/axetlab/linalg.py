@@ -30,20 +30,13 @@ fails the entry stays unreduced; its value is the same either way, since
 equality cross-multiplies.
 
 ``mat_mul`` is the one kernel that applies a matrix, to one vector as a
-one-column matrix or to many as its columns, so the matrix is encoded
-once per product.  Over Q and F_p it runs on the encoding: it sums int
-products and builds each entry once.  Over a function field it
-multiplies field elements, so no entry pays a gcd.
+one-column matrix or to many as its columns.  Over every field it runs
+on the encoding: the matrix is encoded once and each column on its own
+(no column carries another's denominators), and each entry is one sum
+of ring products, decoded over both denominators.
 """
 
 from operator import mul
-
-from .scalars import FunctionField
-
-
-def _split(flat, n, k):
-    """The flat list as n rows of length k."""
-    return [flat[i * k:i * k + k] for i in range(n)]
 
 
 def rref(rows, field):
@@ -157,15 +150,13 @@ def invert(rows, field):
 
 
 def mat_mul(a, b, field):
-    bt = list(zip(*b))
-    if isinstance(field, FunctionField):
-        return [[sum((x * y for x, y in zip(r, c) if y), field.zero)
-                 for c in bt] for r in a]
+    k = len(b)
     x, xd = field.encode([e for r in a for e in r])
-    y, yd = field.encode([e for c in bt for e in c])
-    cols = _split(y, len(bt), len(b))
-    return [field.decode([sum(map(mul, r, c)) for c in cols], xd * yd)
-            for r in _split(x, len(a), len(b))]
+    rows = [x[i * k:i * k + k] for i in range(len(a))]
+    # each column is encoded alone, so its denominator is its own
+    cols = [field.decode([sum(map(mul, r, y)) for r in rows], xd * yd)
+            for y, yd in map(field.encode, zip(*b))]
+    return [list(r) for r in zip(*cols)] if cols else [[] for _ in a]
 
 
 def identity_matrix(n, field):

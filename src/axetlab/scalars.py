@@ -19,13 +19,13 @@ carries zero, one, the characteristic, coercion from integers and
 rationals, and symbol lookup for the expression parser.  All three also
 own a ring encoding: ``encode`` coerces a vector to (nums, den) and
 ``decode`` builds nums over den back into one element each.
-``linalg.rref`` runs on it over every field, and the other kernels of
-``linalg`` and ``algebra`` over Q and F_p.  ``QQ`` encodes into ints
-over the lcm of the denominators and decodes into ``Fraction``;
-``PrimeField`` into residues over 1, decoded with no second reduction
-(``PrimeFieldElement._make``); ``FunctionField`` into ``MultiPoly``
-numerators over the product of the distinct denominators, decoded
-through ``cancel``.
+``linalg.rref`` and ``linalg.mat_mul`` run on it over every field, and
+``StructureAlgebra.multiply_coords`` over Q and F_p.  ``QQ`` encodes
+into ints over the lcm of the denominators and decodes into
+``Fraction``; ``PrimeField`` into residues over 1, decoded with no
+second reduction (``PrimeFieldElement._make``); ``FunctionField`` into
+``MultiPoly`` numerators over the product of the distinct denominators,
+decoded through ``cancel``.
 
 Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
@@ -42,12 +42,12 @@ terms of a negation, a content division, a one-term product or power,
 which hold no zero.  Each such path returns the (num, den) of the
 general formula, so no stored form depends on it.  Common factors are
 cancelled in two places only: ``FunctionField.decode``, which builds
-every entry of ``linalg.rref``'s result over a function field, runs each
+every function-field entry of ``linalg.rref`` and ``mat_mul``, runs each
 through ``cancel``, and ``solve_linear`` cancels before it reads
-degrees.  ``cancel`` uses ``MultiPoly.gcd``
-(the monomial of least exponents when one side is a single term, else
-the heuristic GCDHEU) and leaves the pair as it is when the heuristic
-fails, so no answer depends on a gcd: equality is decided by cross
+degrees.  ``cancel`` uses ``MultiPoly.gcd`` (the monomial of least
+exponents when one side is a single term, else the heuristic GCDHEU,
+capped by ``_GCD_BITS``) and keeps the pair when the heuristic gives up,
+so no answer depends on a gcd: equality is decided by cross
 multiplication, and ``is_constant``/``constant_value`` compare leading
 coefficients, so they answer for the value, not the stored form.
 
@@ -677,6 +677,7 @@ class MultiPoly:
 
 
 _GCD_TRIES = 6
+_GCD_BITS = 16000
 
 
 def _heugcd(f, g):
@@ -688,7 +689,9 @@ def _heugcd(f, g):
     recursion (an integer gcd once no variable is left), and a candidate
     is read back from it by balanced xi-adic expansion.  A candidate
     counts only when exquo divides both inputs by it; after _GCD_TRIES
-    values of xi the heuristic gives up.
+    values of xi, or at an image coefficient of over _GCD_BITS bits (whose
+    gcd costs more than it saves), the heuristic gives up: ``cancel`` then
+    keeps the pair, which changes the stored form, never the value.
     """
     names, n = f.names, len(f.names)
     if not (f and g):
@@ -714,6 +717,8 @@ def _heugcd(f, g):
                 k = _unpack(e, n)[i]
                 e0 = e - k * unit
                 image[e0] = image.get(e0, 0) + v * xi ** k
+            if any(v.bit_length() > _GCD_BITS for v in image.values()):
+                return None
             images.append(MultiPoly._nonzero(names, image))
         if images[0] and images[1]:
             found = _heugcd(*images)

@@ -1,6 +1,9 @@
 """The axetlab command line: exit codes, output, report files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,27 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "idempotent=False" in out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_FILES = ROOT / "tests" / "golden" / "files"
+
+
+def test_verify_a_small_file_with_big_denominators_ends():
+    # 1 kB over Q(8 symbols) whose eigenbasis table has large denominators
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from axetlab import cli; "
+         "sys.exit(cli.main(['verify', sys.argv[1]]))",
+         str(GOLDEN_FILES / "ff8-seed1.alg")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 1, run.stderr[-2000:]
+    assert run.stdout == (
+        "axis 1: FAIL  idempotent=True spectrum=True primitive=True "
+        "violations=3 (dim A_1 = 1, dim A_0 = 1, dim A_alpha = 1)\n")
 
 
 def test_verify_without_axes_is_usage_error(tmp_path, capsys):

@@ -49,3 +49,18 @@ def test_no_file_imports_sympy():
     found = [str(path.relative_to(ROOT)) for path in files
              for module, _ in imported(path) if top(module) == "sympy"]
     assert not found
+
+
+def test_linalg_has_one_path_whatever_the_field():
+    # no field type and no isinstance: each kernel runs on the field's
+    # encode and decode alone
+    path = ROOT / "src" / "axetlab" / "linalg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or ""]
+             + [alias.name for alias in node.names]]
+    assert not [name for name in names if "scalars" in name.split(".")]
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"]

@@ -299,7 +299,7 @@ def coerced(rows, field):
 
 def assert_field_elements(rows, field):
     assert all(type(x) is type(field.one) for r in rows for x in r)
-    if field != QQ:
+    if isinstance(field, PrimeField):
         assert all(x.p == field.p for r in rows for x in r)
 
 
@@ -385,13 +385,22 @@ def test_invert_over_q_and_fp_matches_the_reference(case):
         assert_field_elements(inv, field)
 
 
-@given(int_field_matrices().flatmap(lambda case: st.tuples(
-    st.just(case), st.integers(0, 3).flatmap(lambda m: st.lists(
-        st.lists(raw_entries, min_size=m, max_size=m),
-        min_size=len(case[1][0]), max_size=len(case[1][0]))))))
+@st.composite
+def mat_mul_cases(draw):
+    """(field, a, b) over Q, F_p or Q(x, y); b has 0 to 3 columns."""
+    if draw(st.booleans()):
+        (field, a), entry = draw(int_field_matrices()), raw_entries
+    else:
+        field, a, entry = FXY, draw(ff_matrices()), rational_functions
+    m = draw(st.integers(0, 3))
+    return field, a, [[draw(entry) for _ in range(m)] for _ in a[0]]
+
+
+@given(mat_mul_cases())
 @settings(max_examples=80, deadline=None)
-def test_mat_mul_over_q_and_fp_matches_the_reference(case):
-    (field, a), b = case
+def test_mat_mul_matches_the_reference(case):
+    # == cross-multiplies, so the stored forms do not matter
+    field, a, b = case
     got = linalg.mat_mul(a, b, field)
     assert got == reference_mat_mul(a, b, field)
     assert_field_elements(got, field)

@@ -12,7 +12,8 @@ from axetlab.scalars import (MAX_NESTING, MAX_POWER_SIZE, SKEW_SYMBOLS,
                              DivisionByZero, ExprError, FunctionField,
                              InexactDivision, MixedFields, MultiPoly,
                              NonlinearExpression, PrimeField, QQ,
-                             RationalFunction, UnboundSymbol, cancel,
+                             RationalFunction, UnboundSymbol, _GCD_BITS,
+                             _heugcd, cancel,
                              parse_expression, parse_scalar, skew_field,
                              solve_linear, tokenize)
 
@@ -345,6 +346,31 @@ def test_cancel_divides_out_the_common_factor():
     num, den = cancel(poly("x^2 - y^2").num, poly("2*x^2 + 2*x*y").num)
     assert RationalFunction(num, den) == poly("(x - y) / (2*x)")
     assert den.degree_in("x") == 1 and den.degree_in("y") == 0
+
+
+def test_gcd_gives_up_on_an_oversized_image():
+    x = poly("x").num
+    f, g = 2 ** (_GCD_BITS + 100) * x + 1, x + 3
+    assert _heugcd(f, g) is None
+    num, den = cancel(f, g)
+    assert num is f and den is g
+    assert RationalFunction(num, den) == RationalFunction(f, g)
+
+
+def test_cancel_still_reduces_a_small_pair():
+    pair = cancel(poly("(x + 1)*(x + 2)").num, poly("(x + 1)*(x + 3)").num)
+    assert pair == (poly("x + 2").num, poly("x + 3").num)
+
+
+def test_cancel_reduces_a_cheap_gcd_over_eight_symbols():
+    # GCDHEU needs images of about 6,200 bits here and ends in
+    # milliseconds: the size cap must leave such a gcd alone
+    field = skew_field()
+    square = "(alpha + beta + l1 + l1f + l2f + zeta + theta + kappa + 1)^2"
+    p = parse_scalar("alpha*beta - 3*kappa + 2", field).num
+    q = parse_scalar("l1*zeta + theta - 5", field).num
+    s = parse_scalar(square, field).num
+    assert cancel(s * p, s * q) == (p, q)
 
 
 # -- linear solving -----------------------------------------------------------
