@@ -10,9 +10,17 @@ isomorphism check used to certify classification outcomes.  Spans,
 quotients, that check and ``axes.Eigenbasis`` write products over a
 basis with one kernel, ``products_over``.
 
-The table is read-only (tuples), so the integer copy that
-``multiply_coords`` runs on over Q and F_p, made once, always agrees
-with it; a changed table is a new algebra (``papersuite.perturbed``).
+The table is read-only (tuples), so the integer copy made once over Q
+and F_p always agrees with it; a changed table is a new algebra
+(``papersuite.perturbed``).  Over Q and F_p one loop on that copy,
+``_ring_product``, forms every product: ``multiply_coords``, the ring
+matrix of ad_a (``encoded_adjoint``) and ``products_over``.  There
+``eigenspaces`` and ``products_over`` stay on the ring encoding from
+ad_a to the product table: each eigenspace is the kernel of an integer
+matrix, taken by ``linalg.encoded_kernel``, and each eigenvector and
+the inverse are encoded once, so each table column is decoded once.
+Over a function field the products are formed on the stored rational
+functions, and ad_a is a ``LinearMap`` decoded before ``eigenspace``.
 """
 
 from . import linalg
@@ -116,20 +124,10 @@ class StructureAlgebra:
         constants are skipped, never multiplied."""
         field = self.field
         if self._int_table is not None:
-            den, table = self._int_table
             u, ud = field.encode(u)
             v, vd = field.encode(v)
-            out = [0] * self.dim
-            support = [(j, b) for j, b in enumerate(v) if b]
-            for i, a in enumerate(u):
-                if not a:
-                    continue
-                row = table[i]
-                for j, b in support:
-                    c = a * b
-                    for k, s in row[j]:
-                        out[k] += c * s
-            return field.decode(out, den * ud * vd)
+            return field.decode(self._ring_product(u, v),
+                                self._int_table[0] * ud * vd)
         out = [field.zero] * self.dim
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -141,6 +139,23 @@ class StructureAlgebra:
                 for k, s in enumerate(table[j]):
                     if s:
                         out[k] = out[k] + c * s
+        return out
+
+    def _ring_product(self, u, v):
+        """The numerators of u*v over den * ud * vd, for u and v encoded
+        as numerators over ud and vd and den the table's denominator
+        (Q and F_p only); zero coordinates are skipped."""
+        table = self._int_table[1]
+        out = [0] * self.dim
+        support = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            row = table[i]
+            for j, b in support:
+                c = a * b
+                for k, s in row[j]:
+                    out[k] += c * s
         return out
 
     def adjoint(self, a):
@@ -155,6 +170,42 @@ class StructureAlgebra:
         shifted = [[x - lam if i == j else x for j, x in enumerate(r)]
                    for i, r in enumerate(m.matrix)]
         return [Element(self, v) for v in linalg.kernel_basis(shifted, self.field)]
+
+    def encoded_adjoint(self, a):
+        """(rows, den): the matrix of ad_a as ring numerators over den, from
+        one ``encode`` of a (Q and F_p only)."""
+        u, ud = self.field.encode(a.coords)
+        unit = [0] * self.dim
+        cols = []
+        for j in range(self.dim):
+            unit[j] = 1
+            cols.append(self._ring_product(u, unit))
+            unit[j] = 0
+        return linalg.transpose(cols), self._int_table[0] * ud
+
+    def eigenspaces(self, a, lams):
+        """The bases of ker(ad_a - lam) for each of lams, as by
+        ``eigenspace``.  Over Q and F_p they stay on the ring encoding:
+        for lam = p/q and ad_a = rows/den, the kernel of q*rows - p*den*I
+        (reduced mod the characteristic) is taken by ``encoded_kernel``,
+        which decodes only the kernel vectors."""
+        field = self.field
+        if self._int_table is None:
+            ad = self.adjoint(a)
+            return [self.eigenspace(ad, lam) for lam in lams]
+        rows, den = self.encoded_adjoint(a)
+        char = field.char
+        spaces = []
+        for lam in lams:
+            (p,), q = field.encode([lam])
+            shift = p * den
+            m = [[q * x - shift if i == j else q * x
+                  for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            if char:
+                m = [[x % char for x in r] for r in m]
+            spaces.append([Element(self, v)
+                           for v in linalg.encoded_kernel(m, field)])
+        return spaces
 
     # -- structural operations -------------------------------------------
 
@@ -264,15 +315,23 @@ class StructureAlgebra:
 
     def products_over(self, vectors, inverse):
         """{(i, j): inverse * (v_i v_j)} for i <= j over coordinate lists,
-        by one ``mat_mul``, so the inverse is encoded once.  With inverse
-        from ``linalg.invert``, the tail past len(vectors) holds the
-        coordinates outside the span of the vectors."""
-        n = len(vectors)
+        by one ``linalg.apply_encoded``, so the inverse is encoded once.
+        Over Q and F_p each vector is encoded once and the products are
+        formed on the ring encoding, so each column is decoded once.
+        With inverse from ``linalg.invert``, the tail past len(vectors)
+        holds the coordinates outside the span of the vectors."""
+        field, n = self.field, len(vectors)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        prods = [self.multiply_coords(vectors[i], vectors[j])
-                 for i, j in pairs]
-        cols = linalg.mat_mul(inverse, linalg.transpose(prods), self.field)
-        return dict(zip(pairs, zip(*cols)))
+        if self._int_table is None:
+            prods = (field.encode(self.multiply_coords(vectors[i], vectors[j]))
+                     for i, j in pairs)
+        else:
+            den = self._int_table[0]
+            enc = [field.encode(v) for v in vectors]
+            prods = ((self._ring_product(enc[i][0], enc[j][0]),
+                      den * enc[i][1] * enc[j][1]) for i, j in pairs)
+        cols = linalg.apply_encoded(inverse, prods, field)
+        return dict(zip(pairs, map(tuple, cols)))
 
     def same_table(self, other):
         """Coefficient-exact comparison of basis names and all products."""

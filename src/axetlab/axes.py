@@ -7,10 +7,13 @@ itself.  All four conditions are checked over the exact field; failures
 are reported, not raised.
 
 The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
-each eigenspace by eigenvalue, writes the eigenvector products over
-the eigenbasis once, in ``table``, and reads the four axis conditions
-from them; ``coords`` writes one vector over the eigenbasis with one
-``mat_mul`` by its inverse.  The table answers the fusion law and the
+each eigenspace by eigenvalue (``StructureAlgebra.eigenspaces``), writes
+the eigenvector products over the eigenbasis once, in ``table``
+(``products_over``), and reads the four axis conditions from them;
+``coords`` writes one vector over the eigenbasis with one ``mat_mul``
+by its inverse.  Over Q and F_p both stay on the ring encoding of the
+integer table from ad_a to the table: only the eigenvectors and the
+table columns are decoded.  The table answers the fusion law and the
 automorphism check of the Miyamoto map.  ``verify_axis`` returns the
 Eigenbasis, which ``realize_axet`` and ``dichotomy_check`` reuse;
 ``projection``, ``component`` and ``in_part`` raise from its verdicts.
@@ -48,13 +51,11 @@ class Eigenbasis:
         self.algebra = A
         self.axis = a
         self.law = law
-        ad = A.adjoint(a)
+        lams = [A.field.coerce(lam) for lam in law.eigenvalues]
         self.spaces = []
         self.vectors = []
         self.owner = []
-        for idx, lam in enumerate(law.eigenvalues):
-            lam = A.field.coerce(lam)
-            basis = A.eigenspace(ad, lam)
+        for idx, (lam, basis) in enumerate(zip(lams, A.eigenspaces(a, lams))):
             self.spaces.append((lam, basis))
             self.vectors.extend(basis)
             self.owner.extend([idx] * len(basis))

@@ -9,6 +9,7 @@ and the four-dimensional algebra of the orthogonal branch.
 
 from dataclasses import dataclass, field as datafield
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LinearMap, StructureAlgebra
 from .fusion import DegenerateParameter, make_jordan, make_monster
@@ -245,7 +246,8 @@ class SkewConstants:
 
     alpha, beta are the fusion parameters; l1, l1f, l2f are the axis
     projections of the neighbouring axes; zeta, theta, kappa are the free
-    coefficients of sigma^2.  Everything else is derived.
+    coefficients of sigma^2.  Everything else is derived, once per
+    instance, on first read.
     """
 
     alpha: object
@@ -279,43 +281,43 @@ class SkewConstants:
 
     # -- first axis ---------------------------------------------------
 
-    @property
+    @cached_property
     def gamma(self):
         return self.beta - self.l1
 
-    @property
+    @cached_property
     def eps(self):
         return (1 - self.alpha) * self.l1 - self.beta
 
-    @property
+    @cached_property
     def delta(self):
         return ((1 - self.alpha) * self.l1
                 + self.beta * (self.alpha - self.beta - 1))
 
     # -- second axis (flip analogues) ----------------------------------
 
-    @property
+    @cached_property
     def gammaf(self):
         return self.beta - self.l1f
 
-    @property
+    @cached_property
     def epsf(self):
         return (1 - self.alpha) * self.l1f - self.beta
 
-    @property
+    @cached_property
     def deltaf(self):
         return ((1 - self.alpha) * self.l1f
                 + self.beta * (self.alpha - self.beta - 1))
 
     # -- the shifted product sigma(1,2) = P a + Q b + R c + S sigma -----
 
-    @property
+    @cached_property
     def P(self):
         a, b = self.alpha, self.beta
         return (2 * (a - 1) * self.l1 + 2 * a * self.l1f
                 + a * (1 - 2 * a)) / (a - b)
 
-    @property
+    @cached_property
     def Q(self):
         a, b = self.alpha, self.beta
         l1, l1f, l2f = self.l1, self.l1f, self.l2f

@@ -157,6 +157,22 @@ def positive_int(text):
     return n
 
 
+# The largest --max-points.  Closing an infinite orbit costs about the
+# cube of the bound: on tests/golden/files/infinite-orbit.alg (3
+# dimensions over Q) realize_axet gives up after 0.4 s at 192 points,
+# 2.1 s at 384 and 14 s at 768 (medians of 3, 2-core x86-64, CPython
+# 3.11.7), so the cap keeps that run to seconds.
+MAX_POINTS = 384
+
+
+def max_points(text):
+    n = positive_int(text)
+    if n > MAX_POINTS:
+        raise argparse.ArgumentTypeError("must be at most %d, not %d"
+                                         % (MAX_POINTS, n))
+    return n
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared after it."""
@@ -179,7 +195,7 @@ def build_parser():
     p = sub.add_parser("axet", help="realize and classify the axet of a "
                                     "file's axes")
     p.add_argument("file")
-    p.add_argument("--max-points", type=positive_int, default=24)
+    p.add_argument("--max-points", type=max_points, default=24)
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(fn=cmd_axet)
 

@@ -2,22 +2,24 @@
 
 Matrices are lists of row lists.  ``rref`` reduces all the way to RREF
 with first-nonzero pivoting, so results are deterministic for a fixed
-input order; every other routine here goes through it.  Writing vectors
-over a basis (or over independent vectors spanning a subspace) is done
-once, by ``invert``, whose result is applied to all the vectors by one
-``mat_mul`` (``StructureAlgebra.products_over`` for products), so it is
-encoded once; ``solve`` is for one system.
+input order; every other routine here goes through its ring stage,
+``eliminate``.  Writing vectors over a basis (or over independent
+vectors spanning a subspace) is done once, by ``invert``, whose result
+is applied to all the vectors by one ``apply_encoded``
+(``StructureAlgebra.products_over`` for products), so it is encoded
+once; ``solve`` is for one system.
 
 Each field owns an encoding of its vectors in a ring: ``encode`` gives
 numerators over one denominator (ints for Q, residues for F_p,
 ``MultiPoly`` over Z[x] for a function field) and ``decode`` builds
 numerators over a denominator back into field elements.  ``rref``
-encodes each row on its own, as scaling a row leaves the RREF as it is.
-Over F_p it scales each pivot row to 1 and reduces every update mod p.
-Over Z and Z[x] alike it runs one fraction-free Gauss-Jordan loop
-(Bareiss, Math. Comp. 22, 1968, in the Gauss-Jordan form of Nakos,
-Turner and Williams, SIGSAM Bull. 31, 1997): each update p*a - f*b is
-divided exactly by the previous pivot (``//``, which is
+encodes each row on its own, as scaling a row leaves the RREF as it is,
+runs ``eliminate`` on the encoded rows and decodes them over the last
+pivot.  Over F_p ``eliminate`` scales each pivot row to 1 and reduces
+every update mod p.  Over Z and Z[x] alike it runs one fraction-free
+Gauss-Jordan loop (Bareiss, Math. Comp. 22, 1968, in the Gauss-Jordan
+form of Nakos, Turner and Williams, SIGSAM Bull. 31, 1997): each update
+p*a - f*b is divided exactly by the previous pivot (``//``, which is
 ``MultiPoly.exquo`` over Z[x]), so every entry stays a minor of the
 encoded matrix, and decoding over the last pivot gives the RREF.  The
 RREF is unique, so this is the result of elimination with field
@@ -29,11 +31,15 @@ everything built on them work on small fractions.  Where the heuristic
 fails the entry stays unreduced; its value is the same either way, since
 equality cross-multiplies.
 
-``mat_mul`` is the one kernel that applies a matrix, to one vector as a
-one-column matrix or to many as its columns.  Over every field it runs
-on the encoding: the matrix is encoded once and each column on its own
-(no column carries another's denominators), and each entry is one sum
-of ring products, decoded over both denominators.
+``encoded_kernel`` is ``kernel_basis`` on rows that are already encoded
+(``StructureAlgebra.eigenspaces`` builds them from the integer table
+over Q and F_p): it decodes only the kernel vectors, never the RREF.
+
+``apply_encoded`` is the one kernel that applies a matrix, to columns
+given encoded; ``mat_mul`` encodes each column of its right factor and
+calls it.  Over every field the matrix is encoded once and each column
+on its own (no column carries another's denominators), and each entry
+is one sum of ring products, decoded over both denominators.
 """
 
 from operator import mul
@@ -43,8 +49,16 @@ def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     # scaling a row leaves the RREF as it is, so each row is encoded alone
     m = [field.encode(r)[0] for r in rows]
+    pivots, prev = eliminate(m, field.char)
+    return [field.decode(row, prev) for row in m], pivots
+
+
+def eliminate(m, p):
+    """The ring stage of ``rref``, in place on the encoded rows m (over
+    F_p, p > 0, residues in range(p); over Z or Z[x], p = 0, any scaling
+    of each row).  Returns (pivots, prev): m becomes the RREF with every
+    entry multiplied by prev."""
     nrows, ncols = len(m), len(m[0]) if m else 0
-    p = field.char
     pivots = []
     prev = 1  # the previous pivot; over F_p pivot rows are scaled to 1
     r = 0
@@ -91,7 +105,7 @@ def rref(rows, field):
             break
     for i, c in enumerate(pivots):
         m[i][c] = prev
-    return [field.decode(row, prev) for row in m], pivots
+    return pivots, prev
 
 
 def rank(rows, field):
@@ -103,16 +117,25 @@ def kernel_basis(rows, field):
     """Basis of the right null space, one vector per free column."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    return encoded_kernel([field.encode(r)[0] for r in rows], field)
+
+
+def encoded_kernel(m, field):
+    """``kernel_basis`` of the matrix whose encoded rows are m, as
+    ``eliminate`` takes them; m is eliminated in place.  Only the kernel
+    vectors are decoded: for the free column f, v_f = prev and
+    v_c = -m[r][f] on the pivot column c of row r, over prev."""
+    pivots, prev = eliminate(m, field.char)
+    ncols = len(m[0]) if m else 0
     basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = prev
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
+            v[c] = -m[r][f]
+        basis.append(field.decode(v, prev))
     return basis
 
 
@@ -150,13 +173,19 @@ def invert(rows, field):
 
 
 def mat_mul(a, b, field):
-    k = len(b)
-    x, xd = field.encode([e for r in a for e in r])
-    rows = [x[i * k:i * k + k] for i in range(len(a))]
-    # each column is encoded alone, so its denominator is its own
-    cols = [field.decode([sum(map(mul, r, y)) for r in rows], xd * yd)
-            for y, yd in map(field.encode, zip(*b))]
+    cols = apply_encoded(a, map(field.encode, zip(*b)), field)
     return [list(r) for r in zip(*cols)] if cols else [[] for _ in a]
+
+
+def apply_encoded(a, cols, field):
+    """a times each column of cols, given encoded as (nums, den): a is
+    encoded once and each product is decoded over den and a's own
+    denominator, so no column carries another's denominators."""
+    x, xd = field.encode([e for r in a for e in r])
+    k = len(a[0]) if a else 0
+    rows = [x[i * k:i * k + k] for i in range(len(a))]
+    return [field.decode([sum(map(mul, r, y)) for r in rows], xd * yd)
+            for y, yd in cols]
 
 
 def identity_matrix(n, field):

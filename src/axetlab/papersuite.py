@@ -445,8 +445,8 @@ def check_rehren_oracle():
 
 def seress_property(A, a):
     """a(xu) = (ax)u for every basis x and eigenbasis u of the 1, 0 parts."""
-    ad = A.adjoint(a)
-    fixed = A.eigenspace(ad, A.field.one) + A.eigenspace(ad, A.field.zero)
+    ones, zeros = A.eigenspaces(a, [A.field.one, A.field.zero])
+    fixed = ones + zeros
     for u in fixed:
         for x in A.basis():
             if a * (x * u) != (a * x) * u:

@@ -18,7 +18,7 @@ from axetlab.catalog import (make_2B, make_3C, make_3C_skew, make_Q2_third,
                              orthogonal_branch_to_Q2, skew_examples)
 from axetlab.fusion import (ODD, FusionLaw, find_c2_grading, make_jordan,
                             make_monster)
-from axetlab.scalars import QQ, FunctionField
+from axetlab.scalars import QQ, FunctionField, PrimeField
 from axetlab.algebra import StructureAlgebra
 
 THIRD = Fraction(1, 3)
@@ -342,3 +342,128 @@ def test_axis_and_isomorphism_checks_encode_each_matrix_once(monkeypatch):
     assert tau(ex.j_axis) == ex.third
     # one mat_mul each for the eigenbasis table, the map and the check
     assert counts["mat_mul"] <= 3
+
+
+# -- the eigenbasis against field division ------------------------------------
+
+EIGEN_FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(1000000007))
+EIGEN_LAWS = (lambda f: make_jordan(f.coerce(Fraction(1, 2))),
+              lambda f: make_monster(f.coerce(Fraction(2, 3)),
+                                     f.coerce(THIRD)))
+small_scalars = st.one_of(st.just(0), st.integers(-2, 2),
+                          st.fractions(min_value=-2, max_value=2,
+                                       max_denominator=4))
+
+
+def division_rref(rows, field):
+    """Gauss-Jordan with field division: pivot rows scaled to 1."""
+    m = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def division_product(A, u, v):
+    """u*v by the triple loop over the stored table."""
+    out = [A.field.zero] * A.dim
+    for i, j in product(range(A.dim), repeat=2):
+        for k in range(A.dim):
+            out[k] += u[i] * v[j] * A.products[i][j][k]
+    return out
+
+
+def division_eigenbasis(A, a, law):
+    """(spaces, inverse, table, violations) of ``Eigenbasis`` by field
+    division: the kernel of ad_a - lam, one vector per free column."""
+    field, n = A.field, A.dim
+    unit = [[field.one if i == j else field.zero for j in range(n)]
+            for i in range(n)]
+    ad = list(zip(*[division_product(A, a, e) for e in unit]))
+    spaces, vectors, owner = [], [], []
+    for idx, lam in enumerate(law.eigenvalues):
+        lam = field.coerce(lam)
+        red, pivots = division_rref(
+            [[x - lam * unit[i][j] for j, x in enumerate(r)]
+             for i, r in enumerate(ad)], field)
+        basis = []
+        for f in range(n):
+            if f not in pivots:
+                v = [field.zero] * n
+                v[f] = field.one
+                for r, c in enumerate(pivots):
+                    v[c] = -red[r][f]
+                basis.append(v)
+        spaces.append((lam, basis))
+        vectors += basis
+        owner += [idx] * len(basis)
+    if len(vectors) != n:
+        return spaces, None, None, []
+    red, _ = division_rref([list(r) + e for r, e in
+                            zip(zip(*vectors), unit)], field)
+    inverse = [r[n:] for r in red]
+    table, found = {}, {}
+    for p in range(n):
+        for q in range(p, n):
+            prod = division_product(A, vectors[p], vectors[q])
+            x = tuple(sum((c * y for c, y in zip(r, prod)), field.zero)
+                      for r in inverse)
+            table[p, q] = x
+            ij = owner[p], owner[q]
+            ok = law.star_indices(*ij)
+            if ij not in found and any(c and owner[k] not in ok
+                                       for k, c in enumerate(x)):
+                found[ij] = prod
+    ev = law.eigenvalues
+    return spaces, inverse, table, [(ev[i], ev[j], found[i, j])
+                                    for i, j in sorted(found)]
+
+
+@st.composite
+def eigen_cases(draw):
+    """(A, a, law) over Q or F_p in dimension 0 to 4.  Either everything
+    is random (zero products and zero or non-idempotent axes included),
+    or a = e_0 with e_0 e_0 = e_0 and e_0 e_i = lam_i e_i + mu_i e_0 for
+    law eigenvalues lam_i, which is semisimple unless some lam_i = 1 has
+    mu_i != 0."""
+    field = draw(st.sampled_from(EIGEN_FIELDS))
+    law = draw(st.sampled_from(EIGEN_LAWS))(field)
+    n = draw(st.integers(0, 4))
+    names = ["e%d" % i for i in range(n)]
+    entry = small_scalars.map(field.coerce)
+    products = {(i, j): [draw(entry) for _ in range(n)]
+                for i in range(n) for j in range(i, n)}
+    if not n or draw(st.booleans()):
+        a = [draw(entry) for _ in range(n)]
+    else:
+        a = [field.one] + [field.zero] * (n - 1)
+        products[0, 0] = list(a)
+        for i in range(1, n):
+            lam = field.coerce(draw(st.sampled_from(law.eigenvalues)))
+            products[0, i] = [draw(entry)] + [
+                lam if k == i else field.zero for k in range(1, n)]
+    return StructureAlgebra(field, names, products), a, law
+
+
+@given(eigen_cases())
+@settings(max_examples=150, deadline=None)
+def test_eigenbasis_matches_field_division(case):
+    A, a, law = case
+    basis = Eigenbasis(A, A.element(a), law)
+    spaces, inverse, table, violations = division_eigenbasis(A, a, law)
+    assert [(lam, [v.coords for v in b]) for lam, b in basis.spaces] \
+        == spaces
+    assert basis.inverse == inverse
+    if inverse is not None:
+        assert basis.table == table
+    assert [(v.lam, v.mu, v.witness.coords)
+            for v in basis.fusion_violations] == violations

@@ -237,6 +237,33 @@ def test_axet_max_points_below_1_is_a_usage_error(tmp_path, capsys, bound):
             in capsys.readouterr().err)
 
 
+INFINITE_ORBIT = str(GOLDEN_FILES / "infinite-orbit.alg")
+
+
+def test_axet_stops_an_infinite_orbit_at_the_default_bound(capsys):
+    # two Jordan 1/2 axes that pass verify and generate an infinite orbit
+    assert cli.main(["verify", INFINITE_ORBIT]) == 0
+    capsys.readouterr()
+    assert cli.main(["axet", INFINITE_ORBIT]) == 1
+    assert capsys.readouterr().err == "error: orbit exceeds 24 points\n"
+
+
+@pytest.mark.parametrize("bound", [str(cli.MAX_POINTS + 1), "100000"])
+def test_axet_max_points_above_the_cap_is_a_usage_error(capsys, bound):
+    # the orbit's cost grows about as the cube of the bound
+    assert cli.main(["axet", INFINITE_ORBIT, "--max-points", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("argument --max-points: must be at most %d, not %s"
+            % (cli.MAX_POINTS, bound) in captured.err)
+
+
+def test_axet_max_points_takes_the_cap(tmp_path, capsys):
+    path = emit(tmp_path, "Q2x")
+    assert cli.main(["axet", path, "--max-points", str(cli.MAX_POINTS)]) == 0
+    assert capsys.readouterr().out == "X(4) with 4 points\n"
+
+
 @pytest.mark.parametrize("text", ["0_5", "+5", " 5", "1_0", "\uff15"])
 def test_integer_options_take_ascii_digits_only(tmp_path, capsys, text):
     # int() would take each of these

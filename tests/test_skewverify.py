@@ -232,13 +232,13 @@ def test_dichotomy_computes_one_adjoint_per_axis(monkeypatch, branch):
         ex = make_Q2_skew()
         args = (ex.algebra, ex.m_axis, ex.j_axis, ex.m_law, ex.j_law)
         want = ("skew", "Q2(1/3,2/3)")
-    adjoint = StructureAlgebra.adjoint
+    # over Q and F_p ad_a is built on the ring encoding, by encoded_adjoint
     calls = []
-
-    def counted(A, a):
-        calls.append(a)
-        return adjoint(A, a)
-    monkeypatch.setattr(StructureAlgebra, "adjoint", counted)
+    for name in ("adjoint", "encoded_adjoint"):
+        def counted(A, a, build=getattr(StructureAlgebra, name)):
+            calls.append(a)
+            return build(A, a)
+        monkeypatch.setattr(StructureAlgebra, name, counted)
     assert dichotomy_check(*args) == want
     assert calls == [args[1], args[2]]
 
