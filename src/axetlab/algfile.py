@@ -57,7 +57,8 @@ class AlgebraFile:
 
 
 class _LinComb:
-    """Linear combination of basis symbols; products of symbols refused."""
+    """Linear combination of basis symbols, stored sparsely as
+    {index: coefficient}; products of symbols refused."""
 
     __slots__ = ("field", "coords")
 
@@ -66,18 +67,22 @@ class _LinComb:
         self.coords = coords
 
     def _scale(self, c):
-        return _LinComb(self.field, [c * x for x in self.coords])
+        return _LinComb(self.field, {i: c * x for i, x in self.coords.items()})
 
     def __add__(self, other):
         if isinstance(other, _LinComb):
-            return _LinComb(self.field, [x + y for x, y in
-                                         zip(self.coords, other.coords)])
+            coords = dict(self.coords)
+            for i, y in other.coords.items():
+                coords[i] = coords[i] + y if i in coords else y
+            return _LinComb(self.field, coords)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, _LinComb):
-            return _LinComb(self.field, [x - y for x, y in
-                                         zip(self.coords, other.coords)])
+            coords = dict(self.coords)
+            for i, y in other.coords.items():
+                coords[i] = coords[i] - y if i in coords else -y
+            return _LinComb(self.field, coords)
         return NotImplemented
 
     def __neg__(self):
@@ -114,7 +119,10 @@ def _parse_element(text, field, names, dim, lineno, column):
     which names binds to unit ``_LinComb``s beside the field's symbols."""
     value = _parse_scalar_token(text, field, names, lineno, column)
     if isinstance(value, _LinComb):
-        return value.coords
+        coords = [field.zero] * dim
+        for i, c in value.coords.items():
+            coords[i] = c
+        return coords
     # a pure scalar is only an element when it is zero
     if not value:
         return [field.zero] * dim
@@ -130,9 +138,12 @@ def _parse_scalar_token(text, field, names, lineno, column):
         raise ParseError(str(e), lineno, column + pos)
 
 
+_WORD = re.compile(r"\S+")
+
+
 def _words(raw):
     """Each word of the line with its 1-based column."""
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw)]
+    return [(m.start() + 1, m.group()) for m in _WORD.finditer(raw)]
 
 
 def _names(words, what, lineno):
@@ -230,9 +241,7 @@ def parse_algebra_file(text):
             # the symbol table of every element expression
             names = dict(symbols)
             for i, n in enumerate(basis):
-                names[n] = _LinComb(field, [field.one if k == i
-                                            else field.zero
-                                            for k in range(dim)])
+                names[n] = _LinComb(field, {i: field.one})
             stage = 3
         elif head == "product":
             if stage != 3:

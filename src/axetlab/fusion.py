@@ -82,14 +82,7 @@ class Grading:
 
     def is_valid(self):
         """Every nu in lam*mu must carry sign(lam)*sign(mu)."""
-        n = len(self.law.eigenvalues)
-        for i in range(n):
-            for j in range(i, n):
-                want = self.signs[i] * self.signs[j]
-                for k in self.law.star_indices(i, j):
-                    if self.signs[k] != want:
-                        return False
-        return True
+        return _respects(self.signs, _stars(self.law))
 
     def odd_values(self):
         return [v for v, s in zip(self.law.eigenvalues, self.signs) if s == ODD]
@@ -99,6 +92,20 @@ class Grading:
 
     def __repr__(self):
         return "Grading(odd=%r)" % (self.odd_values(),)
+
+
+def _stars(law):
+    """The index pairs i <= j with a nonempty star set, each with it."""
+    n = len(law.eigenvalues)
+    pairs = ((i, j) for i in range(n) for j in range(i, n))
+    return tuple((p, ks) for p in pairs if (ks := law.star_indices(*p)))
+
+
+def _respects(signs, stars):
+    """Whether every nu in a star set of _stars carries the product of
+    the signs of its pair."""
+    return all(signs[k] == signs[i] * signs[j]
+               for (i, j), ks in stars for k in ks)
 
 
 def make_jordan(eta):
@@ -181,19 +188,24 @@ def find_c2_grading(law):
     All sign assignments with 1 even are enumerated; among the valid
     nontrivial ones the assignment with the fewest odd eigenvalues wins
     (ties broken by the lowest odd index pattern).  For J(eta) this puts
-    eta odd; for M(alpha, beta) it puts beta odd.
+    eta odd; for M(alpha, beta) it puts beta odd.  The signs depend only
+    on the star table, so they are found once per table.
     """
-    n = len(law.eigenvalues)
-    candidates = []
+    signs = _c2_signs(len(law.eigenvalues), _stars(law))
+    return None if signs is None else Grading(law, signs)
+
+
+@functools.cache
+def _c2_signs(n, stars):
+    """find_c2_grading's signs for n eigenvalues with these _stars."""
+    best = None
     for mask in range(1, 1 << (n - 1)):
-        signs = [EVEN]
-        for i in range(n - 1):
-            signs.append(ODD if (mask >> i) & 1 else EVEN)
-        g = Grading(law, signs)
-        if g.is_valid():
+        signs = (EVEN,) + tuple(ODD if (mask >> i) & 1 else EVEN
+                                for i in range(n - 1))
+        if _respects(signs, stars):
             odd = [i for i, s in enumerate(signs) if s == ODD]
             # prefer few odd eigenvalues, then odd values late in the list
-            candidates.append(((len(odd), [-i for i in odd]), g))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda t: t[0])[1]
+            key = (len(odd), [-i for i in odd])
+            if best is None or key < best[0]:
+                best = key, signs
+    return None if best is None else best[1]

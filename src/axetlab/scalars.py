@@ -68,6 +68,7 @@ when it divides both inputs.  A ``MultiPoly`` is true exactly when it
 has a term, the one zero test the scalars use.
 """
 
+import re
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
@@ -967,7 +968,9 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, Fraction):
+            return x  # immutable, so shared rather than copied
+        if isinstance(x, int):
             return Fraction(x)
         raise MixedFields("cannot coerce %r into Q" % (x,))
 
@@ -1124,10 +1127,12 @@ def skew_field():
 #
 # grammar:  sum    := product (('+'|'-') product)*
 #           product:= unary (('*'|'/') unary)*
-#           unary  := '-' unary | power
-#           power  := atom ('^' INT)*            (left associative)
+#           unary  := '-' unary | atom ('^' INT)*  (^ left associative)
 #           atom   := INT | NAME | '(' sum ')'
 # so ^ binds tighter than unary minus, which binds tighter than * and /.
+# An INT is a run of ASCII digits and a NAME a letter followed by
+# letters, digits and '_' (str.isalpha and str.isalnum, which is what
+# \w matches); the tokenizer reads them with one pattern, _TOKEN.
 # Nesting (unary minus and parentheses) is bounded by MAX_NESTING, so a
 # hostile expression ends in an ExprError, not in a RecursionError.  A
 # power is refused when its exponent times the size of its base is over
@@ -1137,6 +1142,7 @@ def skew_field():
 # its numerator or denominator could have more than MAX_POWER_TERMS terms.
 
 _OPS = set("+-*/^()")
+_TOKEN = re.compile(r"(\s*)(?:([0-9]+)|(\w+)|(\S))")
 MAX_NESTING = 100
 MAX_POWER_SIZE = 1000
 MAX_POWER_TERMS = 10000
@@ -1168,34 +1174,24 @@ def _power_terms(v, n):
 
 
 def tokenize(text):
+    """The (kind, text, pos) tokens of text, closed by an END token; pos
+    is the running sum of the lengths matched before the token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("OP", ch, i))
-            i += 1
-            continue
-        raise ExprError("unexpected character %r" % ch, pos=i)
-    tokens.append(("END", "", n))
+    pos = 0
+    for space, digits, word, other in _TOKEN.findall(text):
+        pos += len(space)
+        token = digits or word or other
+        if digits:
+            kind = "INT"
+        elif word[:1].isalpha():
+            kind = "NAME"
+        elif other in _OPS:
+            kind = "OP"
+        else:  # an operator outside _OPS, or a word led by "_" or a digit
+            raise ExprError("unexpected character %r" % token[0], pos=pos)
+        tokens.append((kind, token, pos))
+        pos += len(token)
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -1224,47 +1220,34 @@ class _Parser:
         self.names = names
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
-
-    def expect_op(self, ch):
-        kind, text, pos = self.next()
-        if kind != "OP" or text != ch:
-            raise ExprError("expected %r" % ch, pos=pos)
-
     def sum(self):
         v = self.product()
+        tokens = self.tokens
         while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text in "+-":
-                self.next()
-                w = self.product()
-                v = v + w if text == "+" else v - w
-            else:
+            kind, text, _ = tokens[self.k]
+            if kind != "OP" or text not in "+-":
                 return v
+            self.k += 1
+            w = self.product()
+            v = v + w if text == "+" else v - w
 
     def product(self):
         v = self.unary()
+        tokens = self.tokens
         while True:
-            kind, text, pos = self.peek()
-            if kind == "OP" and text in "*/":
-                self.next()
-                w = self.unary()
-                if text == "*":
-                    v = v * w
-                else:
-                    try:
-                        v = v / w
-                    except ZeroDivisionError:
-                        raise DivisionByZero(
-                            "division by zero at position %d" % pos, pos=pos)
-            else:
+            kind, text, pos = tokens[self.k]
+            if kind != "OP" or text not in "*/":
                 return v
+            self.k += 1
+            w = self.unary()
+            if text == "*":
+                v = v * w
+            else:
+                try:
+                    v = v / w
+                except ZeroDivisionError:
+                    raise DivisionByZero(
+                        "division by zero at position %d" % pos, pos=pos)
 
     def nest(self, pos):
         self.depth += 1
@@ -1273,60 +1256,55 @@ class _Parser:
                             pos=pos)
 
     def unary(self):
-        kind, text, pos = self.peek()
+        """unary := '-' unary | atom ('^' INT)*, atom read in place."""
+        tokens = self.tokens
+        kind, text, pos = tokens[self.k]
+        self.k += 1
         if kind == "OP" and text == "-":
-            self.next()
             self.nest(pos)
             v = -self.unary()
             self.depth -= 1
             return v
-        return self.power()
-
-    def power(self):
-        v = self.atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "OP" and text == "^":
-                self.next()
-                kind, text, pos = self.next()
-                if kind != "INT":
-                    raise ExprError("exponent must be a nonnegative integer",
-                                    pos=pos)
-                n, size = _integer(text, pos), _power_size(v)
-                if n * size > MAX_POWER_SIZE:
-                    raise ExprError("power too large: exponent %d times base"
-                                    " size %d is over %d"
-                                    % (n, size, MAX_POWER_SIZE), pos=pos)
-                if (isinstance(v, RationalFunction)
-                        and _power_terms(v, n) > MAX_POWER_TERMS):
-                    raise ExprError("power too large: it can have over %d "
-                                    "terms" % MAX_POWER_TERMS, pos=pos)
-                v = v ** n
-            else:
-                return v
-
-    def atom(self):
-        kind, text, pos = self.next()
         if kind == "INT":
-            return self.field.coerce(_integer(text, pos))
-        if kind == "NAME":
+            v = self.field.coerce(_integer(text, pos))
+        elif kind == "NAME":
             if text not in self.names:
                 raise UnboundSymbol("unknown symbol %r" % text, pos=pos)
-            return self.names[text]
-        if kind == "OP" and text == "(":
+            v = self.names[text]
+        elif kind == "OP" and text == "(":
             self.nest(pos)
             v = self.sum()
-            self.expect_op(")")
+            kind, text, pos = tokens[self.k]
+            self.k += 1
+            if kind != "OP" or text != ")":
+                raise ExprError("expected ')'", pos=pos)
             self.depth -= 1
-            return v
-        raise ExprError("unexpected token %r" % (text or kind), pos=pos)
+        else:
+            raise ExprError("unexpected token %r" % (text or kind), pos=pos)
+        while tokens[self.k][1] == "^":  # only an OP token reads "^"
+            kind, text, pos = tokens[self.k + 1]
+            self.k += 2
+            if kind != "INT":
+                raise ExprError("exponent must be a nonnegative integer",
+                                pos=pos)
+            n, size = _integer(text, pos), _power_size(v)
+            if n * size > MAX_POWER_SIZE:
+                raise ExprError("power too large: exponent %d times base"
+                                " size %d is over %d"
+                                % (n, size, MAX_POWER_SIZE), pos=pos)
+            if (isinstance(v, RationalFunction)
+                    and _power_terms(v, n) > MAX_POWER_TERMS):
+                raise ExprError("power too large: it can have over %d "
+                                "terms" % MAX_POWER_TERMS, pos=pos)
+            v = v ** n
+        return v
 
 
 def parse_expression(text, field, names):
     """Parse text against a symbol table; INT literals coerce into field."""
     p = _Parser(tokenize(text), field, names)
     v = p.sum()
-    kind, tok, pos = p.peek()
+    kind, tok, pos = p.tokens[p.k]
     if kind != "END":
         raise ExprError("trailing input %r" % tok, pos=pos)
     return v

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axetlab import cli
+from axetlab.algebra import StructureAlgebra
 from axetlab.algfile import (ParseError, emit_algebra_file, format_element,
                              parse_algebra_file)
 from axetlab.catalog import (make_2B, make_3C, make_3C_minus1_2,
@@ -12,7 +15,7 @@ from axetlab.catalog import (make_2B, make_3C, make_3C_minus1_2,
                              make_Q2_skew, make_Q2_third, make_Q2x,
                              make_Q2x_plus_one, skew_examples)
 from axetlab.fusion import FusionLaw, make_jordan, make_monster
-from axetlab.scalars import QQ
+from axetlab.scalars import QQ, FunctionField, PrimeField
 
 QUARTER = Fraction(1, 4)
 
@@ -140,6 +143,114 @@ def test_the_first_error_in_line_order_is_reported():
         parse_algebra_file(bad)
     assert str(info.value) \
         == "line 5, column 16: division by zero at position 1"
+
+
+_HEAD = "field rational\ndim 2\nbasis a b\n"
+
+# one document per error path of parse_algebra_file, the tokenizer, the
+# expression parser and the basis combinations, with the exact message
+MALFORMED = [
+    ("field\n", "line 1, column 1: field needs a descriptor"),
+    ("field rational x\n",
+     "line 1, column 1: field rational takes no arguments"),
+    ("field prime\n", "line 1, column 1: field prime needs one argument"),
+    ("field prime x7\n", "line 1, column 13: prime must be an integer"),
+    ("field prime 9\n", "line 1, column 13: 9 is not prime"),
+    ("field function\n",
+     "line 1, column 1: field function needs symbol names"),
+    ("field function t t\n",
+     "line 1, column 18: bad or repeated symbol name 't'"),
+    ("field complex\n",
+     "line 1, column 1: unknown field descriptor 'complex'"),
+    ("field rational\nfield rational\n",
+     "line 2, column 1: field must be declared exactly once, first"),
+    ("dim 2\n", "line 1, column 1: dim must follow the field line"),
+    ("field rational\ndim\n", "line 2, column 1: dim needs one integer"),
+    ("field rational\ndim 0\n", "line 2, column 5: dim must be positive"),
+    ("field rational\ndim 65\n", "line 2, column 5: dim 65 is over 64"),
+    ("field rational\nbasis a\n",
+     "line 2, column 1: basis must follow the dim line"),
+    ("field rational\ndim 2\nbasis a _b\n",
+     "line 3, column 9: bad or repeated basis name '_b'"),
+    ("field rational\ndim 2\nbasis a\n",
+     "line 3, column 1: expected 2 basis names, got 1"),
+    ("field function t\ndim 1\nbasis t\n",
+     "line 3, column 1: basis name 't' shadows a field symbol"),
+    ("field rational\ndim 1\nproduct a a = a\n",
+     "line 3, column 1: products must follow the basis line"),
+    (_HEAD + "product a b a\n",
+     "line 4, column 1: expected: product <x> <y> = <expression>"),
+    (_HEAD + "product a c = a\n",
+     "line 4, column 11: unknown basis name 'c' in product pair"),
+    (_HEAD + "product a b = a\nproduct b a = b\n",
+     "line 5, column 9: duplicate product entry for a b"),
+    ("field rational\ndim 1\naxis jordan 1/3 a\n",
+     "line 3, column 1: axes must follow the basis line"),
+    (_HEAD + "axis\n", "line 4, column 1: axis needs a law and an element"),
+    (_HEAD + "axis ising 1/4 a\n",
+     "line 4, column 1: unknown law 'ising' (want jordan or monster)"),
+    (_HEAD + "axis monster 1/3 a\n",
+     "line 4, column 1: expected: axis monster <alpha> <beta> <element>"),
+    (_HEAD + "axis monster 1/2 1/2 a\n",
+     "line 4, column 14: alpha and beta must differ"),
+    (_HEAD + "bogus a\n", "line 4, column 1: unknown directive 'bogus'"),
+    ("# only a comment\n", "line 2, column 1: missing field line"),
+    ("field rational\ndim 1\n", "line 3, column 1: missing basis line"),
+    (_HEAD + "product a a = 1\n",
+     "line 4, column 15: expected a combination of basis symbols"),
+    (_HEAD + "axis jordan 1/3 2\n",
+     "line 4, column 17: expected a combination of basis symbols"),
+    (_HEAD + "axis jordan a a\n", "line 4, column 13: unknown symbol 'a'"),
+    # the tokenizer
+    (_HEAD + "product a a = 1 @ a\n",
+     "line 4, column 17: unexpected character '@'"),
+    (_HEAD + "product a a = _a\n",
+     "line 4, column 15: unexpected character '_'"),
+    (_HEAD + "product a a = ½*a\n",
+     "line 4, column 15: unexpected character '½'"),
+    # the expression parser
+    (_HEAD + "product a a = (a + b\n", "line 4, column 21: expected ')'"),
+    (_HEAD + "product a a = " + "-" * 101 + "a\n",
+     "line 4, column 115: expression nested deeper than 100"),
+    (_HEAD + "product a a = 2^b*a\n",
+     "line 4, column 17: exponent must be a nonnegative integer"),
+    (_HEAD + "product a a = 3^3000*a\n",
+     "line 4, column 17: power too large: exponent 3000 times base size 2"
+     " is over 1000"),
+    ("field function s t\ndim 2\nbasis a b\n"
+     "product a a = (s+t+1)^200*a\n",
+     "line 4, column 23: power too large: it can have over 10000 terms"),
+    (_HEAD + "product a a = c*a\n", "line 4, column 15: unknown symbol 'c'"),
+    (_HEAD + "product a a = *a\n", "line 4, column 15: unexpected token '*'"),
+    (_HEAD + "product a a = a b\n", "line 4, column 17: trailing input 'b'"),
+    (_HEAD + "product a a = a/0\n",
+     "line 4, column 16: division by zero at position 1"),
+    (_HEAD + "product a a = " + "9" * 5000 + "*a\n",
+     "line 4, column 15: integer literal of 5000 digits is too long"),
+    # the basis combinations
+    (_HEAD + "product a a = 1 + a\n",
+     "line 4, column 15: cannot add a scalar to a basis combination"),
+    (_HEAD + "product a a = 1 - a\n",
+     "line 4, column 15: cannot mix scalars and basis combinations"),
+    (_HEAD + "product a a = a*b\n",
+     "line 4, column 15: products of basis symbols are not allowed here"),
+    (_HEAD + "product a a = a/b\n",
+     "line 4, column 15: cannot divide by a basis symbol"),
+    (_HEAD + "product a a = 1/a\n",
+     "line 4, column 15: cannot divide by a basis symbol"),
+    (_HEAD + "product a a = a^2\n",
+     "line 4, column 15: basis symbols cannot be raised to powers"),
+    (_HEAD + "product a a = a + 1\n",
+     "line 4, column 15: unsupported operand type(s) for +: '_LinComb' and"
+     " 'Fraction'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_each_error_path_gives_its_line_column_and_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_algebra_file(text)
+    assert str(info.value) == message
 
 
 def test_parse_builds_one_algebra_and_one_symbol_table(monkeypatch):
@@ -351,3 +462,55 @@ def test_round_trip_function_field_monster_axis(tmp_path):
 def test_round_trip_negative_and_integer_coefficients():
     ex = make_3C_minus1_2()
     round_trip(ex.algebra, [(ex.m_axis, ex.m_law), (ex.j_axis, ex.j_law)])
+
+
+@st.composite
+def sparse_algebras(draw):
+    """A random algebra over Q, F_7 or Q(x) with a sparse table and up to
+    two axes; zero coordinates are frequent, and some coefficients of
+    Q(x) are reached through an x - x cancellation."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), FunctionField(("x",))]))
+    x = field.sym("x") if isinstance(field, FunctionField) else None
+
+    def coefficient():
+        if draw(st.integers(0, 2)) == 0:
+            return field.zero if x is None else x - x
+        c = field.coerce(Fraction(draw(st.integers(-6, 6)),
+                                  draw(st.sampled_from([1, 2, 3, 5]))))
+        if x is not None:
+            c = c * x ** draw(st.integers(0, 2)) / (x + draw(st.integers(1, 2)))
+            if draw(st.booleans()):
+                c = c + x - x
+        return c
+
+    dim = draw(st.integers(1, 4))
+    table = {(i, j): [coefficient() for _ in range(dim)]
+             for i in range(dim) for j in range(i, dim) if draw(st.booleans())}
+    algebra = StructureAlgebra(field, ["e%d" % i for i in range(dim)], table)
+    third = field.coerce(Fraction(1, 3))
+    laws = [make_jordan(third), make_monster(field.coerce(Fraction(1, 4)),
+                                             third)]
+    if x is not None:
+        laws.append(make_monster(x, 1 - x))
+    axes = [(algebra.element([coefficient() for _ in range(dim)]),
+             draw(st.sampled_from(laws)))
+            for _ in range(draw(st.integers(0, 2)))]
+    return algebra, axes
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_algebras())
+def test_round_trip_of_random_sparse_algebras(case):
+    algebra, axes = case
+    round_trip(algebra, axes)
+    # terms that cancel in the text leave the coefficients as they were
+    text = emit_algebra_file(algebra, axes)
+    noise = " + e0 - e0"
+    if isinstance(algebra.field, FunctionField):
+        noise += " + (x - x)*e0"
+    noisy = "".join(line + noise + "\n"
+                    if line.startswith(("product", "axis"))
+                    and not line.endswith(" 0") else line + "\n"
+                    for line in text.splitlines())
+    doc = parse_algebra_file(noisy)
+    assert emit_algebra_file(doc.algebra, doc.axes) == text

@@ -137,3 +137,49 @@ def test_law_family_reads_a_missing_pair_as_empty():
 ])
 def test_law_family_is_none_outside_the_families(eigenvalues, table):
     assert law_family(FusionLaw(eigenvalues, table)) is None
+
+
+def reference_c2_grading(law):
+    """find_c2_grading's signs by enumeration on the law itself, with no
+    cache: every valid nontrivial assignment with 1 even, fewest odd
+    eigenvalues first, then odd values late in the list."""
+    n = len(law.eigenvalues)
+    best = None
+    for mask in range(1, 1 << (n - 1)):
+        signs = [EVEN] + [ODD if (mask >> i) & 1 else EVEN
+                          for i in range(n - 1)]
+        if all(signs[k] == signs[i] * signs[j]
+               for i in range(n) for j in range(i, n)
+               for k in law.star_indices(i, j)):
+            odd = [i for i in range(n) if signs[i] == ODD]
+            key = (len(odd), [-i for i in odd])
+            if best is None or key < best[0]:
+                best = key, tuple(signs)
+    return None if best is None else best[1]
+
+
+HAND_BUILT = [
+    # one odd pair on five eigenvalues: both 3 and 4 must be odd
+    FusionLaw([1, 0, THIRD, TWO_THIRDS, 2],
+              {(0, 0): {0}, (3, 4): {2}, (3, 3): {0}, (4, 4): {1}}),
+    # no nontrivial grading: 0 * 0 holds 0 and 1/3 * 1/3 holds 1/3
+    FusionLaw([1, 0, THIRD], {(1, 1): {1}, (2, 2): {2}}),
+    # every star set empty: the grading with only the last value odd
+    FusionLaw([1, 0, THIRD, TWO_THIRDS], {}),
+]
+
+
+@pytest.mark.parametrize("law", [
+    make_jordan(THIRD), make_jordan(Fraction(1, 4)),
+    make_monster(TWO_THIRDS, THIRD), make_monster(THIRD, TWO_THIRDS),
+] + HAND_BUILT)
+def test_grading_matches_the_enumeration_and_keeps_its_law(law):
+    want = reference_c2_grading(law)
+    for _ in range(2):  # the second call is answered from the cache
+        g = find_c2_grading(law)
+        if want is None:
+            assert g is None
+            continue
+        assert g.law is law
+        assert g.signs == want
+        assert g.is_valid()

@@ -35,6 +35,68 @@ def test_tokenize_rejects_stray_characters():
         tokenize("1 @ 2")
 
 
+def reference_tokenize(text):
+    """The tokenizer read character by character, kept as the reference
+    for the one-pattern tokenizer."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append(("OP", ch, i))
+            i += 1
+            continue
+        raise ExprError("unexpected character %r" % ch, pos=i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ExprError as e:
+        return str(e), e.pos
+
+
+# letters, digits and spaces of other scripts, words led by "_" or a
+# digit, and characters no token takes
+TOKEN_ALPHABET = ("ab1_09 \u00e9\u00df\u0663\u00bd\u216b\u2603@.\t\n"
+                  "\u00a0\u2003+-*/^()")
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=30))
+def test_tokenize_agrees_with_the_reference(text):
+    assert _tokens_or_error(tokenize, text) \
+        == _tokens_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", ["", "  ", "a½", "½a", "٣1", "1٣", "1_a",
+                                  "_a", "Ⅻ", "aⅫ_٣", "ß2 é", " -1\t",
+                                  "x ^ 2"])
+def test_tokenize_agrees_with_the_reference_on_edge_words(text):
+    assert _tokens_or_error(tokenize, text) \
+        == _tokens_or_error(reference_tokenize, text)
+
+
 # -- grammar ------------------------------------------------------------------
 
 def qq(text):
@@ -94,6 +156,19 @@ def test_nesting_is_bounded_with_a_position():
     with pytest.raises(ExprError) as e:
         qq("1 + " + "(" * 5000 + "1" + ")" * 5000)
     assert e.value.pos == 4 + MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 5000])
+def test_alternating_minus_and_parenthesis_chain_is_bounded(depth):
+    # "-(-(-(...": each '-' and each '(' is one level of nesting
+    opening = "".join("-("[k % 2] for k in range(depth))
+    text = opening + "1" + ")" * opening.count("(")
+    if depth <= MAX_NESTING:
+        assert qq(text) == (-1) ** opening.count("-")
+        return
+    with pytest.raises(ExprError) as e:
+        qq(text)
+    assert e.value.pos == MAX_NESTING
 
 
 def test_unbound_symbol_has_a_position():
