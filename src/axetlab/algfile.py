@@ -17,7 +17,9 @@ through the parser coefficient-exactly.  The parser reads a document in
 one pass: the basis line fixes one symbol table, the field's symbols and
 each basis name, against which every product and axis element is parsed
 as its line is read, so the first error in line order is reported; law
-parameters are parsed against the field's symbols only.
+parameters are parsed against the field's symbols only.  Each basis name
+is bound to a sparse combination {index: coefficient}, so an expression
+costs time in its nonzero terms; the coordinate list is built once.
 """
 
 import re
@@ -119,10 +121,7 @@ def _parse_element(text, field, names, dim, lineno, column):
     which names binds to unit ``_LinComb``s beside the field's symbols."""
     value = _parse_scalar_token(text, field, names, lineno, column)
     if isinstance(value, _LinComb):
-        coords = [field.zero] * dim
-        for i, c in value.coords.items():
-            coords[i] = c
-        return coords
+        return [value.coords.get(i, field.zero) for i in range(dim)]
     # a pure scalar is only an element when it is zero
     if not value:
         return [field.zero] * dim

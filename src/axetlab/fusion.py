@@ -95,7 +95,8 @@ class Grading:
 
 
 def _stars(law):
-    """The index pairs i <= j with a nonempty star set, each with it."""
+    """((i, j), star set) for each index pair i <= j whose star set is
+    not empty."""
     n = len(law.eigenvalues)
     pairs = ((i, j) for i in range(n) for j in range(i, n))
     return tuple((p, ks) for p in pairs if (ks := law.star_indices(*p)))
@@ -198,14 +199,10 @@ def find_c2_grading(law):
 @functools.cache
 def _c2_signs(n, stars):
     """find_c2_grading's signs for n eigenvalues with these _stars."""
-    best = None
-    for mask in range(1, 1 << (n - 1)):
-        signs = (EVEN,) + tuple(ODD if (mask >> i) & 1 else EVEN
-                                for i in range(n - 1))
-        if _respects(signs, stars):
-            odd = [i for i, s in enumerate(signs) if s == ODD]
-            # prefer few odd eigenvalues, then odd values late in the list
-            key = (len(odd), [-i for i in odd])
-            if best is None or key < best[0]:
-                best = key, signs
-    return None if best is None else best[1]
+    signs = ((EVEN,) + tuple(ODD if (mask >> i) & 1 else EVEN
+                             for i in range(n - 1))
+             for mask in range(1, 1 << (n - 1)))
+    # prefer few odd eigenvalues, then odd values late in the list
+    return min((s for s in signs if _respects(s, stars)), default=None,
+               key=lambda s: (s.count(ODD),
+                              [-i for i, x in enumerate(s) if x == ODD]))

@@ -1187,7 +1187,7 @@ def tokenize(text):
             kind = "NAME"
         elif other in _OPS:
             kind = "OP"
-        else:  # an operator outside _OPS, or a word led by "_" or a digit
+        else:  # a character outside _OPS, or a word led by a non-letter
             raise ExprError("unexpected character %r" % token[0], pos=pos)
         tokens.append((kind, token, pos))
         pos += len(token)
