@@ -478,7 +478,8 @@ def sparse_algebras(draw):
         c = field.coerce(Fraction(draw(st.integers(-6, 6)),
                                   draw(st.sampled_from([1, 2, 3, 5]))))
         if x is not None:
-            c = c * x ** draw(st.integers(0, 2)) / (x + draw(st.integers(1, 2)))
+            c = (c * x ** draw(st.integers(0, 2))
+                 / (x + draw(st.integers(1, 2))))
             if draw(st.booleans()):
                 c = c + x - x
         return c
