@@ -72,20 +72,17 @@ class _LinComb:
         return _LinComb(self.field, {i: c * x for i, x in self.coords.items()})
 
     def __add__(self, other):
-        if isinstance(other, _LinComb):
-            coords = dict(self.coords)
-            for i, y in other.coords.items():
-                coords[i] = coords[i] + y if i in coords else y
-            return _LinComb(self.field, coords)
-        return NotImplemented
+        if not isinstance(other, _LinComb):
+            return self.__radd__(other)
+        coords = dict(self.coords)
+        for i, y in other.coords.items():
+            coords[i] = coords[i] + y if i in coords else y
+        return _LinComb(self.field, coords)
 
     def __sub__(self, other):
-        if isinstance(other, _LinComb):
-            coords = dict(self.coords)
-            for i, y in other.coords.items():
-                coords[i] = coords[i] - y if i in coords else -y
-            return _LinComb(self.field, coords)
-        return NotImplemented
+        if not isinstance(other, _LinComb):
+            return self.__rsub__(other)
+        return self + -other
 
     def __neg__(self):
         return self._scale(-self.field.one)

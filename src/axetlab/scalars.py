@@ -1175,10 +1175,12 @@ def _power_terms(v, n):
 
 def tokenize(text):
     """The (kind, text, pos) tokens of text, closed by an END token; pos
-    is the running sum of the lengths matched before the token."""
+    is the running sum of the lengths matched before the token.  Every
+    match ends on a non-space, so trailing space, on which each start
+    would fail after a scan to the end, is stripped first."""
     tokens = []
     pos = 0
-    for space, digits, word, other in _TOKEN.findall(text):
+    for space, digits, word, other in _TOKEN.findall(text.rstrip()):
         pos += len(space)
         token = digits or word or other
         if digits:

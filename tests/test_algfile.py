@@ -241,8 +241,9 @@ MALFORMED = [
     (_HEAD + "product a a = a^2\n",
      "line 4, column 15: basis symbols cannot be raised to powers"),
     (_HEAD + "product a a = a + 1\n",
-     "line 4, column 15: unsupported operand type(s) for +: '_LinComb' and"
-     " 'Fraction'"),
+     "line 4, column 15: cannot add a scalar to a basis combination"),
+    (_HEAD + "product a a = a - 1\n",
+     "line 4, column 15: cannot mix scalars and basis combinations"),
 ]
 
 

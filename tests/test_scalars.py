@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -169,6 +170,17 @@ def test_alternating_minus_and_parenthesis_chain_is_bounded(depth):
     with pytest.raises(ExprError) as e:
         qq(text)
     assert e.value.pos == MAX_NESTING
+
+
+def test_trailing_space_takes_linear_time():
+    # a failed match at each start of a trailing run of k spaces would
+    # cost about k^2 / 2 steps: hours for this one
+    text = "1 + a" + " \t " * 100_000
+    start = time.perf_counter()
+    tokens = tokenize(text)
+    assert time.perf_counter() - start < 2
+    assert tokens[-2:] == [("NAME", "a", 4), ("END", "", len(text))]
+    assert tokens == reference_tokenize(text)
 
 
 def test_unbound_symbol_has_a_position():
