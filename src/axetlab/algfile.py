@@ -60,7 +60,7 @@ class AlgebraFile:
 
 class _LinComb:
     """Linear combination of basis symbols, stored sparsely as
-    {index: coefficient}; products of symbols refused."""
+    {index: coefficient}; products of symbols and scalar summands refused."""
 
     __slots__ = ("field", "coords")
 
