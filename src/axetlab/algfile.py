@@ -60,7 +60,9 @@ class AlgebraFile:
 
 class _LinComb:
     """Linear combination of basis symbols, stored sparsely as
-    {index: coefficient}; products of symbols and scalar summands refused."""
+    {index: coefficient}; products of symbols and scalar summands refused
+    with an ``ExprError`` whose position the parser sets to the
+    operator's."""
 
     __slots__ = ("field", "coords")
 
@@ -88,29 +90,28 @@ class _LinComb:
         return self._scale(-self.field.one)
 
     def __radd__(self, other):
-        raise ExprError("cannot add a scalar to a basis combination", pos=0)
+        raise ExprError("cannot add a scalar to a basis combination")
 
     def __rsub__(self, other):
-        raise ExprError("cannot mix scalars and basis combinations", pos=0)
+        raise ExprError("cannot mix scalars and basis combinations")
 
     def __mul__(self, other):
         if isinstance(other, _LinComb):
-            raise ExprError("products of basis symbols are not allowed here",
-                            pos=0)
+            raise ExprError("products of basis symbols are not allowed here")
         return self._scale(self.field.coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _LinComb):
-            raise ExprError("cannot divide by a basis symbol", pos=0)
+            raise ExprError("cannot divide by a basis symbol")
         return self._scale(self.field.one / self.field.coerce(other))
 
     def __rtruediv__(self, other):
-        raise ExprError("cannot divide by a basis symbol", pos=0)
+        raise ExprError("cannot divide by a basis symbol")
 
     def __pow__(self, k):
-        raise ExprError("basis symbols cannot be raised to powers", pos=0)
+        raise ExprError("basis symbols cannot be raised to powers")
 
 
 def _parse_element(text, field, names, dim, lineno, column):

@@ -9,7 +9,7 @@ and the four-dimensional algebra of the orthogonal branch.
 
 from dataclasses import dataclass, field as datafield
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import LinearMap, StructureAlgebra
 from .fusion import DegenerateParameter, make_jordan, make_monster
@@ -248,6 +248,13 @@ class SkewConstants:
     projections of the neighbouring axes; zeta, theta, kappa are the free
     coefficients of sigma^2.  Everything else is derived, once per
     instance, on first read.
+
+    ``generic()`` returns one shared instance per process, so the
+    derived constants of the generic point are computed once.  Sharing
+    is safe because no value is changed in place: the constants are
+    fields of a frozen dataclass, algebra tables are tuples, and no code
+    writes to ``.terms``, ``.num`` or ``.den`` of a polynomial or
+    rational function; every operation builds a new one.
     """
 
     alpha: object
@@ -260,8 +267,10 @@ class SkewConstants:
     kappa: object
 
     @classmethod
+    @cache
     def generic(cls):
-        """All eight constants as independent symbols."""
+        """All eight constants as independent symbols, one instance per
+        process."""
         field = skew_field()
         return cls(*[field.sym(n) for n in field.names])
 

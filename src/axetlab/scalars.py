@@ -19,8 +19,13 @@ carries zero, one, the characteristic, coercion from integers and
 rationals, and symbol lookup for the expression parser.  All three also
 own a ring encoding: ``encode`` coerces a vector to (nums, den) and
 ``decode`` builds nums over den back into one element each.
-``linalg.rref`` and ``linalg.mat_mul`` run on it over every field, and
-``StructureAlgebra.multiply_coords`` over Q and F_p.  ``QQ`` encodes
+``linalg.rref``, ``linalg.mat_mul`` and the point values of
+``MultiPoly.evaluate`` and ``RationalFunction.evaluate`` run on it over
+every field, and ``StructureAlgebra.multiply_coords`` over Q and F_p.
+A point value encodes the values of the occurring symbols once, as
+nums over den, sums c * prod(n_i^k_i) * den^(T - |k|) over the terms
+of total degree T (reduced mod p over F_p) and decodes the sum over
+den^T once.  ``QQ`` encodes
 into ints over the lcm of the denominators and decodes into
 ``Fraction``; ``PrimeField`` into residues over 1, decoded with no
 second reduction (``PrimeFieldElement._make``); ``FunctionField`` into
@@ -611,28 +616,37 @@ class MultiPoly:
                                          len(self.names))]
 
     def evaluate(self, assignment, field):
-        """Evaluate with symbols bound to elements of field."""
-        occurring = [(i, n) for i, (n, occurs)
-                     in enumerate(zip(self.names, self._occurring()))
-                     if occurs]
-        for _, n in occurring:
-            if n not in assignment:
-                raise UnboundSymbol("symbol %r is unbound" % n)
+        """Evaluate with symbols bound to elements of field, on the field's
+        ring encoding: one encode of the occurring symbols' values, one
+        decode of the sum."""
+        values, den = _encode_point((self,), assignment, field)
+        s, top = self._at(values, den, field.char)
+        return field.decode([s], _power(den, top, field.char))[0]
+
+    def _at(self, values, den, char):
+        """(S, T) with self equal to S / den^T at the point values / den:
+        T is the total degree and S the sum of c * prod(v_i^k_i) *
+        den^(T - |k|) over the terms, reduced mod char when char > 0."""
+        terms, size = self.terms, len(self.names)
+        shift = _W * size
+        top = max(terms, default=0) >> shift
+        total = den * 0  # the zero of den's ring: int or MultiPoly
         powers = {}
-        total = field.zero
-        size = len(self.names)
-        for e, c in self.terms.items():
-            v = c
-            exps = _unpack(e, size)
-            for i, n in occurring:
-                k = exps[i]
+        for e, c in terms.items():
+            for i, k in enumerate(_unpack(e, size) if e else ()):
                 if k:
-                    power = powers.get((n, k))
-                    if power is None:
-                        power = powers[n, k] = assignment[n] ** k
-                    v = v * power
-            total = total + v
-        return total
+                    v = powers.get((i, k))
+                    if v is None:
+                        v = powers[i, k] = _power(values[i], k, char)
+                    c = c * v % char if char else c * v
+            k = top - (e >> shift)
+            if k:
+                v = powers.get((size, k))
+                if v is None:
+                    v = powers[size, k] = _power(den, k, char)
+                c = c * v % char if char else c * v
+            total = total + c
+        return (total % char if char else total), top
 
     def substitute(self, sub):
         """Replace symbols by rational functions (same symbol tuple)."""
@@ -675,6 +689,33 @@ class MultiPoly:
         for sign, body in parts[1:]:
             text += " %s %s" % (sign, body)
         return text
+
+
+def _encode_point(polys, assignment, field):
+    """The values of the symbols that occur in polys (on one symbol tuple),
+    encoded once by field: a list holding each one's ring numerator at its
+    symbol's index (None elsewhere), and their common denominator.  Raises
+    UnboundSymbol for the first occurring symbol assignment does not bind,
+    in the order of polys, then of the symbols, and whatever field.encode
+    raises for a value outside the field."""
+    names = polys[0].names
+    occurring = []
+    for p in polys:
+        for i, (n, occurs) in enumerate(zip(names, p._occurring())):
+            if occurs and i not in occurring:
+                if n not in assignment:
+                    raise UnboundSymbol("symbol %r is unbound" % n)
+                occurring.append(i)
+    nums, den = field.encode([assignment[names[i]] for i in occurring])
+    values = [None] * len(names)
+    for i, v in zip(occurring, nums):
+        values[i] = v
+    return values, den
+
+
+def _power(v, k, char):
+    """v^k, reduced mod char when char > 0."""
+    return pow(v, k, char) if char else v ** k
 
 
 _GCD_TRIES = 6
@@ -925,11 +966,22 @@ class RationalFunction:
         return _mul(self.num, o.den) == _mul(o.num, self.den)
 
     def evaluate(self, assignment, field):
-        """Evaluate at a point; raises DenominatorVanishes at poles."""
-        den = self.den.evaluate(assignment, field)
-        if not den:
+        """Evaluate at a point, with one encode for num and den; raises
+        UnboundSymbol (den's symbols first), then what field.encode raises
+        for a value outside the field, then DenominatorVanishes at poles."""
+        num, den = self.num, self.den
+        values, d = _encode_point((den, num), assignment, field)
+        char = field.char
+        sd, td = den._at(values, d, char)
+        if not sd:
             raise DenominatorVanishes("denominator vanishes at %r" % (assignment,))
-        return self.num.evaluate(assignment, field) / den
+        sn, tn = num._at(values, d, char)
+        # num/den = (sn / d^tn) / (sd / d^td)
+        if tn > td:
+            sd = sd * _power(d, tn - td, char)
+        elif td > tn:
+            sn = sn * _power(d, td - tn, char)
+        return field.decode([sn], sd)[0]
 
     def substitute(self, sub):
         den = self.den.substitute(sub)
@@ -1226,12 +1278,16 @@ class _Parser:
         v = self.product()
         tokens = self.tokens
         while True:
-            kind, text, _ = tokens[self.k]
+            kind, text, pos = tokens[self.k]
             if kind != "OP" or text not in "+-":
                 return v
             self.k += 1
             w = self.product()
-            v = v + w if text == "+" else v - w
+            try:
+                v = v + w if text == "+" else v - w
+            except ExprError as e:
+                _at_operator(e, pos)
+                raise
 
     def product(self):
         v = self.unary()
@@ -1242,14 +1298,14 @@ class _Parser:
                 return v
             self.k += 1
             w = self.unary()
-            if text == "*":
-                v = v * w
-            else:
-                try:
-                    v = v / w
-                except ZeroDivisionError:
-                    raise DivisionByZero(
-                        "division by zero at position %d" % pos, pos=pos)
+            try:
+                v = v * w if text == "*" else v / w
+            except ExprError as e:
+                _at_operator(e, pos)
+                raise
+            except ZeroDivisionError:
+                raise DivisionByZero(
+                    "division by zero at position %d" % pos, pos=pos)
 
     def nest(self, pos):
         self.depth += 1
@@ -1284,6 +1340,7 @@ class _Parser:
         else:
             raise ExprError("unexpected token %r" % (text or kind), pos=pos)
         while tokens[self.k][1] == "^":  # only an OP token reads "^"
+            at = tokens[self.k][2]
             kind, text, pos = tokens[self.k + 1]
             self.k += 2
             if kind != "INT":
@@ -1298,8 +1355,19 @@ class _Parser:
                     and _power_terms(v, n) > MAX_POWER_TERMS):
                 raise ExprError("power too large: it can have over %d "
                                 "terms" % MAX_POWER_TERMS, pos=pos)
-            v = v ** n
+            try:
+                v = v ** n
+            except ExprError as e:
+                _at_operator(e, at)
+                raise
         return v
+
+
+def _at_operator(e, pos):
+    """Place e at the operator's position pos unless it has one: an
+    operand type such as a basis combination raises with none."""
+    if e.pos is None:
+        e.pos = pos
 
 
 def parse_expression(text, field, names):

@@ -229,21 +229,21 @@ MALFORMED = [
      "line 4, column 15: integer literal of 5000 digits is too long"),
     # the basis combinations
     (_HEAD + "product a a = 1 + a\n",
-     "line 4, column 15: cannot add a scalar to a basis combination"),
+     "line 4, column 17: cannot add a scalar to a basis combination"),
     (_HEAD + "product a a = 1 - a\n",
-     "line 4, column 15: cannot mix scalars and basis combinations"),
+     "line 4, column 17: cannot mix scalars and basis combinations"),
     (_HEAD + "product a a = a*b\n",
-     "line 4, column 15: products of basis symbols are not allowed here"),
+     "line 4, column 16: products of basis symbols are not allowed here"),
     (_HEAD + "product a a = a/b\n",
-     "line 4, column 15: cannot divide by a basis symbol"),
+     "line 4, column 16: cannot divide by a basis symbol"),
     (_HEAD + "product a a = 1/a\n",
-     "line 4, column 15: cannot divide by a basis symbol"),
+     "line 4, column 16: cannot divide by a basis symbol"),
     (_HEAD + "product a a = a^2\n",
-     "line 4, column 15: basis symbols cannot be raised to powers"),
+     "line 4, column 16: basis symbols cannot be raised to powers"),
     (_HEAD + "product a a = a + 1\n",
-     "line 4, column 15: cannot add a scalar to a basis combination"),
+     "line 4, column 17: cannot add a scalar to a basis combination"),
     (_HEAD + "product a a = a - 1\n",
-     "line 4, column 15: cannot mix scalars and basis combinations"),
+     "line 4, column 17: cannot mix scalars and basis combinations"),
 ]
 
 

@@ -256,6 +256,43 @@ def test_substitute_and_evaluate():
     assert sub.gammaf == field.zero
 
 
+DERIVED = ("gamma", "eps", "delta", "gammaf", "epsf", "deltaf", "P", "Q")
+
+
+def test_generic_constants_are_one_shared_instance():
+    assert SkewConstants.generic() is SkewConstants.generic()
+
+
+def test_shared_generic_constants_match_a_fresh_instance():
+    f = skew_field()
+    shared = SkewConstants.generic()
+    fresh = SkewConstants(*[f.sym(n) for n in f.names])
+    assert fresh is not shared
+    for name in DERIVED:
+        a, b = getattr(shared, name), getattr(fresh, name)
+        assert (a.num.terms, a.den.terms) == (b.num.terms, b.den.terms)
+
+
+def test_one_suite_derives_the_generic_P_and_Q_once(monkeypatch):
+    from axetlab.papersuite import run_suite
+    f = skew_field()
+    symbols = [f.sym(n) for n in f.names]
+    counts = {"P": 0, "Q": 0}
+    for name in counts:
+        prop = SkewConstants.__dict__[name]
+        derive = prop.func
+
+        def counted(c, derive=derive, name=name):
+            if [getattr(c, n) for n in f.names] == symbols:
+                counts[name] += 1
+            return derive(c)
+
+        monkeypatch.setattr(prop, "func", counted)
+    SkewConstants.generic.cache_clear()
+    run_suite(0)
+    assert counts == {"P": 1, "Q": 1}
+
+
 def test_generic_skew_rejects_collapsed_parameters():
     c = SkewConstants.generic()
     collapsed = c.substitute({"alpha": skew_field().sym("beta")})

@@ -1119,3 +1119,181 @@ def test_floordiv_is_exact_division(pair):
             assert (a // d).terms == want.terms
     with pytest.raises(DivisionByZero):
         p // 0
+
+
+# -- point values on the ring encoding ----------------------------------------
+
+def reference_evaluate(p, assignment, field):
+    """MultiPoly.evaluate term by term in the field's own arithmetic, kept
+    as the reference for the evaluation on the ring encoding."""
+    occurring = [(i, n) for i, n in enumerate(p.names)
+                 if any(e[i] for e in p.exponents())]
+    for _, n in occurring:
+        if n not in assignment:
+            raise UnboundSymbol("symbol %r is unbound" % n)
+    powers = {}
+    total = field.zero
+    for exps, c in p.exponents().items():
+        v = c
+        for i, n in occurring:
+            k = exps[i]
+            if k:
+                power = powers.get((n, k))
+                if power is None:
+                    power = powers[n, k] = assignment[n] ** k
+                v = v * power
+        total = total + v
+    return total
+
+
+def reference_rf_evaluate(f, assignment, field):
+    den = reference_evaluate(f.den, assignment, field)
+    if not den:
+        raise DenominatorVanishes("denominator vanishes")
+    return reference_evaluate(f.num, assignment, field) / den
+
+
+EVAL_SYMBOLS = [("x",), ("x", "y"), SKEW_SYMBOLS]
+EVAL_FIELDS = [QQ, PrimeField(5), PrimeField(7), PrimeField(1000000007),
+               FunctionField(("t",))]
+
+
+@st.composite
+def eval_polys(draw, names):
+    """Zero, constants and sparse polynomials in names: each term has at
+    most three symbols, each of degree at most 3."""
+    n = len(names)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = [0] * n
+        for i, k in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(1, 3)), max_size=3)):
+            exps[i] = k
+        terms[tuple(exps)] = draw(st.integers(-30, 30)
+                                  | st.integers(-10 ** 30, 10 ** 30))
+    return MultiPoly(names, terms)
+
+
+@st.composite
+def field_values(draw, field):
+    """An element of field: a small rational over Q, a residue or an int or
+    rational prime to p over F_p, (a t + b)/(c t + d) over Q(t)."""
+    small = st.integers(-6, 6)
+    if field.char:
+        p = field.p
+        value = draw(st.integers(-3 * p, 3 * p)
+                     | st.fractions(-20, 20, max_denominator=12).filter(
+                         lambda q: q.denominator % p))
+        return draw(st.sampled_from([value, field.coerce(value)]))
+    if field == QQ:
+        return draw(st.fractions(-5, 5, max_denominator=7) | small)
+    t = field.sym("t")
+    a, b, c, d = (draw(small) for _ in range(4))
+    assume(c or d)
+    return (a * t + b) / (c * t + d)
+
+
+@st.composite
+def eval_cases(draw):
+    """(names, field, assignment): most symbols bound, some left unbound."""
+    names = draw(st.sampled_from(EVAL_SYMBOLS))
+    field = draw(st.sampled_from(EVAL_FIELDS))
+    assignment = {n: draw(field_values(field)) for n in names
+                  if draw(st.integers(0, 9))}
+    return names, field, assignment
+
+
+def _unbound(polys, assignment):
+    """The first symbol, in the order of polys, that occurs unbound."""
+    for p in polys:
+        for n, column in zip(p.names, zip(*p.exponents())):
+            if any(column) and n not in assignment:
+                return n
+    return None
+
+
+def _vanishing_factor(names, field, assignment):
+    """A polynomial in names that vanishes at assignment (which may gain
+    a binding), or None."""
+    x = names[0]
+    if x not in assignment:
+        return None
+    v = MultiPoly.variable(names, x)
+    if len(names) > 1:
+        assignment[names[1]] = assignment[x]
+        return v - MultiPoly.variable(names, names[1])
+    if field == QQ:
+        q = Fraction(assignment[x])
+        return v * q.denominator - q.numerator
+    if field.char:
+        return v - field.coerce(assignment[x]).value
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_multipoly_evaluate_agrees_with_the_term_loop(data):
+    names, field, assignment = data.draw(eval_cases())
+    p = data.draw(eval_polys(names))
+    missing = _unbound([p], assignment)
+    if missing is not None:
+        with pytest.raises(UnboundSymbol, match=repr(missing)):
+            p.evaluate(assignment, field)
+        return
+    got = p.evaluate(assignment, field)
+    want = reference_evaluate(p, assignment, field)
+    assert type(got) is type(want) and got == want
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rf_evaluate_agrees_with_the_term_loop(data):
+    names, field, assignment = data.draw(eval_cases())
+    num = data.draw(eval_polys(names))
+    den = data.draw(eval_polys(names))
+    if data.draw(st.booleans()):
+        den = den * (_vanishing_factor(names, field, assignment) or 1)
+    assume(den)
+    f = RationalFunction(num, den)
+    missing = _unbound([f.den, f.num], assignment)
+    if missing is not None:
+        with pytest.raises(UnboundSymbol, match=repr(missing)):
+            f.evaluate(assignment, field)
+        return
+    try:
+        want = reference_rf_evaluate(f, assignment, field)
+    except DenominatorVanishes:
+        with pytest.raises(DenominatorVanishes):
+            f.evaluate(assignment, field)
+        return
+    got = f.evaluate(assignment, field)
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 1000000007])
+def test_a_value_outside_f_p_raises_division_by_zero(p):
+    F = PrimeField(p)
+    names = ("x", "y")
+    x, y = (MultiPoly.variable(names, n) for n in names)
+    one = MultiPoly.constant(names, 1)
+    bad = {"x": Fraction(1, p), "y": Fraction(2, 3)}
+    for f in (x * 3 + 1, x ** 2 * y + y, RationalFunction(one, x + 2),
+              RationalFunction(y + 1, x * y + 2)):
+        with pytest.raises(DivisionByZero):
+            f.evaluate(bad, F)
+        with pytest.raises(DivisionByZero):
+            (reference_rf_evaluate if isinstance(f, RationalFunction)
+             else reference_evaluate)(f, bad, F)
+    # a symbol that does not occur may hold any value
+    assert (y + 1).evaluate(bad, F) == F.coerce(Fraction(5, 3))
+
+
+def test_a_huge_power_over_f_p_is_quick():
+    F = PrimeField(7)
+    x = MultiPoly.variable(("x",), "x")
+    huge = x ** (2 ** 30)
+    start = time.perf_counter()
+    assert huge.evaluate({"x": 3}, F) == F.coerce(pow(3, 2 ** 30, 7))
+    assert RationalFunction(x + 1, huge).evaluate({"x": 3}, F) \
+        == F.coerce(4) / pow(3, 2 ** 30, 7)
+    assert time.perf_counter() - start < 1
