@@ -22,10 +22,12 @@ own a ring encoding: ``encode`` coerces a vector to (nums, den) and
 ``linalg.rref``, ``linalg.mat_mul`` and the point values of
 ``MultiPoly.evaluate`` and ``RationalFunction.evaluate`` run on it over
 every field, and ``StructureAlgebra.multiply_coords`` over Q and F_p.
-A point value encodes the values of the occurring symbols once, as
-nums over den, sums c * prod(n_i^k_i) * den^(T - |k|) over the terms
-of total degree T (reduced mod p over F_p) and decodes the sum over
-den^T once.  ``QQ`` encodes
+A polynomial's point value encodes the values of the occurring symbols
+once, as nums over den, and sums c * prod(n_i^k_i) * den^(T - |k|) over
+its terms of total degree T (reduced mod p over F_p), giving the value
+as that sum over den^T; a rational function takes such a pair for its
+numerator and one for its denominator, and decodes their quotient
+once.  ``QQ`` encodes
 into ints over the lcm of the denominators and decodes into
 ``Fraction``; ``PrimeField`` into residues over 1, decoded with no
 second reduction (``PrimeFieldElement._make``); ``FunctionField`` into
@@ -616,18 +618,27 @@ class MultiPoly:
                                          len(self.names))]
 
     def evaluate(self, assignment, field):
-        """Evaluate with symbols bound to elements of field, on the field's
-        ring encoding: one encode of the occurring symbols' values, one
-        decode of the sum."""
-        values, den = _encode_point((self,), assignment, field)
-        s, top = self._at(values, den, field.char)
-        return field.decode([s], _power(den, top, field.char))[0]
+        """Evaluate with symbols bound to elements of field."""
+        s, den = self._at(assignment, field)
+        return field.decode([s], den)[0]
 
-    def _at(self, values, den, char):
-        """(S, T) with self equal to S / den^T at the point values / den:
-        T is the total degree and S the sum of c * prod(v_i^k_i) *
-        den^(T - |k|) over the terms, reduced mod char when char > 0."""
-        terms, size = self.terms, len(self.names)
+    def _at(self, assignment, field):
+        """(S, D) with self equal to S / D at the point, on the field's
+        ring encoding: the values of the occurring symbols are encoded
+        once as n_i / d, D is d^T for the total degree T, and S is the sum
+        of c * prod(n_i^k_i) * d^(T - |k|) over the terms, reduced mod p
+        over F_p.  Raises UnboundSymbol for an occurring symbol that
+        assignment does not bind, and what field.encode raises for a
+        value outside the field."""
+        names, terms, size = self.names, self.terms, len(self.names)
+        occurring = [i for i, occurs in enumerate(self._occurring())
+                     if occurs]
+        for i in occurring:
+            if names[i] not in assignment:
+                raise UnboundSymbol("symbol %r is unbound" % names[i])
+        nums, den = field.encode([assignment[names[i]] for i in occurring])
+        values = dict(zip(occurring, nums))
+        char = field.char
         shift = _W * size
         top = max(terms, default=0) >> shift
         total = den * 0  # the zero of den's ring: int or MultiPoly
@@ -646,7 +657,7 @@ class MultiPoly:
                     v = powers[size, k] = _power(den, k, char)
                 c = c * v % char if char else c * v
             total = total + c
-        return (total % char if char else total), top
+        return (total % char if char else total), _power(den, top, char)
 
     def substitute(self, sub):
         """Replace symbols by rational functions (same symbol tuple)."""
@@ -689,28 +700,6 @@ class MultiPoly:
         for sign, body in parts[1:]:
             text += " %s %s" % (sign, body)
         return text
-
-
-def _encode_point(polys, assignment, field):
-    """The values of the symbols that occur in polys (on one symbol tuple),
-    encoded once by field: a list holding each one's ring numerator at its
-    symbol's index (None elsewhere), and their common denominator.  Raises
-    UnboundSymbol for the first occurring symbol assignment does not bind,
-    in the order of polys, then of the symbols, and whatever field.encode
-    raises for a value outside the field."""
-    names = polys[0].names
-    occurring = []
-    for p in polys:
-        for i, (n, occurs) in enumerate(zip(names, p._occurring())):
-            if occurs and i not in occurring:
-                if n not in assignment:
-                    raise UnboundSymbol("symbol %r is unbound" % n)
-                occurring.append(i)
-    nums, den = field.encode([assignment[names[i]] for i in occurring])
-    values = [None] * len(names)
-    for i, v in zip(occurring, nums):
-        values[i] = v
-    return values, den
 
 
 def _power(v, k, char):
@@ -966,22 +955,12 @@ class RationalFunction:
         return _mul(self.num, o.den) == _mul(o.num, self.den)
 
     def evaluate(self, assignment, field):
-        """Evaluate at a point, with one encode for num and den; raises
-        UnboundSymbol (den's symbols first), then what field.encode raises
-        for a value outside the field, then DenominatorVanishes at poles."""
-        num, den = self.num, self.den
-        values, d = _encode_point((den, num), assignment, field)
-        char = field.char
-        sd, td = den._at(values, d, char)
+        """Evaluate at a point; raises DenominatorVanishes at poles."""
+        sd, dd = self.den._at(assignment, field)
         if not sd:
             raise DenominatorVanishes("denominator vanishes at %r" % (assignment,))
-        sn, tn = num._at(values, d, char)
-        # num/den = (sn / d^tn) / (sd / d^td)
-        if tn > td:
-            sd = sd * _power(d, tn - td, char)
-        elif td > tn:
-            sn = sn * _power(d, td - tn, char)
-        return field.decode([sn], sd)[0]
+        sn, dn = self.num._at(assignment, field)
+        return field.decode([sn * dd], sd * dn)[0]  # (sn/dn) / (sd/dd)
 
     def substitute(self, sub):
         den = self.den.substitute(sub)
