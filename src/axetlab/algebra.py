@@ -24,7 +24,7 @@ functions, and ad_a is a ``LinearMap`` decoded before ``eigenspace``.
 """
 
 from . import linalg
-from .scalars import FunctionField, MixedFields
+from .scalars import FunctionField, MixedFields, RationalFunction
 
 
 class DimensionMismatch(ValueError):
@@ -128,7 +128,9 @@ class StructureAlgebra:
             v, vd = field.encode(v)
             return field.decode(self._ring_product(u, v),
                                 self._int_table[0] * ud * vd)
-        out = [field.zero] * self.dim
+        # the terms of each coordinate are summed once, over the product
+        # of their distinct denominators
+        terms = [[] for _ in range(self.dim)]
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
@@ -138,8 +140,8 @@ class StructureAlgebra:
                 c = a * b
                 for k, s in enumerate(table[j]):
                     if s:
-                        out[k] = out[k] + c * s
-        return out
+                        terms[k].append(c * s)
+        return [_sum(field, t) for t in terms]
 
     def _ring_product(self, u, v):
         """The numerators of u*v over den * ud * vd, for u and v encoded
@@ -341,6 +343,15 @@ class StructureAlgebra:
     def __repr__(self):
         return "StructureAlgebra(%r, dim %d over %r)" % (
             list(self.basis_names), self.dim, self.field)
+
+
+def _sum(field, terms):
+    """The sum of function-field elements, formed once over the product
+    of their distinct denominators (``FunctionField.encode``)."""
+    if len(terms) < 2:
+        return terms[0] if terms else field.zero
+    nums, den = field.encode(terms)
+    return RationalFunction(sum(nums[1:], nums[0]), den)
 
 
 class Element:

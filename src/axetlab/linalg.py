@@ -49,25 +49,36 @@ def rref(rows, field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     # scaling a row leaves the RREF as it is, so each row is encoded alone
     m = [field.encode(r)[0] for r in rows]
-    pivots, prev = eliminate(m, field.char)
+    pivots, prev = eliminate(m, field.char, field.pivot)
     return [field.decode(row, prev) for row in m], pivots
 
 
-def eliminate(m, p):
+def eliminate(m, p, pivot=None):
     """The ring stage of ``rref``, in place on the encoded rows m (over
     F_p, p > 0, residues in range(p); over Z or Z[x], p = 0, any scaling
     of each row).  Returns (pivots, prev): m becomes the RREF with every
-    entry multiplied by prev."""
+    entry multiplied by prev.
+
+    pivot is the field's rule (``field.pivot``): given the entries of a
+    column from row r down, the index among them of the pivot row, or
+    None when all are zero.  With no rule the first nonzero entry is the
+    pivot.  Any nonzero entry gives the same RREF."""
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots = []
     prev = 1  # the previous pivot; over F_p pivot rows are scaled to 1
     r = 0
     for c in range(ncols):
-        for pr in range(r, nrows):
-            if m[pr][c]:
-                break
+        if pivot is None:
+            for pr in range(r, nrows):
+                if m[pr][c]:
+                    break
+            else:
+                continue
         else:
-            continue
+            pr = pivot([row[c] for row in m[r:]])
+            if pr is None:
+                continue
+            pr += r
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         piv = prow[c]
@@ -125,7 +136,7 @@ def encoded_kernel(m, field):
     ``eliminate`` takes them; m is eliminated in place.  Only the kernel
     vectors are decoded: for the free column f, v_f = prev and
     v_c = -m[r][f] on the pivot column c of row r, over prev."""
-    pivots, prev = eliminate(m, field.char)
+    pivots, prev = eliminate(m, field.char, field.pivot)
     ncols = len(m[0]) if m else 0
     basis = []
     for f in range(ncols):

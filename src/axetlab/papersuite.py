@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from . import skewverify
 from .algebra import LinearMap, StructureAlgebra, \
@@ -444,13 +445,23 @@ def check_rehren_oracle():
 # -- the Seress property --------------------------------------------------------
 
 def seress_property(A, a):
-    """a(xu) = (ax)u for every basis x and eigenbasis u of the 1, 0 parts."""
+    """a(xu) = (ax)u for every basis x and eigenbasis u of the 1, 0 parts,
+    or the first (u, x) where it fails.
+
+    Over Q and F_p, as ad_a ad_u = ad_u ad_a on the ring encoding: column
+    x of the two sides is a(ux) and u(ax).  ad_a is encoded once, and
+    each ad_u once; both sides share the denominator of ad_a times that
+    of ad_u, so their integer products are compared (mod p over F_p)."""
     ones, zeros = A.eigenspaces(a, [A.field.one, A.field.zero])
-    fixed = ones + zeros
-    for u in fixed:
-        for x in A.basis():
-            if a * (x * u) != (a * x) * u:
-                return False, (u, x)
+    p = A.field.char
+    ad_a = A.encoded_adjoint(a)[0]
+    for u in ones + zeros:
+        ad_u = A.encoded_adjoint(u)[0]
+        for x, (ax, ux) in enumerate(zip(zip(*ad_a), zip(*ad_u))):
+            for r, s in zip(ad_a, ad_u):
+                d = sum(map(mul, r, ux)) - sum(map(mul, s, ax))
+                if d % p if p else d:
+                    return False, (u, A.gen(A.basis_names[x]))
     return True, None
 
 

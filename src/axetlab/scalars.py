@@ -660,7 +660,10 @@ class MultiPoly:
         return (total % char if char else total), _power(den, top, char)
 
     def substitute(self, sub):
-        """Replace symbols by rational functions (same symbol tuple)."""
+        """Replace symbols by rational functions (same symbol tuple); with
+        no substituted symbol occurring, self over 1, with no term loop."""
+        if not self._substitutes(sub):
+            return RationalFunction(self)
         out = RationalFunction.constant(self.names, 0)
         size = len(self.names)
         for e, c in self.terms.items():
@@ -673,6 +676,11 @@ class MultiPoly:
                     v = v * f ** k
             out = out + v
         return out
+
+    def _substitutes(self, sub):
+        """Whether a symbol that sub replaces occurs in self."""
+        return any(occurs and name in sub for name, occurs
+                   in zip(self.names, self._occurring()))
 
     def __repr__(self):
         if not self.terms:
@@ -963,6 +971,11 @@ class RationalFunction:
         return field.decode([sn * dd], sd * dn)[0]  # (sn/dn) / (sd/dd)
 
     def substitute(self, sub):
+        """Replace symbols by rational functions (same symbol tuple).  With
+        no substituted symbol occurring, self as stored: its form is
+        already normal, which the substitution would also give."""
+        if not (self.num._substitutes(sub) or self.den._substitutes(sub)):
+            return self
         den = self.den.substitute(sub)
         if not den:
             raise DenominatorVanishes("denominator vanishes under substitution")
@@ -997,6 +1010,7 @@ class RationalField:
     char = 0
     zero = Fraction(0)
     one = Fraction(1)
+    pivot = None  # linalg.eliminate pivots on the first nonzero entry
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -1045,6 +1059,7 @@ class PrimeField:
             raise BadField("characteristic 2 is not supported")
         self.p = p
         self.char = p
+        self.pivot = None  # linalg.eliminate pivots on the first nonzero
         self.zero = PrimeFieldElement(0, p)
         self.one = PrimeFieldElement(1, p)
 
@@ -1127,6 +1142,21 @@ class FunctionField:
                         v = v * d
             nums.append(v)
         return nums, reduce(_mul, dens, self.one.den)
+
+    @staticmethod
+    def pivot(entries):
+        """The pivot rule of ``linalg.eliminate`` over Z[x]: the index of
+        the nonzero entry with the fewest terms, then the smallest leading
+        key, then the first; None when every entry is zero.  Every update
+        multiplies by the pivot, so a sparse one keeps the minors small."""
+        best = None
+        for i, e in enumerate(entries):
+            if e:
+                terms = e.terms
+                key = len(terms), max(terms)
+                if best is None or key < best:
+                    best, row = key, i
+        return None if best is None else row
 
     def decode(self, nums, den):
         """The vector nums / den of polynomials, den nonzero, each entry
