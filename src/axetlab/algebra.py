@@ -19,8 +19,10 @@ matrix of ad_a (``encoded_adjoint``) and ``products_over``.  There
 ad_a to the product table: each eigenspace is the kernel of an integer
 matrix, taken by ``linalg.encoded_kernel``, and each eigenvector and
 the inverse are encoded once, so each table column is decoded once.
-Over a function field the products are formed on the stored rational
-functions, and ad_a is a ``LinearMap`` decoded before ``eigenspace``.
+Over a function field each coordinate of a product collects its terms
+(products of stored rational functions) and sums them once, over the
+product of their distinct denominators (``FunctionField.encode``), and
+ad_a is a ``LinearMap`` decoded before ``eigenspace``.
 """
 
 from . import linalg
@@ -121,15 +123,14 @@ class StructureAlgebra:
 
     def multiply_coords(self, u, v):
         """Coordinates of u*v; zero coordinates and zero structure
-        constants are skipped, never multiplied."""
+        constants are skipped, never multiplied.  Over a function field
+        each coordinate is one sum of its terms (``_sum``)."""
         field = self.field
         if self._int_table is not None:
             u, ud = field.encode(u)
             v, vd = field.encode(v)
             return field.decode(self._ring_product(u, v),
                                 self._int_table[0] * ud * vd)
-        # the terms of each coordinate are summed once, over the product
-        # of their distinct denominators
         terms = [[] for _ in range(self.dim)]
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -347,7 +348,8 @@ class StructureAlgebra:
 
 def _sum(field, terms):
     """The sum of function-field elements, formed once over the product
-    of their distinct denominators (``FunctionField.encode``)."""
+    of their distinct denominators (``FunctionField.encode``), where
+    adding them in turn would multiply the same denominators in again."""
     if len(terms) < 2:
         return terms[0] if terms else field.zero
     nums, den = field.encode(terms)

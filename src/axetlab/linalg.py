@@ -1,13 +1,12 @@
 """Exact linear algebra over any of the scalar fields.
 
-Matrices are lists of row lists.  ``rref`` reduces all the way to RREF
-with first-nonzero pivoting, so results are deterministic for a fixed
-input order; every other routine here goes through its ring stage,
-``eliminate``.  Writing vectors over a basis (or over independent
-vectors spanning a subspace) is done once, by ``invert``, whose result
-is applied to all the vectors by one ``apply_encoded``
-(``StructureAlgebra.products_over`` for products), so it is encoded
-once; ``solve`` is for one system.
+Matrices are lists of row lists.  ``rref`` reduces all the way to RREF,
+which is unique, so results do not depend on the pivot rows chosen;
+every other routine here goes through its ring stage, ``eliminate``.
+Writing vectors over a basis (or over independent vectors spanning a
+subspace) is done once, by ``invert``, whose result is applied to all
+the vectors by one ``apply_encoded`` (``StructureAlgebra.products_over``
+for products), so it is encoded once; ``solve`` is for one system.
 
 Each field owns an encoding of its vectors in a ring: ``encode`` gives
 numerators over one denominator (ints for Q, residues for F_p,
@@ -15,21 +14,25 @@ numerators over one denominator (ints for Q, residues for F_p,
 numerators over a denominator back into field elements.  ``rref``
 encodes each row on its own, as scaling a row leaves the RREF as it is,
 runs ``eliminate`` on the encoded rows and decodes them over the last
-pivot.  Over F_p ``eliminate`` scales each pivot row to 1 and reduces
-every update mod p.  Over Z and Z[x] alike it runs one fraction-free
-Gauss-Jordan loop (Bareiss, Math. Comp. 22, 1968, in the Gauss-Jordan
-form of Nakos, Turner and Williams, SIGSAM Bull. 31, 1997): each update
-p*a - f*b is divided exactly by the previous pivot (``//``, which is
-``MultiPoly.exquo`` over Z[x]), so every entry stays a minor of the
-encoded matrix, and decoding over the last pivot gives the RREF.  The
-RREF is unique, so this is the result of elimination with field
-division, with none of the swelling of unreduced rational functions.
-Decoding is where common factors are cancelled over a function field:
-each entry a/prev is reduced by the heuristic gcd of a and prev
-(``scalars.cancel``), so ``solve``, ``invert``, ``kernel_basis`` and
-everything built on them work on small fractions.  Where the heuristic
-fails the entry stays unreduced; its value is the same either way, since
-equality cross-multiplies.
+pivot.  Each field also names its pivot rule (``field.pivot``): over Q
+and F_p the first nonzero entry of the column, with no added work per
+column; over Z[x] the entry with the fewest terms, then the smallest
+leading key, then the first, since every update multiplies by the pivot
+and a sparse one keeps the minors small.  Over F_p ``eliminate`` scales
+each pivot row to 1 and reduces every update mod p.  Over Z and Z[x]
+alike it runs one fraction-free Gauss-Jordan loop (Bareiss, Math. Comp.
+22, 1968, in the Gauss-Jordan form of Nakos, Turner and Williams, SIGSAM
+Bull. 31, 1997): each update p*a - f*b is divided exactly by the
+previous pivot (``//``, which is ``MultiPoly.exquo`` over Z[x]), so
+every entry stays a minor of the encoded matrix, and decoding over the
+last pivot gives the RREF.  The RREF is unique, so this is the result of
+elimination with field division, with none of the swelling of unreduced
+rational functions.  Decoding is where common factors are cancelled
+over a function field: each entry a/prev is reduced by the heuristic gcd
+of a and prev (``scalars.cancel``), so ``solve``, ``invert``,
+``kernel_basis`` and everything built on them work on small fractions.
+Where the heuristic fails the entry stays unreduced; its value is the
+same either way, since equality cross-multiplies.
 
 ``encoded_kernel`` is ``kernel_basis`` on rows that are already encoded
 (``StructureAlgebra.eigenspaces`` builds them from the integer table

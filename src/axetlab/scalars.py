@@ -15,13 +15,16 @@ function is zero exactly when its numerator is the zero polynomial,
 whatever its stored form, where ``x == field.zero`` would cross-multiply.
 
 A field descriptor (``QQ``, ``PrimeField(p)``, ``FunctionField(names)``)
-carries zero, one, the characteristic, coercion from integers and
-rationals, and symbol lookup for the expression parser.  All three also
-own a ring encoding: ``encode`` coerces a vector to (nums, den) and
-``decode`` builds nums over den back into one element each.
+carries zero, one, the characteristic, the pivot rule of
+``linalg.eliminate``, coercion from integers and rationals, and symbol
+lookup for the expression parser.  All three also own a ring encoding:
+``encode`` coerces a vector to (nums, den) and ``decode`` builds nums
+over den back into one element each.
 ``linalg.rref``, ``linalg.mat_mul`` and the point values of
 ``MultiPoly.evaluate`` and ``RationalFunction.evaluate`` run on it over
-every field, and ``StructureAlgebra.multiply_coords`` over Q and F_p.
+every field, and ``StructureAlgebra.multiply_coords`` over Q and F_p
+(over a function field it sums each coordinate once over the encode's
+denominator).
 A polynomial's point value encodes the values of the occurring symbols
 once, as nums over den, and sums c * prod(n_i^k_i) * den^(T - |k|) over
 its terms of total degree T (reduced mod p over F_p), giving the value
@@ -1052,6 +1055,8 @@ QQ = RationalField()
 class PrimeField:
     """Descriptor for F_p, p an odd prime."""
 
+    pivot = None  # linalg.eliminate pivots on the first nonzero entry
+
     def __init__(self, p):
         if not _is_prime(p):
             raise BadField("%d is not prime" % p)
@@ -1059,7 +1064,6 @@ class PrimeField:
             raise BadField("characteristic 2 is not supported")
         self.p = p
         self.char = p
-        self.pivot = None  # linalg.eliminate pivots on the first nonzero
         self.zero = PrimeFieldElement(0, p)
         self.one = PrimeFieldElement(1, p)
 

@@ -447,8 +447,9 @@ def multiply_by_triple_loop(A, u, v):
 
 
 QX = FunctionField(("x",))
+QXY = FunctionField(("x", "y"))
 product_fields = st.sampled_from([QQ, PrimeField(5), PrimeField(7),
-                                  PrimeField(1000000007), QX])
+                                  PrimeField(1000000007), QX, QXY])
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -464,6 +465,14 @@ def scalars_of(draw, field):
                + draw(st.integers(-2, 2)) * x ** draw(st.integers(0, 2)))
         den = (value.denominator + draw(st.integers(0, 2)) * x)
         return RationalFunction(num * (x + 1), den * (x + 1))
+    if field is QXY:  # (c + d x^k y^l) over one of three denominators,
+        # so products share some denominators and not others
+        x, y = (MultiPoly.variable(field.names, n) for n in field.names)
+        num = (MultiPoly.constant(field.names, value.numerator)
+               + draw(st.integers(-2, 2)) * x ** draw(st.integers(0, 2))
+               * y ** draw(st.integers(0, 1)))
+        den = draw(st.sampled_from([x + 1, y - 2, x * y + value.denominator]))
+        return RationalFunction(num, den)
     return field.coerce(value)
 
 
@@ -489,3 +498,19 @@ def test_multiply_coords_matches_the_triple_loop(case):
     got = A.multiply_coords(u, v)
     assert got == multiply_by_triple_loop(A, u, v)
     assert all(type(x) is type(A.field.one) for x in got)
+
+
+def test_a_function_field_coordinate_is_summed_once():
+    # e*e, e*f, f*e and f*f lie over x + 1, x + 1, x + 1 and y: their one
+    # sum is over (x + 1) y, where adding them in turn multiplies x + 1 in
+    # again and again
+    x, y = QXY.sym("x"), QXY.sym("y")
+    zero = QXY.zero
+    A = StructureAlgebra(QXY, ["e", "f"], {(0, 0): [1 / (x + 1), zero],
+                                           (0, 1): [x / (x + 1), zero],
+                                           (1, 1): [1 / y, zero]})
+    u = [QXY.one, QXY.one]
+    got = A.multiply_coords(u, u)
+    assert got == multiply_by_triple_loop(A, u, u)
+    assert got[0] == (1 + 2 * x) / (x + 1) + 1 / y and got[1] == zero
+    assert got[0].den == ((x + 1) * y).num

@@ -1,6 +1,8 @@
 """Gaussian elimination over the exact fields."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,8 @@ from axetlab import linalg
 from axetlab.algebra import StructureAlgebra
 from axetlab.axes import miyamoto
 from axetlab.catalog import make_3C_skew
-from axetlab.scalars import QQ, FunctionField, MixedFields, PrimeField
+from axetlab.scalars import QQ, FunctionField, MixedFields, MultiPoly, \
+    PrimeField, skew_field
 
 F5 = PrimeField(5)
 
@@ -264,6 +267,63 @@ def test_function_field_rref_pivots_and_free_columns():
     assert red == field_division_rref(rows, FXY)[0]
     assert red[0][1] == red[1][2] == FXY.one
     assert red[2] == [FXY.zero] * 4
+
+
+# -- function fields: the sparsest pivot -------------------------------------
+
+def test_the_pivot_rule_takes_the_sparsest_entry():
+    x, y = (MultiPoly.variable(FXY.names, n) for n in FXY.names)
+    # fewest terms first, then the smaller leading key, then the first
+    assert FXY.pivot([0, x + y + 1, x * y, 0]) == 2
+    assert FXY.pivot([x + 1, y + 1, x - 1]) == 1
+    assert FXY.pivot([x * 0, 0]) is None
+    assert QQ.pivot is None and F5.pivot is None
+
+
+SKEW = skew_field()
+SKEW_SYMS = [SKEW.sym(n) for n in SKEW.names]
+SKEW_DENOMINATORS = (SKEW_SYMS[0], SKEW_SYMS[1], SKEW_SYMS[0] - SKEW_SYMS[1],
+                     SKEW_SYMS[0] + 1)
+
+
+def sparse_and_dense(field, syms, denominators):
+    """Entries of 1 to 4 terms over the symbols, over a few denominators,
+    so that the first nonzero entry of a column is often not the sparsest."""
+    term = st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                     st.lists(st.sampled_from(syms), max_size=2)).map(
+        lambda t: t[0] * reduce(mul, t[1], field.one))
+    numerator = st.lists(term, min_size=1, max_size=4).map(
+        lambda ts: reduce(add, ts))
+    return st.one_of(
+        st.just(field.zero), numerator,
+        st.tuples(numerator, st.sampled_from(denominators)).map(
+            lambda t: t[0] / t[1]))
+
+
+@st.composite
+def sparse_pivot_cases(draw):
+    """(field, rows, rhs) over Q(x, y) or Q(the eight skew symbols)."""
+    if draw(st.booleans()):
+        field, entry = FXY, sparse_and_dense(FXY, [X, Y], DENOMINATORS)
+    else:
+        field, entry = SKEW, sparse_and_dense(SKEW, SKEW_SYMS,
+                                              SKEW_DENOMINATORS)
+    nrows, ncols = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):  # rank deficient
+        a, b = draw(small), draw(small)
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    return field, rows, [draw(entry) for _ in range(nrows)]
+
+
+@given(sparse_pivot_cases())
+@settings(max_examples=60, deadline=None)
+def test_sparsest_pivots_give_the_first_nonzero_results(case):
+    # the references pivot on the first nonzero entry with field division
+    field, rows, rhs = case
+    assert linalg.rref(rows, field) == field_division_rref(rows, field)
+    assert linalg.solve(rows, rhs, field) == reference_solve(rows, rhs, field)
+    assert linalg.kernel_basis(rows, field) == reference_kernel(rows, field)
 
 
 # -- Q and F_p: integer kernels -----------------------------------------------

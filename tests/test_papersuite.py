@@ -258,3 +258,38 @@ def test_a_wrong_oracle_label_is_named_in_the_detail(monkeypatch):
     monkeypatch.setattr(ps, "rehren_oracle", lambda alpha, beta: ("2B",))
     assert failure_details(0)["rehren-oracle"] == (
         "ContradictionNotFound: pair oracle at (1/4, 3/4): ('2B',)")
+
+
+# -- the Seress property as commuting adjoints ---------------------------------
+
+def seress_by_products(A, a):
+    """a(xu) = (ax)u by four element products per (u, x), the reference
+    for seress_property."""
+    ones, zeros = A.eigenspaces(a, [A.field.one, A.field.zero])
+    for u in ones + zeros:
+        for x in A.basis():
+            if a * (x * u) != (a * x) * u:
+                return False, (u, x)
+    return True, None
+
+
+def seress_cases_and_perturbations():
+    """Every _seress_cases pair, then each of them with one structure
+    constant shifted by 1, for every constant."""
+    for char in (0, 5):
+        for A, a in ps._seress_cases(char):
+            yield A, a
+            for i in range(A.dim):
+                for j in range(i, A.dim):
+                    for k in range(A.dim):
+                        B = ps.perturbed(A, i, j, k)
+                        yield B, B.element(a.coords)
+
+
+def test_seress_property_matches_the_four_products():
+    failures = 0
+    for A, a in seress_cases_and_perturbations():
+        got = ps.seress_property(A, a)
+        assert got == seress_by_products(A, a)
+        failures += not got[0]
+    assert failures > 100  # the perturbations reach the failing branch

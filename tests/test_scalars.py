@@ -386,6 +386,21 @@ def test_rf_substitute():
     assert g == RationalFunction.constant(NAMES, 1)
 
 
+def test_a_substitution_of_absent_symbols_keeps_the_stored_form():
+    # the term loop gives the same pair, since a stored form is normal
+    x = RationalFunction.symbol(NAMES, "x")
+    y = RationalFunction.symbol(NAMES, "y")
+    f = (2 * x * x + 4) / (6 * x - 2)
+    assert f.substitute({"y": x + 1}) is f
+    assert f.substitute({}) is f
+    for p in (f.num, f.den, f.num - f.num):
+        g = p.substitute({"y": x})
+        assert (g.num.terms, g.den.terms) == (p.terms, {0: 1})
+    g = f.substitute({"x": y})
+    assert g == (2 * y * y + 4) / (6 * y - 2)
+    assert (g.num.terms, g.den.terms) != (f.num.terms, f.den.terms)
+
+
 def test_rf_evaluate_and_poles():
     x = RationalFunction.symbol(NAMES, "x")
     f = 1 / x

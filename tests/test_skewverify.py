@@ -10,7 +10,7 @@ from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
 from axetlab.fusion import make_jordan, make_monster
-from axetlab.scalars import QQ, PrimeField
+from axetlab.scalars import QQ, MultiPoly, PrimeField
 from axetlab.skewverify import (ContradictionNotFound, IdentityFails,
                                 NoMatch, beta_component,
                                 check_bracket_table, check_constant_chains,
@@ -318,3 +318,26 @@ def test_dichotomy_rejects_larger_orbits():
 def test_replay_rejects_unsupported_characteristic():
     with pytest.raises(Exception):
         replay_orthogonal_branch(3)
+
+
+@pytest.mark.parametrize("check, bound", [
+    (skewverify.check_projection_relation, 170),
+    (skewverify.check_seress_relation_v, 353)],
+    ids=["projection-relation", "seress-relation-v"])
+def test_relation_checks_make_few_polynomial_products(monkeypatch, check,
+                                                      bound):
+    # the bounds are the counts on the generic algebra: first-nonzero
+    # pivots over Z[x] in decompose_over_b make 196 and 360
+    context = skewverify.generic_context()
+    check(context)  # derives the shared generic constants first
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    check(context)
+    assert len(calls) <= bound
