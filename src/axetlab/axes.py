@@ -50,15 +50,15 @@ class Eigenbasis:
     """The eigenspaces of ad_a for a law, and the four axis conditions
     read from them on first read (passed sums them up): lams holds the
     law's eigenvalues in the field, dims[i] the dimension of the space
-    for lams[i] and owner[k] the eigenvalue index of eigenvector k.  spaces holds (eigenvalue,
-    [Element]) pairs in law order and vectors their concatenation;
-    inverse inverts the matrix with the vectors as columns, a basis when
-    the spaces span A (a law's eigenvalues are distinct), else it is
-    None; table writes the products of the vectors over them.  Over Q
-    and F_p these four views are decoded on first read, and the verdicts
-    and the Miyamoto map read the ring encoding: eigenvector k is
-    _vectors[k] over _scales[k], and _inverse = (rows, d) inverts the
-    matrix of the _vectors as rows over d."""
+    for lams[i] and owner[k] the eigenvalue index of eigenvector k.
+    spaces holds (eigenvalue, [Element]) pairs in law order and vectors
+    their concatenation; inverse inverts the matrix with the vectors as
+    columns, a basis when the spaces span A (a law's eigenvalues are
+    distinct), else it is None; table writes the products of the vectors
+    over them.  Over Q and F_p these four views are decoded on first
+    read, and the verdicts and the Miyamoto map read the ring encoding:
+    eigenvector k is _vectors[k] over _scales[k], and _inverse =
+    (rows, d) inverts the matrix of the _vectors as rows over d."""
 
     def __init__(self, A, a, law):
         self.algebra = A

@@ -157,11 +157,12 @@ def positive_int(text):
     return n
 
 
-# The largest --max-points.  Closing an infinite orbit costs about the
-# square of the bound: on tests/golden/files/infinite-orbit.alg (3
-# dimensions over Q) realize_axet gives up after 0.09 s at 192 points,
-# 0.26 s at 384 and 0.62 s at 768 (medians of 3, 2-core x86-64, CPython
-# 3.11.7), so the cap keeps that run under a second.
+# The largest --max-points.  Closing an infinite orbit costs 3 to 5
+# times more per doubling of the bound: on
+# tests/golden/files/infinite-orbit.alg (3 dimensions over Q)
+# realize_axet gives up after 0.05 s at 192 points, 0.14 s at 384 and
+# 0.63 s at 768 (medians of 3, 2-core x86-64, CPython 3.11.7), so the
+# cap keeps that run well under a second.
 MAX_POINTS = 384
 
 

@@ -452,9 +452,9 @@ def eigen_cases(draw, fields=EIGEN_FIELDS, graded=False):
     else:
         a = [field.one] + [field.zero] * (n - 1)
         products[0, 0] = list(a)
-        lams = [field.one] + [field.coerce(draw(st.sampled_from(
-            law.eigenvalues))) for _ in range(1, n)]
+        lams = [field.one]
         for i in range(1, n):
+            lams.append(field.coerce(draw(st.sampled_from(law.eigenvalues))))
             products[0, i] = [draw(entry)] + [
                 lams[i] if k == i else field.zero for k in range(1, n)]
         if graded and draw(st.booleans()):

@@ -250,7 +250,7 @@ def test_axet_stops_an_infinite_orbit_at_the_default_bound(capsys):
 
 @pytest.mark.parametrize("bound", [str(cli.MAX_POINTS + 1), "100000"])
 def test_axet_max_points_above_the_cap_is_a_usage_error(capsys, bound):
-    # the orbit's cost grows about as the square of the bound
+    # the orbit's cost grows 3 to 5 times per doubling of the bound
     assert cli.main(["axet", INFINITE_ORBIT, "--max-points", bound]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
