@@ -30,7 +30,11 @@ once, as nums over den, and sums c * prod(n_i^k_i) * den^(T - |k|) over
 its terms of total degree T (reduced mod p over F_p), giving the value
 as that sum over den^T; a rational function takes such a pair for its
 numerator and one for its denominator, and decodes their quotient
-once.  ``QQ`` encodes
+once (a constant by one ``decode``).  Substituting constants n_i/d_i is
+one integer pass: c * x^k adds c * prod(n_i^k_i * d_i^(K_i - k_i)) to
+its key with those fields cleared, over prod(d_i^K_i) (K_i the degree
+in x_i), the one normal form the term loop also stores; symbolic values
+keep the term loop.  ``QQ`` encodes
 into ints over the lcm of the denominators and decodes into
 ``Fraction``; ``PrimeField`` into residues over 1, decoded with no
 second reduction (``PrimeFieldElement._make``); ``FunctionField`` into
@@ -83,7 +87,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import or_
 from struct import Struct
 
@@ -300,6 +304,7 @@ class PrimeFieldElement:
 
 _W = 32  # bits per field; _unpack reads the fields as 4-byte words
 _DEGREE_CAP = 1 << (_W - 1)
+_FIELD = (1 << _W) - 1  # one field's bits; x_i is at shift _W * (n - 1 - i)
 
 
 def _pack(exps):
@@ -640,33 +645,40 @@ class MultiPoly:
             if names[i] not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % names[i])
         nums, den = field.encode([assignment[names[i]] for i in occurring])
-        values = dict(zip(occurring, nums))
+        values = [(_W * (size - 1 - i), v) for i, v in zip(occurring, nums)]
         char = field.char
         shift = _W * size
         top = max(terms, default=0) >> shift
         total = den * 0  # the zero of den's ring: int or MultiPoly
         powers = {}
         for e, c in terms.items():
-            for i, k in enumerate(_unpack(e, size) if e else ()):
+            for s, value in values:
+                k = e >> s & _FIELD
                 if k:
-                    v = powers.get((i, k))
+                    v = powers.get((s, k))
                     if v is None:
-                        v = powers[i, k] = _power(values[i], k, char)
+                        v = powers[s, k] = _power(value, k, char)
                     c = c * v % char if char else c * v
             k = top - (e >> shift)
             if k:
-                v = powers.get((size, k))
+                v = powers.get((shift, k))
                 if v is None:
-                    v = powers[size, k] = _power(den, k, char)
+                    v = powers[shift, k] = _power(den, k, char)
                 c = c * v % char if char else c * v
             total = total + c
         return (total % char if char else total), _power(den, top, char)
 
     def substitute(self, sub):
         """Replace symbols by rational functions (same symbol tuple); with
-        no substituted symbol occurring, self over 1, with no term loop."""
+        no substituted symbol occurring, self over 1, with no term loop,
+        and with constants only, one integer pass (see the module doc)."""
         if not self._substitutes(sub):
             return RationalFunction(self)
+        ratios = _constant_ratios((self,), sub)
+        if ratios is not None:
+            den = prod(d ** top for _, _, d, top in ratios)
+            return RationalFunction(_constant_pass(self, ratios),
+                                    MultiPoly._make(self.names, {0: den}))
         out = RationalFunction.constant(self.names, 0)
         size = len(self.names)
         for e, c in self.terms.items():
@@ -681,9 +693,12 @@ class MultiPoly:
         return out
 
     def _substitutes(self, sub):
-        """Whether a symbol that sub replaces occurs in self."""
-        return any(occurs and name in sub for name, occurs
-                   in zip(self.names, self._occurring()))
+        """Whether a symbol that sub replaces occurs in self: one mask
+        test of each key against those symbols' fields."""
+        size = len(self.names)
+        mask = sum(_FIELD << _W * (size - 1 - i)
+                   for i, name in enumerate(self.names) if name in sub)
+        return any(e & mask for e in self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -716,6 +731,50 @@ class MultiPoly:
 def _power(v, k, char):
     """v^k, reduced mod char when char > 0."""
     return pow(v, k, char) if char else v ** k
+
+
+def _constant_ratios(polys, sub):
+    """(shift, n, d, K) for each symbol that sub binds and that occurs in
+    polys (one symbol tuple) up to the degree K: the symbol's field is at
+    that shift, and its value is n/d.  None when such a value is not an
+    int, a Fraction or a constant RationalFunction of the same symbols."""
+    names = polys[0].names
+    size = len(names)
+    out = []
+    for i, name in enumerate(names):
+        if name in sub:
+            shift = _W * (size - 1 - i)
+            top = max([e >> shift & _FIELD for p in polys for e in p.terms],
+                      default=0)
+            if top:
+                v = sub[name]
+                if isinstance(v, (int, Fraction)):
+                    n, d = v.as_integer_ratio()
+                elif (isinstance(v, RationalFunction) and v.num.names == names
+                      and not any(v.num.terms) and not any(v.den.terms)):
+                    n, d = v.num.terms.get(0, 0), v.den.terms[0]
+                else:
+                    return None
+                out.append((shift, n, d, top))
+    return out
+
+
+def _constant_pass(p, ratios):
+    """p * prod(d^K) with each symbol of ratios at n/d: each term c * x^k
+    adds c * prod(n^k * d^(K - k)) to its key with those fields cleared."""
+    lift = 1 << _W * len(p.names)  # plus the unit of a field: the key of x_i
+    factors = [(shift, lift | 1 << shift,
+                [n ** k * d ** (top - k) for k in range(top + 1)])
+               for shift, n, d, top in ratios]
+    terms = {}
+    for e, c in p.terms.items():
+        key = e
+        for shift, unit, powers in factors:
+            k = e >> shift & _FIELD
+            key -= k * unit
+            c *= powers[k]
+        terms[key] = terms.get(key, 0) + c
+    return MultiPoly._nonzero(p.names, terms)
 
 
 _GCD_TRIES = 6
@@ -966,7 +1025,14 @@ class RationalFunction:
         return _mul(self.num, o.den) == _mul(o.num, self.den)
 
     def evaluate(self, assignment, field):
-        """Evaluate at a point; raises DenominatorVanishes at poles."""
+        """Evaluate at a point; raises DenominatorVanishes at poles.  A
+        constant goes into Q or F_p by one field.decode."""
+        num, den = self.num.terms, self.den.terms
+        if not (any(num) or any(den) or isinstance(field, FunctionField)):
+            if field.char and not den[0] % field.char:
+                raise DenominatorVanishes("denominator vanishes at %r"
+                                          % (assignment,))
+            return field.decode([num.get(0, 0)], den[0])[0]
         sd, dd = self.den._at(assignment, field)
         if not sd:
             raise DenominatorVanishes("denominator vanishes at %r" % (assignment,))
@@ -976,9 +1042,18 @@ class RationalFunction:
     def substitute(self, sub):
         """Replace symbols by rational functions (same symbol tuple).  With
         no substituted symbol occurring, self as stored: its form is
-        already normal, which the substitution would also give."""
+        already normal, which the substitution would also give.  With
+        constants only, num and den take one integer pass each over the
+        same prod(d_i^K_i), which cancels."""
         if not (self.num._substitutes(sub) or self.den._substitutes(sub)):
             return self
+        ratios = _constant_ratios((self.num, self.den), sub)
+        if ratios is not None:
+            den = _constant_pass(self.den, ratios)
+            if not den:
+                raise DenominatorVanishes(
+                    "denominator vanishes under substitution")
+            return RationalFunction(_constant_pass(self.num, ratios), den)
         den = self.den.substitute(sub)
         if not den:
             raise DenominatorVanishes("denominator vanishes under substitution")
