@@ -762,7 +762,7 @@ def _constant_ratios(polys, sub):
 def _constant_pass(p, ratios):
     """p * prod(d^K) with each symbol of ratios at n/d: each term c * x^k
     adds c * prod(n^k * d^(K - k)) to its key with those fields cleared."""
-    lift = 1 << _W * len(p.names)  # plus the unit of a field: the key of x_i
+    lift = 1 << _W * len(p.names)  # a total degree of 1; | 1 << shift: x_i
     factors = [(shift, lift | 1 << shift,
                 [n ** k * d ** (top - k) for k in range(top + 1)])
                for shift, n, d, top in ratios]

@@ -1300,3 +1300,122 @@ def test_a_huge_power_over_f_p_is_quick():
     assert RationalFunction(x + 1, huge).evaluate({"x": 3}, F) \
         == F.coerce(4) / pow(3, 2 ** 30, 7)
     assert time.perf_counter() - start < 1
+
+
+# -- substitution of constants in one integer pass ----------------------------
+
+def reference_substitute(p, sub):
+    """MultiPoly.substitute term by term in rational-function arithmetic,
+    kept as the reference for the integer pass over constants."""
+    out = RationalFunction.constant(p.names, 0)
+    for exps, c in p.exponents().items():
+        v = RationalFunction.constant(p.names, c)
+        for n, k in zip(p.names, exps):
+            if k:
+                f = sub.get(n)
+                if f is None:
+                    f = RationalFunction.symbol(p.names, n)
+                v = v * f ** k
+        out = out + v
+    return out
+
+
+def reference_rf_substitute(f, sub):
+    den = reference_substitute(f.den, sub)
+    if not den:
+        raise DenominatorVanishes("denominator vanishes under substitution")
+    return reference_substitute(f.num, sub) / den
+
+
+@st.composite
+def constant_subs(draw, names):
+    """Constants for some of names and maybe for a symbol outside them:
+    0, +-1, ints and fractions, each as an int or Fraction or as a
+    constant RationalFunction in names."""
+    sub = {}
+    for n in names + ("w",):
+        if draw(st.integers(0, 2)):
+            q = draw(st.sampled_from([0, 1, -1])
+                     | st.integers(-10 ** 12, 10 ** 12)
+                     | st.fractions(-9, 9, max_denominator=12))
+            form = draw(st.sampled_from(["plain", "fraction", "rf"]))
+            sub[n] = (q if form == "plain" else Fraction(q) if form == "fraction"
+                      else RationalFunction.constant(names, q))
+    return sub
+
+
+def _root_factor(names, sub):
+    """d*x - n for the first of names that sub binds to n/d, or 1."""
+    for x in names:
+        if x in sub:
+            v = sub[x]
+            q = (v.constant_value() if isinstance(v, RationalFunction)
+                 else Fraction(v))
+            return MultiPoly.variable(names, x) * q.denominator - q.numerator
+    return 1
+
+
+def _substituted(substitute, *args):
+    """The stored pair of a substitution, or the type and message of the
+    error it raises."""
+    try:
+        g = substitute(*args)
+    except (ZeroDivisionError, TypeError) as e:
+        return type(e), str(e)
+    return g.num.terms, g.den.terms
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_constant_substitution_agrees_with_the_term_loop(data):
+    names = data.draw(st.sampled_from(EVAL_SYMBOLS))
+    sub = data.draw(constant_subs(names))
+    num, den = data.draw(eval_polys(names)), data.draw(eval_polys(names))
+    pole = data.draw(st.booleans())
+    if pole:
+        den = den * _root_factor(names, sub)
+    for p in (num, den):
+        assert _substituted(p.substitute, sub) \
+            == _substituted(reference_substitute, p, sub)
+    assume(den)
+    f = RationalFunction(num, den)
+    got = _substituted(f.substitute, sub)
+    assert got == _substituted(reference_rf_substitute, f, sub)
+    if pole and num and set(names) & set(sub):  # a zero is stored over 1
+        assert got[0] is DenominatorVanishes
+
+
+def test_other_values_raise_as_the_term_loop_does():
+    names = ("x", "y")
+    x, y = (MultiPoly.variable(names, n) for n in names)
+    f = RationalFunction(x + 1, x * x + 2)
+    elsewhere = RationalFunction.constant(("t",), Fraction(1, 3))
+    for value, error in ((0.5, TypeError), (PrimeField(5).coerce(2), TypeError),
+                         (elsewhere, MixedFields)):
+        sub = {"x": value}
+        for g, reference in ((x * 3 + 1, reference_substitute),
+                             (f, reference_rf_substitute)):
+            with pytest.raises(error):
+                g.substitute(sub)
+            assert _substituted(g.substitute, sub) \
+                == _substituted(reference, g, sub)
+        # a symbol that does not occur may hold any value
+        assert stored((y + 1).substitute(sub)) == ((y + 1).terms, {0: 1})
+
+
+def test_a_constant_whose_denominator_is_p_is_a_pole_in_f_p():
+    c = RationalFunction.constant(NAMES, Fraction(1, 5))
+    with pytest.raises(DenominatorVanishes):
+        c.evaluate({}, PrimeField(5))
+    assert c.evaluate({}, PrimeField(7)) == PrimeField(7).coerce(Fraction(1, 5))
+    assert c.evaluate({}, QQ) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("q", [0, 1, -3, Fraction(2, 7), Fraction(-5, 3)])
+def test_a_constant_evaluated_into_a_function_field_takes_the_general_path(q):
+    F = FunctionField(("t",))
+    c = RationalFunction.constant(NAMES, q)
+    got = c.evaluate({}, F)
+    assert _outcome(c.evaluate, {}, F) \
+        == _outcome(reference_rf_evaluate, c, {}, F)
+    assert stored(got) == stored(F.coerce(q))

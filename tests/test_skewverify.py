@@ -10,7 +10,7 @@ from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
 from axetlab.fusion import make_jordan, make_monster
-from axetlab.scalars import QQ, MultiPoly, PrimeField
+from axetlab.scalars import QQ, MultiPoly, PrimeField, skew_field
 from axetlab.skewverify import (ContradictionNotFound, IdentityFails,
                                 NoMatch, beta_component,
                                 check_bracket_table, check_constant_chains,
@@ -322,14 +322,23 @@ def test_replay_rejects_unsupported_characteristic():
 
 @pytest.mark.parametrize("check, bound", [
     (skewverify.check_projection_relation, 170),
-    (skewverify.check_seress_relation_v, 353)],
-    ids=["projection-relation", "seress-relation-v"])
+    (skewverify.check_seress_relation_v, 353),
+    (skewverify.check_shift_expansion, 13)],
+    ids=["projection-relation", "seress-relation-v", "shift-expansion"])
 def test_relation_checks_make_few_polynomial_products(monkeypatch, check,
                                                       bound):
     # the bounds are the counts on the generic algebra: first-nonzero
-    # pivots over Z[x] in decompose_over_b make 196 and 360
+    # pivots over Z[x] in decompose_over_b make 196 and 360, and
+    # shift-expansion made 117 while its l2f substitutions ran the term loop
     context = skewverify.generic_context()
     check(context)  # derives the shared generic constants first
+    calls = count_products(monkeypatch)
+    check(context)
+    assert len(calls) <= bound
+
+
+def count_products(monkeypatch):
+    """A list that gains an entry at each MultiPoly product from now on."""
     calls = []
     mul = MultiPoly.__mul__
 
@@ -339,5 +348,17 @@ def test_relation_checks_make_few_polynomial_products(monkeypatch, check,
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
     monkeypatch.setattr(MultiPoly, "__rmul__", counted)
-    check(context)
-    assert len(calls) <= bound
+    return calls
+
+
+def test_substituting_constants_makes_no_polynomial_product(monkeypatch):
+    c = SkewConstants.generic()
+    P, Q = c.P, c.Q  # derived before counting
+    one = skew_field().one
+    calls = count_products(monkeypatch)
+    for sub in ({"alpha": Fraction(1, 3), "beta": Fraction(2, 3)},
+                {"l2f": one}, {"l2f": 0},
+                {"alpha": -1, "beta": Fraction(2, 7), "l2f": Fraction(5, 12)}):
+        for f in (P, Q):
+            f.substitute(sub)
+    assert not calls
