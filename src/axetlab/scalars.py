@@ -19,27 +19,25 @@ carries zero, one, the characteristic, the pivot rule of
 ``linalg.eliminate``, coercion from integers and rationals, and symbol
 lookup for the expression parser.  All three also own a ring encoding:
 ``encode`` coerces a vector to (nums, den) and ``decode`` builds nums
-over den back into one element each.
-``linalg.rref``, ``linalg.mat_mul`` and the point values of
-``MultiPoly.evaluate`` and ``RationalFunction.evaluate`` run on it over
-every field, and ``StructureAlgebra.multiply_coords`` over Q and F_p
-(over a function field it sums each coordinate once over the encode's
-denominator).
-A polynomial's point value encodes the values of the occurring symbols
-once, as nums over den, and sums c * prod(n_i^k_i) * den^(T - |k|) over
-its terms of total degree T (reduced mod p over F_p), giving the value
-as that sum over den^T; a rational function takes such a pair for its
-numerator and one for its denominator, and decodes their quotient
-once (a constant by one ``decode``).  Substituting constants n_i/d_i is
-one integer pass: c * x^k adds c * prod(n_i^k_i * d_i^(K_i - k_i)) to
-its key with those fields cleared, over prod(d_i^K_i) (K_i the degree
-in x_i), the one normal form the term loop also stores; symbolic values
-keep the term loop.  ``QQ`` encodes
-into ints over the lcm of the denominators and decodes into
-``Fraction``; ``PrimeField`` into residues over 1, decoded with no
+over den back into one element each.  ``linalg.rref``, ``linalg.mat_mul``
+and point values run on it over every field, and
+``StructureAlgebra.multiply_coords`` over Q and F_p (over a function
+field it sums each coordinate once over the encode's denominator).
+``QQ`` encodes into ints over the lcm of the denominators and decodes
+into ``Fraction``; ``PrimeField`` into residues over 1, decoded with no
 second reduction (``PrimeFieldElement._make``); ``FunctionField`` into
 ``MultiPoly`` numerators over the product of the distinct denominators,
 decoded through ``cancel``.
+
+One pass, ``_bind``, sets symbols to values n_i / d over the packed
+terms: c * x^k adds c * prod(n_i^k_i) * d^(T - |k|) to its key with those
+fields cleared, and the result over d^T is the polynomial with those
+symbols set.  ``evaluate`` binds every occurring symbol on the field's
+encoding and decodes once (a constant by one ``decode``); ``substitute``
+binds constants over Q and rational functions of the same symbols over
+Z[x], a quotient's num and den with one d^T, which cancels.  A constant
+d^T stores the one normal form of a polynomial over a positive integer
+with coprime content; a polynomial d stores the value in its own form.
 
 Arithmetic on rational functions does not reduce them to lowest terms:
 construction only strips the integer content and fixes the sign, because a
@@ -86,7 +84,7 @@ import re
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import comb, gcd, isqrt, lcm, prod
 from operator import or_
 from struct import Struct
@@ -299,12 +297,12 @@ class PrimeFieldElement:
 #   guard bit survives the field-wise difference: ((b | G) - a) & G == G.
 #
 # A product or power whose total degree would reach 2^31 raises
-# DegreeOverflow; it never wraps.  Only the helpers below build or read
-# single fields; MultiPoly adds, multiplies and compares whole keys.
+# DegreeOverflow; it never wraps.  MultiPoly adds, multiplies and compares
+# whole keys; code that reads one symbol's field finds it at _shift(n, i).
 
 _W = 32  # bits per field; _unpack reads the fields as 4-byte words
 _DEGREE_CAP = 1 << (_W - 1)
-_FIELD = (1 << _W) - 1  # one field's bits; x_i is at shift _W * (n - 1 - i)
+_FIELD = (1 << _W) - 1  # one field's bits
 
 
 def _pack(exps):
@@ -327,9 +325,14 @@ def _unpack(key, n):
     return _fields(n).unpack(key.to_bytes(4 * n + 4, "big"))
 
 
+def _shift(n, i):
+    """The shift of the i-th of n symbols' field in a key."""
+    return _W * (n - 1 - i)
+
+
 def _unit(n, i):
     """The key of the i-th of n symbols; x_i^k has the key k * _unit(n, i)."""
-    return 1 << _W * n | 1 << _W * (n - 1 - i)
+    return 1 << _W * n | 1 << _shift(n, i)
 
 
 def _check_degree(top, n):
@@ -568,8 +571,8 @@ class MultiPoly:
         return self.terms == o.terms
 
     def degree_in(self, name):
-        i, n = self.names.index(name), len(self.names)
-        return max((_unpack(e, n)[i] for e in self.terms), default=0)
+        s = _shift(len(self.names), self.names.index(name))
+        return max((e >> s & _FIELD for e in self.terms), default=0)
 
     def total_degree(self):
         """The largest total degree of a term; 0 for the zero polynomial."""
@@ -580,10 +583,10 @@ class MultiPoly:
     def coefficient_of(self, name, k):
         """The coefficient polynomial of name**k (the symbol is divided out)."""
         i, n = self.names.index(name), len(self.names)
-        drop = k * _unit(n, i)
+        s, drop = _shift(n, i), k * _unit(n, i)
         return MultiPoly._make(self.names,
                                {e - drop: c for e, c in self.terms.items()
-                                if _unpack(e, n)[i] == k})
+                                if e >> s & _FIELD == k})
 
     def content(self):
         """The gcd of the coefficients: positive, 0 for the zero polynomial."""
@@ -621,9 +624,9 @@ class MultiPoly:
                                {e: v // c for e, v in self.terms.items()})
 
     def _occurring(self):
-        """For each symbol, whether it occurs in some term."""
-        return [bool(k) for k in _unpack(reduce(or_, self.terms, 0),
-                                         len(self.names))]
+        """The indices of the symbols that occur in some term."""
+        n = len(self.names)
+        return list(compress(range(n), _unpack(reduce(or_, self.terms, 0), n)))
 
     def evaluate(self, assignment, field):
         """Evaluate with symbols bound to elements of field."""
@@ -631,72 +634,37 @@ class MultiPoly:
         return field.decode([s], den)[0]
 
     def _at(self, assignment, field):
-        """(S, D) with self equal to S / D at the point, on the field's
-        ring encoding: the values of the occurring symbols are encoded
-        once as n_i / d, D is d^T for the total degree T, and S is the sum
-        of c * prod(n_i^k_i) * d^(T - |k|) over the terms, reduced mod p
-        over F_p.  Raises UnboundSymbol for an occurring symbol that
-        assignment does not bind, and what field.encode raises for a
-        value outside the field."""
-        names, terms, size = self.names, self.terms, len(self.names)
-        occurring = [i for i, occurs in enumerate(self._occurring())
-                     if occurs]
+        """(S, D) with self = S / D at the point: _bind on the values of
+        the occurring symbols, encoded by field, with T the total degree.
+        Raises UnboundSymbol for an occurring symbol that assignment does
+        not bind, and what field.encode raises for a value outside it."""
+        names, n = self.names, len(self.names)
+        occurring = self._occurring()
         for i in occurring:
             if names[i] not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % names[i])
         nums, den = field.encode([assignment[names[i]] for i in occurring])
-        values = [(_W * (size - 1 - i), v) for i, v in zip(occurring, nums)]
-        char = field.char
-        shift = _W * size
-        top = max(terms, default=0) >> shift
-        total = den * 0  # the zero of den's ring: int or MultiPoly
-        powers = {}
-        for e, c in terms.items():
-            for s, value in values:
-                k = e >> s & _FIELD
-                if k:
-                    v = powers.get((s, k))
-                    if v is None:
-                        v = powers[s, k] = _power(value, k, char)
-                    c = c * v % char if char else c * v
-            k = top - (e >> shift)
-            if k:
-                v = powers.get((shift, k))
-                if v is None:
-                    v = powers[shift, k] = _power(den, k, char)
-                c = c * v % char if char else c * v
-            total = total + c
+        char, lift = field.char, 1 << _W * n  # a total degree of 1: _unit
+        bound = [(s, lift | 1 << s, v)
+                 for s, v in zip(map(_shift, repeat(n), occurring), nums)]
+        top = max(self.terms, default=0) // lift
+        # den * 0 is the zero of den's ring: int or MultiPoly
+        total = den * 0 + _bind(self.terms, bound, den, top, char).get(0, 0)
         return (total % char if char else total), _power(den, top, char)
 
     def substitute(self, sub):
-        """Replace symbols by rational functions (same symbol tuple); with
-        no substituted symbol occurring, self over 1, with no term loop,
-        and with constants only, one integer pass (see the module doc)."""
+        """Replace symbols by rational functions (same symbol tuple): self
+        over 1 when none occurs, else the images of self and 1."""
         if not self._substitutes(sub):
             return RationalFunction(self)
-        ratios = _constant_ratios((self,), sub)
-        if ratios is not None:
-            den = prod(d ** top for _, _, d, top in ratios)
-            return RationalFunction(_constant_pass(self, ratios),
-                                    MultiPoly._make(self.names, {0: den}))
-        out = RationalFunction.constant(self.names, 0)
-        size = len(self.names)
-        for e, c in self.terms.items():
-            v = RationalFunction.constant(self.names, c)
-            for n, k in zip(self.names, _unpack(e, size)):
-                if k:
-                    f = sub.get(n)
-                    if f is None:
-                        f = RationalFunction.symbol(self.names, n)
-                    v = v * f ** k
-            out = out + v
-        return out
+        one = MultiPoly._make(self.names, {0: 1})
+        return RationalFunction(*_substitution((self, one), sub))
 
     def _substitutes(self, sub):
         """Whether a symbol that sub replaces occurs in self: one mask
         test of each key against those symbols' fields."""
         size = len(self.names)
-        mask = sum(_FIELD << _W * (size - 1 - i)
+        mask = sum(_FIELD << _shift(size, i)
                    for i, name in enumerate(self.names) if name in sub)
         return any(e & mask for e in self.terms)
 
@@ -733,48 +701,94 @@ def _power(v, k, char):
     return pow(v, k, char) if char else v ** k
 
 
-def _constant_ratios(polys, sub):
-    """(shift, n, d, K) for each symbol that sub binds and that occurs in
-    polys (one symbol tuple) up to the degree K: the symbol's field is at
-    that shift, and its value is n/d.  None when such a value is not an
-    int, a Fraction or a constant RationalFunction of the same symbols."""
-    names = polys[0].names
-    size = len(names)
-    out = []
-    for i, name in enumerate(names):
-        if name in sub:
-            shift = _W * (size - 1 - i)
-            top = max([e >> shift & _FIELD for p in polys for e in p.terms],
-                      default=0)
-            if top:
-                v = sub[name]
-                if isinstance(v, (int, Fraction)):
-                    n, d = v.as_integer_ratio()
-                elif (isinstance(v, RationalFunction) and v.num.names == names
-                      and not any(v.num.terms) and not any(v.den.terms)):
-                    n, d = v.num.terms.get(0, 0), v.den.terms[0]
-                else:
-                    return None
-                out.append((shift, n, d, top))
+def _bind(terms, bound, den, top, char):
+    """Set each symbol of bound, a list of (shift, unit, n_i), to n_i / den
+    (ints, residues mod char > 0, or MultiPolys): c * x^k, |k| the sum of
+    the k_i, adds c * prod(n_i^k_i) * den^(top - |k|) to its key with those
+    fields cleared; over den^top, for top at least every |k|, the result
+    equals terms.  Each power is formed once, for an exponent that occurs.
+    """
+    out, powers = {}, {}
+    scale = den != 1
+    for e, c in terms.items():
+        key, k = e, top
+        for s, unit, v in bound:
+            j = e >> s & _FIELD
+            if j:
+                m = j * unit  # the key of x_i^j, which also keys its power
+                w = powers.get(m)
+                if w is None:
+                    w = powers[m] = _power(v, j, char)
+                c = c * w % char if char else c * w
+                key -= m
+                k -= j
+        if k and scale:
+            w = powers.get(k)  # below every key of a symbol: a power of den
+            if w is None:
+                w = powers[k] = _power(den, k, char)
+            c = c * w % char if char else c * w
+        old = out.get(key)
+        out[key] = c if old is None else old + c
     return out
 
 
-def _constant_pass(p, ratios):
-    """p * prod(d^K) with each symbol of ratios at n/d: each term c * x^k
-    adds c * prod(n^k * d^(K - k)) to its key with those fields cleared."""
-    lift = 1 << _W * len(p.names)  # a total degree of 1; | 1 << shift: x_i
-    factors = [(shift, lift | 1 << shift,
-                [n ** k * d ** (top - k) for k in range(top + 1)])
-               for shift, n, d, top in ratios]
-    terms = {}
-    for e, c in p.terms.items():
-        key = e
-        for shift, unit, powers in factors:
-            k = e >> shift & _FIELD
-            key -= k * unit
-            c *= powers[k]
-        terms[key] = terms.get(key, 0) + c
-    return MultiPoly._nonzero(p.names, terms)
+def _substitution(polys, sub):
+    """polys (one symbol tuple) with the symbols of sub set by _bind, all
+    over one d^T.  Ints, Fractions and constant RationalFunctions encode
+    over Q, others of the same symbols over Z[x], whose coefficients fold
+    back onto their keys; any other value raises in _refuse."""
+    names, n = polys[0].names, len(polys[0].names)
+    keys = list(chain(*[p.terms for p in polys]))
+    bound, values, bad, symbolic = [], [], [], False
+    for i in compress(range(n), _unpack(reduce(or_, keys, 0), n)):
+        v = sub.get(names[i])  # None leaves the symbol as it is
+        if v is None:
+            continue
+        if isinstance(v, RationalFunction) and v.num.names == names:
+            if any(v.num.terms) or any(v.den.terms):
+                symbolic = True
+            else:
+                v = v.constant_value()
+        elif not isinstance(v, (int, Fraction)):
+            bad.append(names[i])
+        bound.append((_shift(n, i), _unit(n, i)))
+        values.append(v)
+    if bad:
+        _refuse(polys, sub, bad)
+    nums, den = (FunctionField(names) if symbolic else QQ).encode(values)
+    top = den != 1 and max(map(sum, zip(*[[e >> s & _FIELD for e in keys]
+                                          for s, _ in bound])))
+    bound = [(s, unit, v) for (s, unit), v in zip(bound, nums)]
+    images = []
+    for p in polys:
+        image = _bind(p.terms, bound, den, top, 0)
+        if symbolic:  # fold each polynomial coefficient onto its key
+            image, folded = {}, image
+            for key, c in folded.items():
+                for e, v in (c.terms.items() if type(c) is MultiPoly
+                             else ((0, c),)):
+                    e += key
+                    old = image.get(e)
+                    image[e] = v if old is None else old + v
+            _check_degree(max(image, default=0), n)
+        images.append(MultiPoly._nonzero(names, image))
+    return images
+
+
+def _refuse(polys, sub, bad):
+    """Raise what substituting term by term raises first for the value of
+    a symbol in bad: a RationalFunction times its power, at the first term
+    of den, then of num, where it occurs (DenominatorVanishes between)."""
+    num, den = polys
+    names, one = num.names, RationalFunction.constant(num.names, 1)
+    for p in (den, num):
+        for e in p.terms:
+            for name in bad:
+                k = e >> _shift(len(names), names.index(name)) & _FIELD
+                if k:
+                    one * sub[name] ** k  # TypeError or MixedFields
+        if p is den and not den.substitute(sub):
+            raise DenominatorVanishes("denominator vanishes under substitution")
 
 
 _GCD_TRIES = 6
@@ -797,13 +811,12 @@ def _heugcd(f, g):
     names, n = f.names, len(f.names)
     if not (f and g):
         return None
-    occurring = map(or_, f._occurring(), g._occurring())
-    i = next((k for k, occurs in enumerate(occurring) if occurs), None)
+    i = min(f._occurring() + g._occurring(), default=None)
     c = gcd(f.content(), g.content())
     if i is None:
         return MultiPoly.constant(names, c)
     f, g = f._divide(c), g._divide(c)
-    unit = _unit(n, i)
+    shift, unit = _shift(n, i), _unit(n, i)
     fn = max(map(abs, f.terms.values()))
     gn = max(map(abs, g.terms.values()))
     b = 2 * min(fn, gn) + 29
@@ -813,11 +826,7 @@ def _heugcd(f, g):
     for _ in range(_GCD_TRIES):
         images = []
         for p in (f, g):
-            image = {}
-            for e, v in p.terms.items():
-                k = _unpack(e, n)[i]
-                e0 = e - k * unit
-                image[e0] = image.get(e0, 0) + v * xi ** k
+            image = _bind(p.terms, [(shift, unit, xi)], 1, 0, 0)
             if any(v.bit_length() > _GCD_BITS for v in image.values()):
                 return None
             images.append(MultiPoly._nonzero(names, image))
@@ -1040,24 +1049,14 @@ class RationalFunction:
         return field.decode([sn * dd], sd * dn)[0]  # (sn/dn) / (sd/dd)
 
     def substitute(self, sub):
-        """Replace symbols by rational functions (same symbol tuple).  With
-        no substituted symbol occurring, self as stored: its form is
-        already normal, which the substitution would also give.  With
-        constants only, num and den take one integer pass each over the
-        same prod(d_i^K_i), which cancels."""
+        """Replace symbols by rational functions (same symbol tuple): self
+        (normal) when none occurs, else num and den over one d^T."""
         if not (self.num._substitutes(sub) or self.den._substitutes(sub)):
             return self
-        ratios = _constant_ratios((self.num, self.den), sub)
-        if ratios is not None:
-            den = _constant_pass(self.den, ratios)
-            if not den:
-                raise DenominatorVanishes(
-                    "denominator vanishes under substitution")
-            return RationalFunction(_constant_pass(self.num, ratios), den)
-        den = self.den.substitute(sub)
+        num, den = _substitution((self.num, self.den), sub)
         if not den:
             raise DenominatorVanishes("denominator vanishes under substitution")
-        return self.num.substitute(sub) / den
+        return RationalFunction(num, den)
 
     def __repr__(self):
         if self.den == 1:
@@ -1309,7 +1308,7 @@ def _power_size(v):
 def _power_terms(v, n):
     """The most terms the numerator or denominator of v ** n can have: a
     polynomial of total degree d in k symbols has at most C(d + k, k)."""
-    shapes = ((p.total_degree(), sum(p._occurring())) for p in (v.num, v.den))
+    shapes = ((p.total_degree(), len(p._occurring())) for p in (v.num, v.den))
     return max(comb(n * d + k, k) for d, k in shapes)
 
 

@@ -1302,11 +1302,29 @@ def test_a_huge_power_over_f_p_is_quick():
     assert time.perf_counter() - start < 1
 
 
-# -- substitution of constants in one integer pass ----------------------------
+def test_substituting_a_constant_into_a_huge_power_is_quick():
+    # each power is formed only for an exponent that occurs, not for
+    # every exponent up to the degree
+    names = ("x",)
+    x = MultiPoly.variable(names, "x")
+    p = x ** 16000 + 1
+    want = Fraction(3 ** 16000 + 2 ** 16000, 2 ** 16000)
+    three_halves = RationalFunction(MultiPoly.constant(names, 3),
+                                    MultiPoly.constant(names, 2))
+    for value in (three_halves, Fraction(3, 2),
+                  RationalFunction.constant(names, Fraction(3, 2))):
+        for f, scale in ((p, 1), (RationalFunction(p, x + 1), Fraction(2, 5))):
+            start = time.perf_counter()
+            g = f.substitute({"x": value})
+            assert time.perf_counter() - start < 1
+            assert g.is_constant() and g.constant_value() == want * scale
+
+
+# -- substitution in one pass over the packed terms ---------------------------
 
 def reference_substitute(p, sub):
     """MultiPoly.substitute term by term in rational-function arithmetic,
-    kept as the reference for the integer pass over constants."""
+    kept as the reference for the one pass over the packed terms."""
     out = RationalFunction.constant(p.names, 0)
     for exps, c in p.exponents().items():
         v = RationalFunction.constant(p.names, c)
@@ -1401,6 +1419,100 @@ def test_other_values_raise_as_the_term_loop_does():
                 == _substituted(reference, g, sub)
         # a symbol that does not occur may hold any value
         assert stored((y + 1).substitute(sub)) == ((y + 1).terms, {0: 1})
+
+
+def test_errors_come_in_the_order_of_the_term_loop():
+    # the loop reads den before num, symbols in order within a term, and
+    # finds a pole of den before it reads num
+    names = ("x", "y")
+    x, y = (MultiPoly.variable(names, n) for n in names)
+    two = PrimeField(5).coerce(2)
+    for g, sub, reference in (
+            (RationalFunction(y, x - 1), {"x": 1, "y": 0.5},
+             reference_rf_substitute),
+            (RationalFunction(y, x + 1), {"x": two, "y": 0.5},
+             reference_rf_substitute),
+            (x * y + 1, {"x": two, "y": 0.5}, reference_substitute)):
+        got = _substituted(g.substitute, sub)
+        assert got == _substituted(reference, g, sub)
+        assert got[0] in (DenominatorVanishes, TypeError)
+
+
+SUB_SYMBOLS = [("x",), ("x", "y"), ("x", "y", "z")]
+
+
+@st.composite
+def small_polys(draw, names, degree, max_terms=3):
+    """Zero, constants and sparse polynomials in names, each exponent at
+    most degree and each coefficient in [-9, 9]."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, degree)) for _ in names)
+        terms[exps] = draw(st.integers(-9, 9))
+    return MultiPoly(names, terms)
+
+
+@st.composite
+def symbolic_subs(draw, names):
+    """Rational functions in names for some of names, each over a nonzero
+    constant or over a polynomial, so most are not constant."""
+    sub = {}
+    for n in names:
+        if draw(st.integers(0, 2)):
+            if draw(st.booleans()):
+                den = MultiPoly.constant(names, draw(st.sampled_from(
+                    [1, -1, 2, -3, 4, 6])))
+            else:
+                den = draw(small_polys(names, 1, 2).filter(bool))
+            sub[n] = RationalFunction(draw(small_polys(names, 1)), den)
+    return sub
+
+
+def _value(substitute, *args):
+    """A substitution, or the type and message of the error it raises."""
+    try:
+        return substitute(*args)
+    except ZeroDivisionError as e:
+        return type(e), str(e)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_symbolic_substitution_agrees_with_the_term_loop(data):
+    names = data.draw(st.sampled_from(SUB_SYMBOLS))
+    sub = data.draw(symbolic_subs(names))
+    num = data.draw(small_polys(names, 2))
+    den = data.draw(small_polys(names, 2).filter(bool))
+    f = RationalFunction(num, den)
+    constant = not any(any(v.den.terms) for v in sub.values())
+    for g, reference in ((num, reference_substitute),
+                         (den, reference_substitute),
+                         (f, reference_rf_substitute)):
+        assert _value(g.substitute, sub) == _value(reference, g, sub)
+        if constant:  # one normal form over a constant denominator
+            assert _substituted(g.substitute, sub) \
+                == _substituted(reference, g, sub)
+
+
+def test_a_symbolic_substitution_past_the_degree_cap_raises():
+    names = ("x", "y", "z")
+    x, y, z = (MultiPoly.variable(names, n) for n in names)
+    p = x * z ** (2 ** 31 - 2)
+    square = RationalFunction(y * y)
+    for f in (p, RationalFunction(p, y + 1)):
+        with pytest.raises(DegreeOverflow):
+            f.substitute({"x": square})
+    with pytest.raises(DegreeOverflow):
+        reference_substitute(p, {"x": square})
+
+
+def test_a_symbolic_pole_raises_denominator_vanishes():
+    x, y = (RationalFunction.symbol(NAMES, n) for n in NAMES)
+    for f in (1 / (x - y), (x + 1) / (x * x - y * y)):
+        with pytest.raises(DenominatorVanishes):
+            f.substitute({"x": y})
+        with pytest.raises(DenominatorVanishes):
+            reference_rf_substitute(f, {"x": y})
 
 
 def test_a_constant_whose_denominator_is_p_is_a_pole_in_f_p():

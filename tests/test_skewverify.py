@@ -362,3 +362,16 @@ def test_substituting_constants_makes_no_polynomial_product(monkeypatch):
         for f in (P, Q):
             f.substitute(sub)
     assert not calls
+
+
+def test_substituting_symbols_makes_few_polynomial_products(monkeypatch):
+    # the bound is the count of the l1, l1f swap: a coefficient times each
+    # power it meets; substituting term by term made 53 for either
+    field = skew_field()
+    Q = SkewConstants.generic().Q  # derived before counting
+    calls = count_products(monkeypatch)
+    for sub in ({"l1f": field.sym("beta")},
+                {"l1": field.sym("l1f"), "l1f": field.sym("l1")}):
+        before = len(calls)
+        Q.substitute(sub)
+        assert len(calls) - before <= 16
