@@ -85,7 +85,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
-from math import comb, gcd, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm
 from operator import or_
 from struct import Struct
 
@@ -644,7 +644,7 @@ class MultiPoly:
             if names[i] not in assignment:
                 raise UnboundSymbol("symbol %r is unbound" % names[i])
         nums, den = field.encode([assignment[names[i]] for i in occurring])
-        char, lift = field.char, 1 << _W * n  # a total degree of 1: _unit
+        char, lift = field.char, 1 << _W * n  # lift | 1 << s: _unit(n, i)
         bound = [(s, lift | 1 << s, v)
                  for s, v in zip(map(_shift, repeat(n), occurring), nums)]
         top = max(self.terms, default=0) // lift
