@@ -7,23 +7,23 @@ that live the operations the rest of the package is built from: adjoint
 action, eigenspaces, subalgebra closure, identity search, ideal
 quotients, adjoining an identity, coefficient specialization, and the
 isomorphism check used to certify classification outcomes.  Spans,
-quotients, that check and ``axes.Eigenbasis`` over a function field
-write products over a basis with one kernel, ``products_over``.
+quotients and that check write products over a basis with one kernel,
+``products_over``.
 
-The table is read-only (tuples), so the integer copy made once over Q
-and F_p always agrees with it; a changed table is a new algebra
-(``papersuite.perturbed``).  Over Q and F_p one loop on that copy,
-``_ring_product``, forms every product: ``multiply_coords``, the ring
-matrix of ad_a (``encoded_adjoint``), ``products_over`` and the
-eigenbasis tables of ``axes.Eigenbasis``.  There each eigenspace is the
-kernel of an integer matrix, left on the ring by
-``linalg.encoded_kernel`` (``encoded_eigenspaces``), which
-``Eigenbasis`` reads on to the Miyamoto map; in ``products_over`` each
-vector and the inverse are encoded once and each column decoded once.
-Over a function field each coordinate of a product collects its terms
-(products of stored rational functions) and sums them once, over the
-product of their distinct denominators (``FunctionField.encode``), and
-ad_a is a ``LinearMap`` decoded before ``eigenspace``.
+``axes.Eigenbasis`` reads four methods, on the field's ring encoding
+(``encode``, ``decode``) over every field: ``encoded_adjoint`` (ad_a,
+one denominator per row), ``encoded_eigenspaces`` (each kernel of ad_a
+- lam as (vector, scale) pairs), ``encoded_product`` and ``point_key``.
+They, ``multiply_coords`` and the constructor alone tell the fields
+apart.  The table is read-only (tuples), so the integer copy made once
+over Q and F_p always agrees with it; a changed table is a new algebra
+(``papersuite.perturbed``).  There one loop on that copy,
+``_ring_product``, forms every product.  Over a function field each
+coordinate of a product sums its terms once, over the product of their
+distinct denominators (``FunctionField.encode``), each row of ad_a is
+encoded on its own, each kernel vector is decoded through ``cancel``
+and encoded again, which keeps it small, and ``encoded_product`` is
+``multiply_coords`` of the decoded vectors.
 """
 
 from . import linalg
@@ -128,10 +128,8 @@ class StructureAlgebra:
         each coordinate is one sum of its terms (``_sum``)."""
         field = self.field
         if self._int_table is not None:
-            u, ud = field.encode(u)
-            v, vd = field.encode(v)
-            return field.decode(self._ring_product(u, v),
-                                self._int_table[0] * ud * vd)
+            return field.decode(*self.encoded_product(*field.encode(u),
+                                                      *field.encode(v)))
         terms = [[] for _ in range(self.dim)]
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -166,8 +164,7 @@ class StructureAlgebra:
         """ad_a as a LinearMap: x -> a*x."""
         cols = [self.multiply_coords(a.coords, self.gen(n).coords)
                 for n in self.basis_names]
-        matrix = linalg.transpose(cols)
-        return LinearMap(self, self, matrix)
+        return LinearMap(self, self, linalg.transpose(cols))
 
     def eigenspace(self, m, lam):
         """Basis of ker(m - lam) as elements, deterministic order."""
@@ -176,46 +173,69 @@ class StructureAlgebra:
         return [Element(self, v) for v in linalg.kernel_basis(shifted, self.field)]
 
     def encoded_adjoint(self, a):
-        """(rows, den): the matrix of ad_a as ring numerators over den, from
-        one ``encode`` of a (Q and F_p only)."""
-        u, ud = self.field.encode(a.coords)
-        unit = [0] * self.dim
-        cols = []
-        for j in range(self.dim):
-            unit[j] = 1
-            cols.append(self._ring_product(u, unit))
-            unit[j] = 0
-        return linalg.transpose(cols), self._int_table[0] * ud
+        """(rows, dens): the matrix of ad_a, row i as ring numerators
+        rows[i] over dens[i].  Over Q and F_p the rows share one
+        denominator, from one ``encode`` of a and the integer table; over
+        a function field each row of ``adjoint`` is encoded on its own."""
+        field = self.field
+        if self._int_table is None:
+            rows = [field.encode(r) for r in self.adjoint(a).matrix]
+            return [r for r, _ in rows], [d for _, d in rows]
+        (u, ud), n = field.encode(a.coords), self.dim
+        cols = [self._ring_product(u, [int(i == j) for i in range(n)])
+                for j in range(n)]
+        return linalg.transpose(cols), [self._int_table[0] * ud] * n
 
     def encoded_eigenspaces(self, a, lams):
-        """The kernels of ad_a - lam for each of lams on the ring
-        encoding, as ``linalg.encoded_kernel`` gives them (Q and F_p
-        only): for lam = p/q and ad_a = rows/den, the kernel of
-        q*rows - p*den*I, reduced mod the characteristic."""
-        rows, den = self.encoded_adjoint(a)
+        """For each of lams, the basis of ker(ad_a - lam) as (vector,
+        scale) pairs on the ring encoding: for lam = p/q and row i of
+        ad_a = rows[i]/dens[i], the kernel of the rows q*rows[i] -
+        p*dens[i]*e_i (mod the characteristic) by ``linalg.encoded_kernel``;
+        over a function field each vector is decoded (``cancel``) and
+        encoded again."""
+        rows, dens = self.encoded_adjoint(a)
         field, char = self.field, self.field.char
         spaces = []
         for lam in lams:
             (p,), q = field.encode([lam])
-            shift = p * den
-            m = [[q * x - shift if i == j else q * x
-                  for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            m = [[q * x - p * d if i == j else q * x for j, x in enumerate(r)]
+                 for i, (r, d) in enumerate(zip(rows, dens))]
             if char:
                 m = [[x % char for x in r] for r in m]
-            spaces.append(linalg.encoded_kernel(m, field))
+            vectors, prev = linalg.encoded_kernel(m, field)
+            if self._int_table is None:
+                spaces.append([field.encode(field.decode(v, prev))
+                               for v in vectors])
+            else:
+                spaces.append([(v, prev) for v in vectors])
         return spaces
 
     def eigenspaces(self, a, lams):
         """The bases of ker(ad_a - lam) for each of lams, as by
-        ``eigenspace``; over Q and F_p the kernels are taken on the ring
-        encoding (``encoded_eigenspaces``) and only their vectors are
-        decoded."""
-        if self._int_table is None:
-            ad = self.adjoint(a)
-            return [self.eigenspace(ad, lam) for lam in lams]
+        ``eigenspace``: the kernels of ``encoded_eigenspaces``, decoded."""
         decode = self.field.decode
-        return [[Element(self, decode(v, s)) for v in vectors]
-                for vectors, s in self.encoded_eigenspaces(a, lams)]
+        return [[Element(self, decode(v, s)) for v, s in space]
+                for space in self.encoded_eigenspaces(a, lams)]
+
+    def encoded_product(self, u, ud, v, vd):
+        """(nums, den) with nums / den the product of u / ud and v / vd,
+        vectors on the ring encoding: over Q and F_p the ring product
+        over the table's denominator times ud * vd; over a function field
+        ``multiply_coords`` of the decoded vectors, encoded again."""
+        field = self.field
+        if self._int_table is None:
+            return field.encode(self.multiply_coords(field.decode(u, ud),
+                                                     field.decode(v, vd)))
+        return self._ring_product(u, v), self._int_table[0] * ud * vd
+
+    def point_key(self, x):
+        """A hashable key shared by equal elements, or None over a
+        function field, which has no canonical form: over Q and F_p the
+        ``encode`` of the coordinates, which is canonical there."""
+        if self._int_table is None:
+            return None
+        nums, den = self.field.encode(x.coords)
+        return (den, *nums)
 
     # -- structural operations -------------------------------------------
 
@@ -325,21 +345,15 @@ class StructureAlgebra:
 
     def products_over(self, vectors, inverse):
         """{(i, j): inverse * (v_i v_j)} for i <= j over coordinate lists,
-        by one ``linalg.apply_encoded``, so the inverse is encoded once.
-        Over Q and F_p each vector is encoded once and the products are
-        formed on the ring encoding, so each column is decoded once.
-        With inverse from ``linalg.invert``, the tail past len(vectors)
-        holds the coordinates outside the span of the vectors."""
+        by one ``linalg.apply_encoded``, so the inverse is encoded once:
+        each vector is encoded once and each product formed by
+        ``encoded_product``, so each column is decoded once.  With
+        inverse from ``linalg.invert``, the tail past len(vectors) holds
+        the coordinates outside the span of the vectors."""
         field, n = self.field, len(vectors)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        if self._int_table is None:
-            prods = (field.encode(self.multiply_coords(vectors[i], vectors[j]))
-                     for i, j in pairs)
-        else:
-            den = self._int_table[0]
-            enc = [field.encode(v) for v in vectors]
-            prods = ((self._ring_product(enc[i][0], enc[j][0]),
-                      den * enc[i][1] * enc[j][1]) for i, j in pairs)
+        enc = [field.encode(v) for v in vectors]
+        prods = (self.encoded_product(*enc[i], *enc[j]) for i, j in pairs)
         cols = linalg.apply_encoded(inverse, prods, field)
         return dict(zip(pairs, map(tuple, cols)))
 

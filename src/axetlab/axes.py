@@ -10,17 +10,17 @@ The eigenbasis of ad_a is built in one place, ``Eigenbasis``, which gives
 each eigenspace by eigenvalue, writes the eigenvector products over the
 eigenbasis once, in ``table``, and reads the four axis conditions from
 them; ``coords`` writes one vector over the eigenbasis with one
-``mat_mul`` by its inverse.  Over Q and F_p it stays on integers (or
-residues) from ad_a to the Miyamoto map: the eigenvectors are the
-kernel columns of ``StructureAlgebra.encoded_eigenspaces``, the inverse
-is one elimination of [V | I], each table column is the ring product of
-two eigenvectors times the rows of that inverse, and the Miyamoto map
-is V diag(+-1) V^-1, decoded once per row.  The eigenspaces, the
-inverse and the table are decoded only when read.  Over a function
-field the eigenspaces come decoded (``StructureAlgebra.eigenspaces``),
-``linalg.invert`` inverts them and ``products_over`` writes the table.
-The table answers the fusion law and the automorphism check of the
-Miyamoto map.  ``verify_axis`` returns the Eigenbasis, which
+``mat_mul`` by its inverse.  It has one body for every field and stays
+on the field's ring encoding from ad_a to the Miyamoto map: the
+eigenvectors are the (vector, scale) pairs of
+``StructureAlgebra.encoded_eigenspaces``, the inverse is one
+``linalg.eliminate`` of [V | I], with I made of the ring's 1 and 0,
+each table column is ``StructureAlgebra.encoded_product`` of two
+eigenvectors times the rows of that inverse, and the Miyamoto map is
+V diag(+-1) V^-1, decoded once per row.  The eigenspaces, the inverse
+and the table are decoded only when read.  The ring columns of the
+table answer the fusion law and the automorphism check of the Miyamoto
+map, tested for zero.  ``verify_axis`` returns the Eigenbasis, which
 ``realize_axet`` and ``dichotomy_check`` reuse; ``projection``,
 ``component`` and ``in_part`` raise from its verdicts.
 """
@@ -55,38 +55,29 @@ class Eigenbasis:
     their concatenation; inverse inverts the matrix with the vectors as
     columns, a basis when the spaces span A (a law's eigenvalues are
     distinct), else it is None; table writes the products of the vectors
-    over them.  Over Q and F_p these four views are decoded on first
-    read, and the verdicts and the Miyamoto map read the ring encoding:
-    eigenvector k is _vectors[k] over _scales[k], and _inverse =
-    (rows, d) inverts the matrix of the _vectors as rows over d."""
+    over them.  These four views are decoded on first read, and the
+    verdicts and the Miyamoto map read the ring encoding: eigenvector k
+    is _vectors[k] over _scales[k], and _inverse = (rows, d) inverts the
+    matrix of the _vectors as rows over d."""
 
     def __init__(self, A, a, law):
         self.algebra = A
         self.axis = a
         self.law = law
         self.lams = [A.field.coerce(lam) for lam in law.eigenvalues]
-        self._ring = A._int_table is not None
-        if self._ring:
-            self._kernels = A.encoded_eigenspaces(a, self.lams)
-            self.dims = [len(vs) for vs, _ in self._kernels]
-            self._vectors = [v for vs, _ in self._kernels for v in vs]
-            self._scales = [s for vs, s in self._kernels for _ in vs]
-        else:
-            self.spaces = list(zip(self.lams, A.eigenspaces(a, self.lams)))
-            self.dims = [len(b) for _, b in self.spaces]
+        self._kernels = A.encoded_eigenspaces(a, self.lams)
+        self.dims = [len(k) for k in self._kernels]
+        self._vectors = [v for k in self._kernels for v, _ in k]
+        self._scales = [s for k in self._kernels for _, s in k]
         self.owner = [i for i, d in enumerate(self.dims) for _ in range(d)]
-        self._inverse = None
-        if len(self.owner) == A.dim:
-            self._inverse = self._invert()
+        self._inverse = self._invert() if len(self.owner) == A.dim else None
 
     def _invert(self):
-        """The inverse over a function field; over Q and F_p (rows, d)
-        from one elimination of [V | I], V the matrix of the _vectors."""
+        """(rows, d) from one elimination of [V | I], V the matrix of the
+        _vectors and I made of the field's ring 1 and 0, or None."""
         field, n = self.algebra.field, self.algebra.dim
-        if not self._ring:
-            return linalg.invert(
-                linalg.transpose([v.coords for v in self.vectors]), field)
-        aug = [list(r) + [int(i == j) for j in range(n)]
+        (one, zero), _ = field.encode([field.one, field.zero])
+        aug = [list(r) + [one if i == j else zero for j in range(n)]
                for i, r in enumerate(zip(*self._vectors))]
         pivots, d = linalg.eliminate(aug, field.char, field.pivot)
         return ([r[n:] for r in aug], d) if pivots == list(range(n)) \
@@ -94,9 +85,9 @@ class Eigenbasis:
 
     @cached_property
     def spaces(self):
-        A = self.algebra
-        return [(lam, [Element(A, A.field.decode(v, s)) for v in vs])
-                for lam, (vs, s) in zip(self.lams, self._kernels)]
+        decode, A = self.algebra.field.decode, self.algebra
+        return [(lam, [Element(A, decode(v, s)) for v, s in k])
+                for lam, k in zip(self.lams, self._kernels)]
 
     @cached_property
     def vectors(self):
@@ -104,8 +95,8 @@ class Eigenbasis:
 
     @cached_property
     def inverse(self):
-        if not self._ring or self._inverse is None:
-            return self._inverse
+        if self._inverse is None:
+            return None
         # eigenvector k is _vectors[k] / s_k, so row k is scaled by s_k
         rows, d = self._inverse
         decode = self.algebra.field.decode
@@ -123,31 +114,27 @@ class Eigenbasis:
 
     @cached_property
     def table(self):
-        """``products_over`` the vectors; the spaces must span A."""
-        A = self.algebra
-        if not self._ring:
-            return A.products_over([v.coords for v in self.vectors],
-                                   self.inverse)
-        s, den = self._scales, A._int_table[0] * self._inverse[1]
-        return {(p, q): tuple(A.field.decode(list(map(mul, x, s)),
-                                             den * s[p] * s[q]))
-                for (p, q), x in self._columns.items()}
+        """{(p, q): vectors p times q over the vectors}, as
+        ``products_over`` gives it; the spaces must span A."""
+        decode, s = self.algebra.field.decode, self._scales
+        return {pq: tuple(decode(list(map(mul, x, s)), e))
+                for pq, (x, e) in self._columns.items()}
 
     @cached_property
     def _columns(self):
-        """{(p, q): x} for p <= q, x zero exactly where table[p, q] is:
-        the table over a function field; over Q and F_p the rows of
-        _inverse times the ring product of _vectors p and q, mod p."""
-        if not self._ring:
-            return self.table
-        A, vectors, char = self.algebra, self._vectors, self.algebra.field.char
-        rows = self._inverse[0]
+        """{(p, q): (x, e)} for p <= q with table[p, q] = x_k s_k / e: x
+        is the rows of _inverse times the ``encoded_product`` of _vectors
+        p and q, reduced mod the characteristic, so it is zero exactly
+        where table[p, q] is, and e is that product's denominator times d."""
+        A, vectors, scales = self.algebra, self._vectors, self._scales
+        char = A.field.char
+        rows, d = self._inverse
         columns = {}
-        for p, u in enumerate(vectors):
+        for p, (u, us) in enumerate(zip(vectors, scales)):
             for q in range(p, len(vectors)):
-                w = A._ring_product(u, vectors[q])
+                w, wd = A.encoded_product(u, us, vectors[q], scales[q])
                 x = [sum(map(mul, r, w)) for r in rows]
-                columns[p, q] = [c % char for c in x] if char else x
+                columns[p, q] = [c % char for c in x] if char else x, d * wd
         return columns
 
     def violations(self, allowed):
@@ -156,7 +143,7 @@ class Eigenbasis:
         space k not in allowed(i, j); the witness is the first such
         product, in the order of the vectors."""
         owner, found = self.owner, {}
-        for (p, q), x in self._columns.items():
+        for (p, q), (x, _) in self._columns.items():
             ij = owner[p], owner[q]
             if ij in found:
                 continue
@@ -206,9 +193,9 @@ class Eigenbasis:
         """The Miyamoto map: +1 on even, -1 on odd eigenspaces of the
         preferred C2 grading of the law.  It is an automorphism exactly
         when every eigenvector product carries the product of its
-        factors' signs, which is checked.  Computed on first read; over
-        Q and F_p as V diag(+-1) V^-1 on the ring, where the scales of
-        the _vectors cancel, and decoded once per row."""
+        factors' signs, which is checked.  Computed on first read, as
+        V diag(+-1) V^-1 on the ring, where the scales of the _vectors
+        cancel, and decoded once per row."""
         A, a = self.algebra, self.axis
         grading = find_c2_grading(self.law)
         if grading is None:
@@ -222,13 +209,8 @@ class Eigenbasis:
                 k for k, s in enumerate(signs) if s == signs[i] * signs[j]}):
             raise NotSemisimple("Miyamoto map of %r is not an automorphism"
                                 % (a,))
-        vectors = (self._vectors if self._ring
-                   else [v.coords for v in self.vectors])
         images = [[-c for c in v] if signs[k] == ODD else v
-                  for v, k in zip(vectors, self.owner)]
-        if not self._ring:
-            return LinearMap(A, A, linalg.mat_mul(
-                linalg.transpose(images), self.inverse, A.field))
+                  for v, k in zip(self._vectors, self.owner)]
         rows, d = self._inverse
         return LinearMap(A, A, [
             A.field.decode([sum(map(mul, r, c)) for c in zip(*rows)], d)

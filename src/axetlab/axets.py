@@ -248,14 +248,11 @@ class RealizedAxet(FiniteAxet):
 
 def _find(points, index, x):
     """(i, key): the position of x in points, or None, and its key in
-    index.  Over Q and F_p the key is ``field.encode`` of x, which is
-    canonical there, so index finds x; over a function field the key is
-    None and points are scanned."""
-    A = x.algebra
-    if A._int_table is None:
+    index, ``StructureAlgebra.point_key``.  Where the algebra gives no
+    key (over a function field) the points are scanned."""
+    key = x.algebra.point_key(x)
+    if key is None:
         return next((i for i, y in enumerate(points) if y == x), None), None
-    nums, den = A.field.encode(x.coords)
-    key = (den, *nums)
     return index.get(key), key
 
 

@@ -7,8 +7,9 @@ Writing vectors over a basis (or over independent vectors spanning a
 subspace) is done once, by ``invert``, whose result is applied to all
 the vectors by one ``apply_encoded`` (``StructureAlgebra.products_over``
 for products), so it is encoded once; ``solve`` is for one system.
-(``axes.Eigenbasis`` over Q and F_p runs ``eliminate`` on [V | I] for
-vectors V that are already encoded, and never decodes the result.)
+(``axes.Eigenbasis`` runs ``eliminate`` on [V | I] for vectors V that
+are already encoded, over every field, and decodes the result only when
+it is read.)
 
 Each field owns an encoding of its vectors in a ring: ``encode`` gives
 numerators over one denominator (ints for Q, residues for F_p,
@@ -37,9 +38,9 @@ Where the heuristic fails the entry stays unreduced; its value is the
 same either way, since equality cross-multiplies.
 
 ``encoded_kernel`` is ``kernel_basis`` on rows that are already encoded
-(``StructureAlgebra.encoded_eigenspaces`` builds them from the integer
-table over Q and F_p): it leaves the kernel vectors on the ring, over
-one scale, and never decodes the RREF.
+(``StructureAlgebra.encoded_eigenspaces`` builds them from ad_a over
+every field): it leaves the kernel vectors on the ring, over one scale,
+and never decodes the RREF.
 
 ``apply_encoded`` is the one kernel that applies a matrix, to columns
 given encoded; ``mat_mul`` encodes each column of its right factor and

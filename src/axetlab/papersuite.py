@@ -366,7 +366,8 @@ def check_axet_X4():
     return _result("axet-X4", "4 points with the square action")
 
 
-def check_abstract_closures():
+def check_abstract_closures(char):
+    """Xskew(k) for k = 1 to 8; char is not read (no field)."""
     for k in range(1, 9):
         axet = AbstractAxet.skew(k)
         _require("Xskew(%d) has 3k points" % k, axet.size == 3 * k, axet.size)
@@ -376,7 +377,8 @@ def check_abstract_closures():
     return _result("abstract-closures", "3k points for k = 1..8")
 
 
-def check_odd_subaxets():
+def check_odd_subaxets(char):
+    """Xskew(1) inside Xskew(k) for odd k; char is not read (no field)."""
     for k in (3, 5, 7):
         sub = odd_subaxet(AbstractAxet.skew(k))
         shape = classify_shape(sub)
@@ -446,12 +448,15 @@ def check_rehren_oracle():
 
 def seress_property(A, a):
     """a(xu) = (ax)u for every basis x and eigenbasis u of the 1, 0 parts,
-    or the first (u, x) where it fails.
+    or the first (u, x) where it fails; over Q and F_p only.
 
-    Over Q and F_p, as ad_a ad_u = ad_u ad_a on the ring encoding: column
-    x of the two sides is a(ux) and u(ax).  ad_a is encoded once, and
-    each ad_u once; both sides share the denominator of ad_a times that
-    of ad_u, so their integer products are compared (mod p over F_p)."""
+    As ad_a ad_u = ad_u ad_a on the ring encoding: column x of the two
+    sides is a(ux) and u(ax).  ad_a is encoded once, and each ad_u once;
+    over Q and F_p every row of ``encoded_adjoint`` has the same
+    denominator, so both sides share the denominator of ad_a times that
+    of ad_u and their integer products are compared (mod p over F_p)."""
+    if isinstance(A.field, FunctionField):
+        raise TypeError("seress_property is for Q and F_p only")
     ones, zeros = A.eigenspaces(a, [A.field.one, A.field.zero])
     p = A.field.char
     ad_a = A.encoded_adjoint(a)[0]
@@ -615,16 +620,18 @@ SUITE = (
     ("identity-rational", (0,), check_identity_rational),
     ("radical-F5", (5,), check_radical_F5),
     ("quotient-pipeline", (5,), check_quotient_pipeline),
-    ("parameter-sum", (0, 5), None),
+    ("parameter-sum", (0, 5), check_parameter_sum),
     ("rehren-oracle", (0,), check_rehren_oracle),
-    ("seress-property", (0, 5), None),
+    ("seress-property", (0, 5), check_seress),
     ("dichotomy-char0", (0,), partial(check_dichotomy, 0)),
     ("dichotomy-char5", (5,), partial(check_dichotomy, 5)),
 )
 
 
 def run_suite(char=0):
-    """Run every applicable check in order; others are marked skipped."""
+    """Run every applicable check in order; others are marked skipped.
+    A check of a row for one characteristic is called with no argument,
+    and one of a row for both is handed the characteristic."""
     if char not in (0, 5):
         raise ValueError("characteristic must be 0 or 5")
     items = []
@@ -634,13 +641,9 @@ def run_suite(char=0):
                                     "characteristic %s only"
                                     % "/".join(str(c) for c in chars)))
             continue
-        if name == "parameter-sum":
-            fn = lambda: check_parameter_sum(char)  # noqa: E731
-        elif name == "seress-property":
-            fn = lambda: check_seress(char)  # noqa: E731
         skewverify.last_passed = None
         try:
-            result = fn()
+            result = fn(char) if len(chars) > 1 else fn()
             items.append(ItemResult(name, "pass", result.detail))
         except Exception as e:  # honest red: record, keep going
             detail = "%s: %s" % (type(e).__name__, e)

@@ -1067,8 +1067,9 @@ class RationalFunction:
 def solve_linear(expr, name):
     """Solve expr = 0 for a symbol occurring at most linearly.
 
-    Only the numerator matters.  Returns the solution as a
-    RationalFunction; raises NonlinearExpression on degree >= 2 and
+    Only the numerator matters.  Returns the solution -a0/a1 as a
+    RationalFunction, with the common factor of a0 and a1 cancelled;
+    raises NonlinearExpression on degree >= 2 and
     DivisionByZero when the symbol does not occur.
     """
     num, _ = cancel(expr.num, expr.den)
@@ -1078,7 +1079,7 @@ def solve_linear(expr, name):
     a0 = num.coefficient_of(name, 0)
     if not a1:
         raise DivisionByZero("%r does not occur linearly in %r" % (name, expr))
-    return RationalFunction(-a0, a1)
+    return RationalFunction(*cancel(-a0, a1))
 
 
 class RationalField:

@@ -18,7 +18,8 @@ from axetlab.catalog import (make_2B, make_3C, make_3C_skew, make_Q2_third,
                              orthogonal_branch_to_Q2, skew_examples)
 from axetlab.fusion import (ODD, FusionLaw, find_c2_grading, make_jordan,
                             make_monster)
-from axetlab.scalars import QQ, FunctionField, PrimeField
+from axetlab.scalars import QQ, FunctionField, PrimeField, RationalFunction, \
+    cancel
 from axetlab.algebra import StructureAlgebra
 
 THIRD = Fraction(1, 3)
@@ -349,13 +350,37 @@ def test_axis_and_isomorphism_checks_encode_each_matrix_once(monkeypatch):
 
 # -- the eigenbasis against field division ------------------------------------
 
-EIGEN_FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(1000000007))
+QX = FunctionField(("x",))
+X = QX.sym("x")
+EIGEN_FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(1000000007), QX)
 EIGEN_LAWS = (lambda f: make_jordan(f.coerce(Fraction(1, 2))),
               lambda f: make_monster(f.coerce(Fraction(2, 3)),
                                      f.coerce(THIRD)))
 small_scalars = st.one_of(st.just(0), st.integers(-2, 2),
                           st.fractions(min_value=-2, max_value=2,
                                        max_denominator=4))
+# short entries of Q(x): constants, a + b x and 1/(x + c)
+x_scalars = st.one_of(
+    small_scalars.map(QX.coerce),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: t[0] + t[1] * X),
+    st.integers(1, 2).map(lambda c: 1 / (X + c)))
+
+
+def lowest(x):
+    """x in lowest terms when it is a rational function (``cancel``), so
+    that the Q(x) references stay small; other scalars as they are."""
+    if isinstance(x, RationalFunction):
+        return RationalFunction(*cancel(x.num, x.den))
+    return x
+
+
+def total(terms, field):
+    """The sum of terms, put in lowest terms after each addition."""
+    out = field.zero
+    for t in terms:
+        out = lowest(out + t)
+    return out
 
 
 def division_rref(rows, field):
@@ -367,10 +392,10 @@ def division_rref(rows, field):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
+        m[r] = [lowest(x / m[r][c]) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+                m[i] = [lowest(x - m[i][c] * y) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -378,11 +403,9 @@ def division_rref(rows, field):
 
 def division_product(A, u, v):
     """u*v by the triple loop over the stored table."""
-    out = [A.field.zero] * A.dim
-    for i, j in product(range(A.dim), repeat=2):
-        for k in range(A.dim):
-            out[k] += u[i] * v[j] * A.products[i][j][k]
-    return out
+    return [total((u[i] * v[j] * A.products[i][j][k]
+                   for i, j in product(range(A.dim), repeat=2)), A.field)
+            for k in range(A.dim)]
 
 
 def division_eigenbasis(A, a, law):
@@ -418,7 +441,7 @@ def division_eigenbasis(A, a, law):
     for p in range(n):
         for q in range(p, n):
             prod = division_product(A, vectors[p], vectors[q])
-            x = tuple(sum((c * y for c, y in zip(r, prod)), field.zero)
+            x = tuple(total((c * y for c, y in zip(r, prod)), field)
                       for r in inverse)
             table[p, q] = x
             ij = owner[p], owner[q]
@@ -433,18 +456,23 @@ def division_eigenbasis(A, a, law):
 
 @st.composite
 def eigen_cases(draw, fields=EIGEN_FIELDS, graded=False):
-    """(A, a, law) over Q or F_p in dimension 0 to 4.  Either everything
-    is random (zero products and zero or non-idempotent axes included),
-    or a = e_0 with e_0 e_0 = e_0 and e_0 e_i = lam_i e_i + mu_i e_0 for
-    law eigenvalues lam_i, which is semisimple unless some lam_i = 1 has
-    mu_i != 0.  With graded, the second kind is sometimes drawn with
+    """(A, a, law) over Q or F_p in dimension 0 to 4, or over Q(x) in
+    dimension 0 to 3 with short entries and the law J(x) among the laws.
+    Either everything is random (zero products and zero or non-idempotent
+    axes included), or a = e_0 with e_0 e_0 = e_0 and e_0 e_i = lam_i e_i
+    + mu_i e_0 for law eigenvalues lam_i, which is semisimple unless some
+    lam_i = 1 has mu_i != 0.  With graded, the second kind is sometimes drawn with
     mu_i = 0 and e_i e_j on the e_k of sign s_i s_j only, for the signs
     of the law's C2 grading, so that its Miyamoto map exists."""
     field = draw(st.sampled_from(fields))
-    law = draw(st.sampled_from(EIGEN_LAWS))(field)
-    n = draw(st.integers(0, 4))
+    if field == QX:
+        law = draw(st.sampled_from(EIGEN_LAWS + (lambda f: make_jordan(X),)))
+        n, entry = draw(st.integers(0, 3)), x_scalars
+    else:
+        law = draw(st.sampled_from(EIGEN_LAWS))
+        n, entry = draw(st.integers(0, 4)), small_scalars.map(field.coerce)
+    law = law(field)
     names = ["e%d" % i for i in range(n)]
-    entry = small_scalars.map(field.coerce)
     products = {(i, j): [draw(entry) for _ in range(n)]
                 for i in range(n) for j in range(i, n)}
     if not n or draw(st.booleans()):
@@ -494,13 +522,14 @@ def division_miyamoto(A, law, spaces, inverse, table):
     if any(c and sign[k] != sign[p] * sign[q]
            for (p, q), x in table.items() for k, c in enumerate(x)):
         return None
-    n, zero = A.dim, A.field.zero
-    return [[sum((vectors[k][i] * sign[k] * inverse[k][j]
-                  for k in range(n)), zero) for j in range(n)]
+    n = A.dim
+    return [[total((vectors[k][i] * sign[k] * inverse[k][j]
+                    for k in range(n)), A.field) for j in range(n)]
             for i in range(n)]
 
 
-@given(eigen_cases(fields=(QQ, PrimeField(7), PrimeField(11)), graded=True),
+@given(eigen_cases(fields=(QQ, PrimeField(7), PrimeField(11), QX),
+                   graded=True),
        st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_ring_eigenbasis_matches_field_division(case, views_first, data):
@@ -531,7 +560,7 @@ def test_ring_eigenbasis_matches_field_division(case, views_first, data):
     if inverse is not None:
         v = [field.coerce(data.draw(small_scalars)) for _ in range(A.dim)]
         assert basis.coords(A.element(v)) == [
-            sum((c * x for c, x in zip(r, v)), field.zero) for r in inverse]
+            total((c * x for c, x in zip(r, v)), field) for r in inverse]
         want = division_miyamoto(A, law, spaces, inverse, table)
         if want is None:
             with pytest.raises(NotSemisimple):

@@ -64,3 +64,19 @@ def test_linalg_has_one_path_whatever_the_field():
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Call)
                 and getattr(node.func, "id", None) == "isinstance"]
+
+
+def test_only_algebra_reads_the_integer_table():
+    # the integer table of Q and F_p and its product loop are private to
+    # algebra.py; every other module goes through the encoded_* methods
+    # and point_key, which answer over every field
+    private = {"_int_table", "_ring_product"}
+    files = [path for path in sorted((ROOT / "src" / "axetlab").glob("*.py"))
+             if path.name != "algebra.py"]
+    assert files
+    found = [(path.name, node.lineno) for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                            filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in private
+             or isinstance(node, ast.Constant) and node.value in private]
+    assert not found

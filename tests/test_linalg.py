@@ -13,7 +13,7 @@ from axetlab.algebra import StructureAlgebra
 from axetlab.axes import miyamoto
 from axetlab.catalog import make_3C_skew
 from axetlab.scalars import QQ, FunctionField, MixedFields, MultiPoly, \
-    PrimeField, skew_field
+    PrimeField, RationalFunction, cancel, skew_field
 
 F5 = PrimeField(5)
 
@@ -147,9 +147,59 @@ X, Y = FXY.sym("x"), FXY.sym("y")
 DENOMINATORS = (X + 1, Y - 2, X * Y + 1, X - Y)
 
 
+def lowest_terms(x):
+    """A rational function with its common factor cancelled (``cancel``);
+    other scalars as they are."""
+    if isinstance(x, RationalFunction):
+        return RationalFunction(*cancel(x.num, x.den))
+    return x
+
+
+def _gcd(p, q):
+    """A gcd of p and q by ``MultiPoly.gcd``, or None when the heuristic
+    fails; p itself when q = +-p, as for a pivot times its inverse, where
+    the heuristic fails on large operands."""
+    if p.terms == q.terms or p.terms == (-q).terms:
+        return p
+    return p.gcd(q)
+
+
+def _exquo(p, h):
+    """p divided by h, a gcd from ``_gcd``; None (the heuristic failed)
+    divides nothing out."""
+    return p if h is None else p.exquo(h)
+
+
+def times(a, b):
+    """a * b, in lowest terms for rational functions in lowest terms by
+    Henrici's rule (Knuth, TAOCP 2, 4.5.1): each gcd is taken on one
+    numerator and one denominator, never on the whole product."""
+    if not isinstance(a, RationalFunction) or not (a and b):
+        return a * b
+    g, h = _gcd(a.num, b.den), _gcd(b.num, a.den)
+    return RationalFunction(_exquo(a.num, g) * _exquo(b.num, h),
+                            _exquo(a.den, h) * _exquo(b.den, g))
+
+
+def minus(a, b):
+    """a - b, in lowest terms for rational functions in lowest terms by
+    Henrici's rule: over the lcm of the denominators, then divided by
+    the gcd of that numerator with the gcd of the denominators."""
+    if not isinstance(a, RationalFunction) or not (a and b):
+        return a - b
+    d = _gcd(a.den, b.den)
+    ad, bd = _exquo(a.den, d), _exquo(b.den, d)
+    t = a.num * bd - b.num * ad
+    e = _gcd(t, d) if t and d is not None else None
+    return RationalFunction(_exquo(t, e), ad * _exquo(b.den, e))
+
+
 def field_division_rref(rows, field):
-    """Gauss-Jordan with field division, the reference for rref."""
-    m = [list(r) for r in rows]
+    """Gauss-Jordan with field division, the reference for rref.  Over a
+    function field every entry is kept in lowest terms (``times`` and
+    ``minus``), so that it stays as small as the RREF entry it becomes
+    and the comparison with rref multiplies small polynomials."""
+    m = [[lowest_terms(x) for x in r] for r in rows]
     pivots = []
     r = 0
     for c in range(len(m[0])):
@@ -159,11 +209,11 @@ def field_division_rref(rows, field):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = field.one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        m[r] = [times(inv, x) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != field.zero:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [minus(a, times(f, b)) for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

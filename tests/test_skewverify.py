@@ -10,7 +10,8 @@ from axetlab.catalog import (SkewConstants, make_2B, make_3C, make_3C_skew,
                              make_generic_skew, make_Q2_skew, make_Q2_third,
                              make_Q2x_plus_one)
 from axetlab.fusion import make_jordan, make_monster
-from axetlab.scalars import QQ, MultiPoly, PrimeField, skew_field
+from axetlab.scalars import QQ, MultiPoly, PrimeField, skew_field, \
+    solve_linear
 from axetlab.skewverify import (ContradictionNotFound, IdentityFails,
                                 NoMatch, beta_component,
                                 check_bracket_table, check_constant_chains,
@@ -124,6 +125,22 @@ def test_orthogonal_replay_char0():
                for s in report.constraints)
     assert any("l1 = (beta + 1)/4" in s for s in report.constraints)
     assert any("(5/18, 1/9, 1/6)" in s for s in report.constraints)
+
+
+def test_orthogonal_replay_stores_l1_in_lowest_terms(monkeypatch):
+    # solve_linear cancels -a0/a1: the u obstruction gives
+    # l1 = (beta^2 + beta)/(4 beta), stored as (beta + 1)/4
+    solved = {}
+
+    def recorded(expr, name):
+        solved[name] = solve_linear(expr, name)
+        return solved[name]
+
+    monkeypatch.setattr(skewverify, "solve_linear", recorded)
+    replay_orthogonal_branch(0)
+    l1, names = solved["l1"], skew_field().names
+    assert l1.num == MultiPoly.variable(names, "beta") + 1
+    assert l1.den.terms == MultiPoly.constant(names, 4).terms
 
 
 def test_orthogonal_replay_char5():
