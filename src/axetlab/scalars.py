@@ -1067,12 +1067,16 @@ class RationalFunction:
 def solve_linear(expr, name):
     """Solve expr = 0 for a symbol occurring at most linearly.
 
-    Only the numerator matters.  Returns the solution -a0/a1 as a
-    RationalFunction, with the common factor of a0 and a1 cancelled;
-    raises NonlinearExpression on degree >= 2 and
-    DivisionByZero when the symbol does not occur.
+    Only the numerator matters, once the factors it shares with the
+    denominator are cancelled.  Returns the solution -a0/a1 as a
+    RationalFunction, with the common factor of a0 and a1 cancelled; when
+    the denominator does not involve the symbol, no shared factor does,
+    and that one cancel removes them.  Raises NonlinearExpression on
+    degree >= 2 and DivisionByZero when the symbol does not occur.
     """
-    num, _ = cancel(expr.num, expr.den)
+    num = expr.num
+    if expr.den.degree_in(name):
+        num, _ = cancel(num, expr.den)
     if num.degree_in(name) >= 2:
         raise NonlinearExpression("%r appears with degree >= 2" % name)
     a1 = num.coefficient_of(name, 1)

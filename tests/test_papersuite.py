@@ -9,10 +9,10 @@ import pytest
 
 import axetlab.papersuite as ps
 from axetlab import skewverify
-from axetlab.catalog import (make_3C_minus1_2, make_orthogonal_branch,
-                             make_Q2_skew, make_Q2_third, make_Q2x_plus_one,
-                             skew_examples)
-from axetlab.scalars import QQ
+from axetlab.catalog import (make_3C_minus1_2, make_3C_skew,
+                             make_orthogonal_branch, make_Q2_skew,
+                             make_Q2_third, make_Q2x_plus_one, skew_examples)
+from axetlab.scalars import QQ, FunctionField
 
 
 def frozen_tables():
@@ -293,3 +293,11 @@ def test_seress_property_matches_the_four_products():
         assert got == seress_by_products(A, a)
         failures += not got[0]
     assert failures > 100  # the perturbations reach the failing branch
+
+
+def test_seress_property_refuses_a_function_field():
+    # over a function field each row of ad_a has its own denominator, so
+    # the integer products of the two sides are not comparable
+    ex = make_3C_skew(FunctionField(("alpha",)).sym("alpha"))
+    with pytest.raises(TypeError, match="Q and F_p only"):
+        ps.seress_property(ex.algebra, ex.m_axis)

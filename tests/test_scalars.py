@@ -490,6 +490,15 @@ def test_solve_linear_cancels_before_the_degree_test():
     assert solve_linear(a ** 2 / a - 1, "alpha") == 1
 
 
+def test_solve_linear_stores_its_solution_in_lowest_terms():
+    # the denominator lacks a, so the factor b shared by a1 = b^2 and
+    # a0 = -b is cancelled in the solution b/b^2
+    field = FunctionField(("a", "b"))
+    a, b = field.sym("a"), field.sym("b")
+    v = solve_linear((a * b * b - b) / (b + 1), "a")
+    assert (v.num, v.den) == (field.one.num, b.num)
+
+
 def test_solve_linear_rejects_quadratic():
     field = FunctionField(("a",))
     a = field.sym("a")
