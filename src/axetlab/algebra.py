@@ -128,8 +128,9 @@ class StructureAlgebra:
         each coordinate is one sum of its terms (``_sum``)."""
         field = self.field
         if self._int_table is not None:
-            return field.decode(*self.encoded_product(*field.encode(u),
-                                                      *field.encode(v)))
+            (u, ud), (v, vd) = field.encode(u), field.encode(v)
+            return field.decode(self._ring_product(u, v),
+                                self._int_table[0] * ud * vd)
         terms = [[] for _ in range(self.dim)]
         support = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
@@ -181,10 +182,14 @@ class StructureAlgebra:
         if self._int_table is None:
             rows = [field.encode(r) for r in self.adjoint(a).matrix]
             return [r for r, _ in rows], [d for _, d in rows]
-        (u, ud), n = field.encode(a.coords), self.dim
-        cols = [self._ring_product(u, [int(i == j) for i in range(n)])
-                for j in range(n)]
-        return linalg.transpose(cols), [self._int_table[0] * ud] * n
+        u, ud = field.encode(a.coords)
+        unit = [0] * self.dim
+        cols = []
+        for j in range(self.dim):
+            unit[j] = 1
+            cols.append(self._ring_product(u, unit))
+            unit[j] = 0
+        return linalg.transpose(cols), [self._int_table[0] * ud] * self.dim
 
     def encoded_eigenspaces(self, a, lams):
         """For each of lams, the basis of ker(ad_a - lam) as (vector,
@@ -194,7 +199,7 @@ class StructureAlgebra:
         over a function field each vector is decoded (``cancel``) and
         encoded again."""
         rows, dens = self.encoded_adjoint(a)
-        field, char = self.field, self.field.char
+        field, char, ff = self.field, self.field.char, not self._int_table
         spaces = []
         for lam in lams:
             (p,), q = field.encode([lam])
@@ -202,12 +207,9 @@ class StructureAlgebra:
                  for i, (r, d) in enumerate(zip(rows, dens))]
             if char:
                 m = [[x % char for x in r] for r in m]
-            vectors, prev = linalg.encoded_kernel(m, field)
-            if self._int_table is None:
-                spaces.append([field.encode(field.decode(v, prev))
-                               for v in vectors])
-            else:
-                spaces.append([(v, prev) for v in vectors])
+            vectors, s = linalg.encoded_kernel(m, field)
+            spaces.append([field.encode(field.decode(v, s)) if ff
+                           else (v, s) for v in vectors])
         return spaces
 
     def eigenspaces(self, a, lams):
@@ -232,10 +234,9 @@ class StructureAlgebra:
         """A hashable key shared by equal elements, or None over a
         function field, which has no canonical form: over Q and F_p the
         ``encode`` of the coordinates, which is canonical there."""
-        if self._int_table is None:
-            return None
-        nums, den = self.field.encode(x.coords)
-        return (den, *nums)
+        if self._int_table is not None:
+            nums, den = self.field.encode(x.coords)
+            return (den, *nums)
 
     # -- structural operations -------------------------------------------
 

@@ -99,8 +99,7 @@ class Eigenbasis:
             return None
         # eigenvector k is _vectors[k] / s_k, so row k is scaled by s_k
         rows, d = self._inverse
-        decode = self.algebra.field.decode
-        return [decode([s * x for x in r], d)
+        return [self.algebra.field.decode([s * x for x in r], d)
                 for r, s in zip(rows, self._scales)]
 
     def eigenspace(self, lam):

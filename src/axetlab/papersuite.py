@@ -451,10 +451,9 @@ def seress_property(A, a):
     or the first (u, x) where it fails; over Q and F_p only.
 
     As ad_a ad_u = ad_u ad_a on the ring encoding: column x of the two
-    sides is a(ux) and u(ax).  ad_a is encoded once, and each ad_u once;
-    over Q and F_p every row of ``encoded_adjoint`` has the same
-    denominator, so both sides share the denominator of ad_a times that
-    of ad_u and their integer products are compared (mod p over F_p)."""
+    sides is a(ux) and u(ax).  ad_a and each ad_u are encoded once; all
+    rows of each share one denominator (not so over a function field),
+    so the integer products of the two sides are compared (mod p)."""
     if isinstance(A.field, FunctionField):
         raise TypeError("seress_property is for Q and F_p only")
     ones, zeros = A.eigenspaces(a, [A.field.one, A.field.zero])

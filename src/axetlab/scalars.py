@@ -1067,12 +1067,10 @@ class RationalFunction:
 def solve_linear(expr, name):
     """Solve expr = 0 for a symbol occurring at most linearly.
 
-    Only the numerator matters, once the factors it shares with the
-    denominator are cancelled.  Returns the solution -a0/a1 as a
-    RationalFunction, with the common factor of a0 and a1 cancelled; when
-    the denominator does not involve the symbol, no shared factor does,
-    and that one cancel removes them.  Raises NonlinearExpression on
-    degree >= 2 and DivisionByZero when the symbol does not occur.
+    Only the numerator matters.  Returns -a0/a1 in lowest terms as a
+    RationalFunction (a factor of num and den without the symbol divides
+    a0 and a1); raises NonlinearExpression on degree >= 2 and
+    DivisionByZero when the symbol does not occur.
     """
     num = expr.num
     if expr.den.degree_in(name):

@@ -461,9 +461,9 @@ def eigen_cases(draw, fields=EIGEN_FIELDS, graded=False):
     Either everything is random (zero products and zero or non-idempotent
     axes included), or a = e_0 with e_0 e_0 = e_0 and e_0 e_i = lam_i e_i
     + mu_i e_0 for law eigenvalues lam_i, which is semisimple unless some
-    lam_i = 1 has mu_i != 0.  With graded, the second kind is sometimes drawn with
-    mu_i = 0 and e_i e_j on the e_k of sign s_i s_j only, for the signs
-    of the law's C2 grading, so that its Miyamoto map exists."""
+    lam_i = 1 has mu_i != 0.  With graded, the second kind is sometimes
+    drawn with mu_i = 0 and e_i e_j on the e_k of sign s_i s_j only, for
+    the signs of the law's C2 grading, so that its Miyamoto map exists."""
     field = draw(st.sampled_from(fields))
     if field == QX:
         law = draw(st.sampled_from(EIGEN_LAWS + (lambda f: make_jordan(X),)))
